@@ -5,8 +5,8 @@ consistency check failed (oracle mismatch, failed verification suite);
 2 invalid inputs or parameters; 3 an undefined measure requested in
 strict mode.
 
-All command output is byte-stable for fixed inputs, seeds and thread
-counts. Set CONCEPTSCOPE_LOG=debug|info|warning for stderr logging.
+All command output is byte-stable for fixed inputs and seeds. Set
+CONCEPTSCOPE_LOG=debug|info|warning for stderr logging.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -24,7 +25,12 @@ import numpy as np
 from conceptscope import report as report_mod
 from conceptscope.completeness import completeness_brute_force, completeness_closed_form
 from conceptscope.dataset import load_dataset
-from conceptscope.embeddings import VectorEntry, dump_vector_file, load_vector_file
+from conceptscope.embeddings import (
+    VectorEntry,
+    dump_vector_file,
+    load_vector_file,
+    unit_normalize,
+)
 from conceptscope.errors import (
     ConceptScopeError,
     DomainError,
@@ -96,20 +102,29 @@ def _emit_json(payload: object, output: str) -> None:
     _write_output((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"), output)
 
 
+def _finite_number(value: object, what: str) -> float:
+    """A finite JSON number from an input file; strings and booleans are rejected."""
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer literal too large for a float
+        pass
+    raise ValidationError(f"{what} must be a finite number, got {value!r}")
+
+
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
 @click.option(
     "--threads",
     type=click.IntRange(min=1),
     default=1,
     show_default=True,
-    help="Worker threads for fan-out work; results do not depend on it.",
+    expose_value=False,
+    help="Accepted for compatibility; has no effect (all work runs on one thread).",
 )
-@click.pass_context
-def main(ctx: click.Context, threads: int) -> None:
+def main() -> None:
     """Concept-importance measures, verification suites and prompt editing."""
     level = os.environ.get("CONCEPTSCOPE_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), stream=sys.stderr)
-    ctx.obj = {"threads": threads}
 
 
 def _parse_dataset_spec(spec: str) -> tuple[str, str]:
@@ -142,9 +157,8 @@ def _parse_dataset_spec(spec: str) -> tuple[str, str]:
               show_default=True)
 @click.option("--schema", default=None,
               help="Comma-separated concept names, required with --schema-mode strict.")
-@click.pass_context
 @_cli_errors
-def measure_cmd(ctx, dataset_specs, measure_name, theta, delta, include_ground_truth,
+def measure_cmd(dataset_specs, measure_name, theta, delta, include_ground_truth,
                 fmt, output, positive_only, strict, schema_mode, schema):
     """Per-concept measure table over one or more datasets."""
     kind = _MEASURE_CHOICES[measure_name]
@@ -164,7 +178,6 @@ def measure_cmd(ctx, dataset_specs, measure_name, theta, delta, include_ground_t
         delta=delta,
         include_ground_truth=include_ground_truth,
         strict=strict,
-        threads=ctx.obj["threads"],
     )
     if positive_only:
         cells = report_mod.filter_positive(cells)
@@ -225,18 +238,19 @@ def _load_model(path: str) -> LinearConceptModel:
         if key not in obj:
             raise ValidationError(f"model file {path} is missing {key!r}")
     dim = obj["dim"]
-    w_h = np.asarray(obj["w_h"], dtype=np.float64)
-    v = np.asarray(obj["v"], dtype=np.float64)
-    for name, vec in (("w_h", w_h), ("v", v)):
-        if vec.ndim != 1 or vec.shape[0] != dim:
+    vectors = {}
+    for name in ("w_h", "v"):
+        try:
+            vec = np.asarray(obj[name], dtype=np.float64)
+        except (TypeError, ValueError):
+            vec = None
+        if vec is None or vec.ndim != 1 or vec.shape[0] != dim:
             raise ValidationError(f"model {name} must be a vector of dim {dim}")
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0 or not np.isfinite(norm):
-            raise ValidationError(f"model {name} cannot be normalized")
+        vectors[name] = unit_normalize(vec, f"model {name}")
     return LinearConceptModel(
-        w_h=w_h / float(np.linalg.norm(w_h)),
-        theta_h=float(obj["theta_h"]),
-        v=v / float(np.linalg.norm(v)),
+        w_h=vectors["w_h"],
+        theta_h=_finite_number(obj["theta_h"], f"model file {path}: 'theta_h'"),
+        v=vectors["v"],
         dim=int(dim),
     )
 
@@ -287,15 +301,15 @@ def _load_plans(path: str) -> list[EditPlan]:
         if not isinstance(raw, dict):
             raise ValidationError(f"plan[{index}] must be an object")
         try:
-            plans.append(
-                EditPlan(
-                    class_name=raw["class_name"],
-                    concept_names=tuple(raw["concept_names"]),
-                    lam=float(raw["lambda"]),
-                )
-            )
+            class_name, concept_names, lam = raw["class_name"], raw["concept_names"], raw["lambda"]
         except KeyError as exc:
             raise ValidationError(f"plan[{index}] is missing {exc.args[0]!r}") from None
+        if not isinstance(concept_names, list) or not all(
+            isinstance(name, str) for name in concept_names
+        ):
+            raise ValidationError(f"plan[{index}] 'concept_names' must be a list of strings")
+        lam = _finite_number(lam, f"plan[{index}] 'lambda'")
+        plans.append(EditPlan(class_name, tuple(concept_names), lam))
     if not plans:
         raise ValidationError(f"plan file {path} contains no plans")
     return plans
@@ -401,25 +415,21 @@ def votes_cmd(votes_path, ks, output):
               required=True)
 @click.option("--trials", type=click.IntRange(min=1), default=None,
               help="Defaults: 1000 (axioms, theorem1) or 500 (theorem2).")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--epsilon", type=float, default=0.2, show_default=True)
 @click.option("--delta", type=float, default=0.1, show_default=True)
 @click.option("--dim", type=int, default=8, show_default=True)
 @click.option("--records", "records_path", default=None, metavar="PATH",
               help="Write one JSONL record per theorem2 trial.")
-@click.pass_context
 @_cli_errors
-def verify_cmd(ctx, suite, trials, seed, epsilon, delta, dim, records_path):
+def verify_cmd(suite, trials, seed, epsilon, delta, dim, records_path):
     """Run a verification suite; exit 0 only if every check passes."""
-    threads = ctx.obj["threads"]
     if suite == "axioms":
-        report = run_axioms_suite(trials or 1000, seed, threads=threads)
+        report = run_axioms_suite(trials or 1000, seed)
     elif suite == "theorem1":
-        report = run_theorem1_suite(trials or 1000, seed, threads=threads)
+        report = run_theorem1_suite(trials or 1000, seed)
     else:
-        report, trial_records = run_theorem2_suite(
-            epsilon, delta, dim, trials or 500, seed, threads=threads
-        )
+        report, trial_records = run_theorem2_suite(epsilon, delta, dim, trials or 500, seed)
         if records_path:
             lines = [
                 json.dumps(

@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from conceptscope.dataset import ConceptDataset
-from conceptscope.errors import DomainError, SchemaError
+from conceptscope.errors import DomainError
+from conceptscope.measures import _require_concept
 from conceptscope.numerics import KahanAccumulator
 
 CLOSED_FORM = "closed_form"
@@ -45,10 +46,7 @@ class CompletenessScore:
 
 
 def _require_binary(dataset: ConceptDataset, concept: str) -> None:
-    if concept not in dataset.concept_names:
-        raise SchemaError(
-            f"unknown concept {concept!r}; schema has {list(dataset.concept_names)}"
-        )
+    _require_concept(dataset, concept)
     for ex in dataset.examples:
         value = ex.concepts[concept]
         if value not in (-1.0, 1.0):

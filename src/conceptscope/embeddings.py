@@ -8,6 +8,9 @@ non-finite vectors are rejected. A vector entry may carry an optional
 "label" string, used by image files in zero-shot evaluation. The
 writer emits raw values without renormalizing, so edited (non-unit)
 prompts round-trip unchanged.
+
+The unit-norm check and the normalization here are the package's only
+ones; every module that takes unit vectors uses them.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 from conceptscope.errors import ParseError, ValidationError
+
+UNIT_NORM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,8 +43,32 @@ def _read_bytes(source: bytes | BinaryIO) -> bytes:
     return source if isinstance(source, bytes) else source.read()
 
 
-def load_vector_file(source: bytes | BinaryIO, *, normalize: bool = True) -> VectorFile:
-    """Parse and (by default) unit-normalize a vector file."""
+def check_finite_vector(vector: np.ndarray, what: str) -> None:
+    """Reject a ``vector`` that is not 1-D or has non-finite components."""
+    if vector.ndim != 1:
+        raise ValidationError(f"{what} must be a 1-D vector")
+    if not np.all(np.isfinite(vector)):
+        raise ValidationError(f"{what} has non-finite components")
+
+
+def check_unit_vector(vector: np.ndarray, what: str) -> None:
+    """Reject a ``vector`` that is not a finite 1-D vector of unit norm."""
+    check_finite_vector(vector, what)
+    norm = float(np.linalg.norm(vector))
+    if abs(norm - 1.0) > UNIT_NORM_TOLERANCE:
+        raise ValidationError(f"{what} must have unit norm, got {norm!r}")
+
+
+def unit_normalize(vector: np.ndarray, what: str) -> np.ndarray:
+    """``vector`` divided by its Euclidean norm, which must be finite and nonzero."""
+    norm = float(np.linalg.norm(vector))
+    if norm == 0.0 or not np.isfinite(norm):
+        raise ValidationError(f"{what} has norm {norm!r} and cannot be normalized")
+    return vector / norm
+
+
+def load_vector_file(source: bytes | BinaryIO) -> VectorFile:
+    """Parse and unit-normalize a vector file."""
     data = _read_bytes(source)
     try:
         obj = json.loads(data.decode("utf-8"))
@@ -70,14 +99,13 @@ def load_vector_file(source: bytes | BinaryIO, *, normalize: bool = True) -> Vec
         raw = item.get("values")
         if not isinstance(raw, list) or len(raw) != dim:
             raise ValidationError(f"{where}: 'values' must be a list of {dim} numbers")
-        values = np.asarray(raw, dtype=np.float64)
-        if not np.all(np.isfinite(values)):
-            raise ValidationError(f"{where}: non-finite component in {vector_id!r}")
-        if normalize:
-            norm = float(np.linalg.norm(values))
-            if norm == 0.0:
-                raise ValidationError(f"{where}: zero vector {vector_id!r} cannot be normalized")
-            values = values / norm
+        try:
+            values = np.asarray(raw, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{where}: 'values' must be a list of {dim} numbers") from None
+        what = f"{where}: vector {vector_id!r}"
+        check_finite_vector(values, what)
+        values = unit_normalize(values, what)
         label = item.get("label")
         if label is not None and not isinstance(label, str):
             raise ValidationError(f"{where}: 'label' must be a string when present")

@@ -12,10 +12,13 @@ fixed-order Kahan summation, so equal input bytes give bit-identical
 results. Empty conditioning sets raise UndefinedMeasureError rather
 than returning NaN.
 
-The sampling plan inverts the two-sided Hoeffding tail for [-1,1]
-variables, exp(-n eps^2 / 2) = delta, giving n = ceil(2 ln(1/delta) /
-eps^2) samples for radius eps, and radius sqrt(2 ln(1/delta) / n) for
-n samples.
+The sampling plan inverts Hoeffding's one-sided tail for means of
+[-1,1] variables, exp(-n eps^2 / 2) = delta, giving n = ceil(2
+ln(1/delta) / eps^2) samples for radius eps, and radius sqrt(2
+ln(1/delta) / n) for n samples. Each side of the estimate then fails
+with probability at most delta, so the two-sided guarantee
+|estimate - mean| < eps holds with probability at least 1 - 2 delta
+(Hoeffding 1963).
 """
 
 from __future__ import annotations
@@ -158,7 +161,7 @@ def concept_conditioned_measure(
 
 
 def hoeffding_sample_size(epsilon: float, delta: float) -> int:
-    """Samples needed so a [-1,1] mean deviates < epsilon w.p. 1 - delta."""
+    """Samples so a [-1,1] mean errs by epsilon or more on one side w.p. <= delta."""
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if not 0.0 < delta < 1.0:
@@ -167,7 +170,7 @@ def hoeffding_sample_size(epsilon: float, delta: float) -> int:
 
 
 def hoeffding_radius(n: int, delta: float) -> float:
-    """Deviation radius guaranteed w.p. 1 - delta by n samples in [-1,1]."""
+    """One-sided deviation radius at level delta for n samples in [-1,1]."""
     if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     if not 0.0 < delta < 1.0:

@@ -2,9 +2,7 @@
 
 Every measure in this package reduces with compensated (Kahan)
 summation in the input's order, so identical input bytes give
-bit-identical results regardless of run or thread count. Callers that
-chunk work in parallel must merge partial sums in a fixed chunk order;
-the accumulator itself is not thread-safe.
+bit-identical results on every run.
 """
 
 from __future__ import annotations

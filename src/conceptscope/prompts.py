@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from conceptscope.embeddings import check_finite_vector, check_unit_vector
 from conceptscope.errors import DomainError, ValidationError
 
 CLASS_PROMPT = "class_prompt"
@@ -25,7 +26,6 @@ CONCEPT_PROMPT = "concept_prompt"
 EDITED = "edited"
 
 _KINDS = (CLASS_PROMPT, CONCEPT_PROMPT, EDITED)
-UNIT_NORM_TOLERANCE = 1e-9
 
 # Default grid for fitting the subtraction scale: 0, 0.02, ..., 0.5.
 DEFAULT_LAMBDA_GRID = tuple(round(0.02 * i, 2) for i in range(26))
@@ -44,16 +44,8 @@ class PromptEmbedding:
             raise ValidationError(f"unknown prompt kind {self.kind!r}")
         vector = np.asarray(self.vector, dtype=np.float64)
         object.__setattr__(self, "vector", vector)
-        if vector.ndim != 1:
-            raise ValidationError(f"prompt {self.name!r} vector must be 1-D")
-        if not np.all(np.isfinite(vector)):
-            raise ValidationError(f"prompt {self.name!r} has non-finite components")
-        if self.kind != EDITED:
-            norm = float(np.linalg.norm(vector))
-            if abs(norm - 1.0) > UNIT_NORM_TOLERANCE:
-                raise ValidationError(
-                    f"prompt {self.name!r} must have unit norm, got {norm!r}"
-                )
+        check = check_finite_vector if self.kind == EDITED else check_unit_vector
+        check(vector, f"prompt {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -101,12 +93,6 @@ def classify(
     scores = [float(np.dot(image, p.vector)) for p in class_prompts]
     best = max(range(len(scores)), key=scores.__getitem__)
     return class_prompts[best].name
-
-
-def classify_batch(
-    images: Sequence[np.ndarray], class_prompts: Sequence[PromptEmbedding]
-) -> list[str]:
-    return [classify(image, class_prompts) for image in images]
 
 
 def edit_prompt(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 from xml.sax.saxutils import escape
@@ -65,13 +64,11 @@ def compute_measure_table(
     delta: float | None = None,
     include_ground_truth: bool = False,
     strict: bool = False,
-    threads: int = 1,
 ) -> list[MeasureCell]:
     """One cell per concept per series, concept-major order.
 
     ``strict`` propagates UndefinedMeasureError instead of emitting a
-    None cell. ``threads`` fans the pure per-cell work out over a
-    thread pool; results keep the same deterministic order.
+    None cell.
     """
     if not datasets:
         raise DomainError("at least one dataset is required")
@@ -98,22 +95,18 @@ def compute_measure_table(
         for label, dataset in datasets:
             series.append((label + GROUND_TRUTH_SUFFIX, with_ground_truth_predictions(dataset)))
 
-    tasks = [(concept, label, dataset) for concept in schema for label, dataset in series]
-
-    def cell(task: tuple[str, str, ConceptDataset]) -> MeasureCell:
-        concept, label, dataset = task
-        try:
-            result = _one_measure(dataset, concept, kind, theta, delta)
-        except UndefinedMeasureError:
-            if strict:
-                raise
-            return MeasureCell(concept, label, None, None)
-        return MeasureCell(concept, label, result.value, result.confidence_radius)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(cell, tasks))
-    return [cell(task) for task in tasks]
+    cells = []
+    for concept in schema:
+        for label, dataset in series:
+            try:
+                result = _one_measure(dataset, concept, kind, theta, delta)
+            except UndefinedMeasureError:
+                if strict:
+                    raise
+                cells.append(MeasureCell(concept, label, None, None))
+            else:
+                cells.append(MeasureCell(concept, label, result.value, result.confidence_radius))
+    return cells
 
 
 def filter_positive(cells: Sequence[MeasureCell]) -> list[MeasureCell]:

@@ -352,9 +352,7 @@ class Theorem2Trial:
     bound_holds: bool
 
 
-def theorem2_trial(
-    epsilon: float, delta: float, dim: int, seed: int, *, method: str = "auto"
-) -> Theorem2Trial:
+def theorem2_trial(epsilon: float, delta: float, dim: int, seed: int) -> Theorem2Trial:
     """Run one randomized check of the concept-score bound.
 
     Draws random unit w_h and v, sets theta_h = 1 - epsilon^2/8,
@@ -373,7 +371,7 @@ def theorem2_trial(
     v = random_unit_vector(rng, dim)
     theta_h = 1.0 - epsilon * epsilon / 8.0
     n = hoeffding_sample_size(epsilon, delta)
-    points = sample_spherical_cap(rng, w_h, theta_h, n, method=method)
+    points = sample_spherical_cap(rng, w_h, theta_h, n)
     model = LinearConceptModel(w_h=w_h, theta_h=theta_h, v=v, dim=dim)
     width = len(str(n - 1)) if n > 1 else 1
     examples = [
@@ -389,20 +387,13 @@ def theorem2_trial(
 
 
 def run_theorem2_batch(
-    epsilon: float,
-    delta: float,
-    dim: int,
-    trials: int,
-    seed: int,
-    *,
-    method: str = "auto",
+    epsilon: float, delta: float, dim: int, trials: int, seed: int
 ) -> list[Theorem2Trial]:
     """Independent trials on per-index derived seeds."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     return [
-        theorem2_trial(epsilon, delta, dim, derive_seed(seed, index), method=method)
-        for index in range(trials)
+        theorem2_trial(epsilon, delta, dim, derive_seed(seed, index)) for index in range(trials)
     ]
 
 

@@ -21,20 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
+from conceptscope.embeddings import check_unit_vector
 from conceptscope.errors import DomainError, UndefinedMeasureError, ValidationError
 from conceptscope.numerics import KahanAccumulator
-
-UNIT_NORM_TOLERANCE = 1e-9
-
-
-def _check_unit(vector: np.ndarray, what: str) -> None:
-    if vector.ndim != 1:
-        raise ValidationError(f"{what} must be a 1-D vector")
-    if not np.all(np.isfinite(vector)):
-        raise ValidationError(f"{what} has non-finite components")
-    norm = float(np.linalg.norm(vector))
-    if abs(norm - 1.0) > UNIT_NORM_TOLERANCE:
-        raise ValidationError(f"{what} must have unit norm, got {norm!r}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +37,7 @@ class EmbeddedExample:
         object.__setattr__(
             self, "embedding", np.asarray(self.embedding, dtype=np.float64)
         )
-        _check_unit(self.embedding, f"embedding of {self.id!r}")
+        check_unit_vector(self.embedding, f"embedding of {self.id!r}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +52,8 @@ class LinearConceptModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "w_h", np.asarray(self.w_h, dtype=np.float64))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=np.float64))
-        _check_unit(self.w_h, "w_h")
-        _check_unit(self.v, "v")
+        check_unit_vector(self.w_h, "w_h")
+        check_unit_vector(self.v, "v")
         if self.w_h.shape[0] != self.dim or self.v.shape[0] != self.dim:
             raise ValidationError(
                 f"w_h and v must both have dim {self.dim},"

@@ -18,7 +18,6 @@ failure records for offline inspection.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from conceptscope.completeness import completeness_brute_force, completeness_closed_form
@@ -38,8 +37,8 @@ from conceptscope.synthetic import (
     derive_seed,
     generate_dataset,
     make_rng,
+    run_theorem2_batch,
     split_example,
-    theorem2_trial,
 )
 
 IDENTITY_TOLERANCE = 1e-12
@@ -51,13 +50,6 @@ class SuiteReport:
     passed: bool
     lines: list[str]
     failures: list[dict] = field(default_factory=list)
-
-
-def _map_trials(worker, indices, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, indices))
-    return [worker(i) for i in indices]
 
 
 def _all_measures(dataset: ConceptDataset, concept: str, theta: float) -> dict[str, float | None]:
@@ -111,7 +103,7 @@ def _decomposition_gap(dataset: ConceptDataset, concept: str) -> float | None:
     return abs(symmetric_measure(dataset, concept).value - expected)
 
 
-def run_axioms_suite(trials: int, seed: int, *, threads: int = 1) -> SuiteReport:
+def run_axioms_suite(trials: int, seed: int) -> SuiteReport:
     """Recursivity, weight linearity and the decomposition identity."""
 
     def one_trial(index: int) -> list[dict]:
@@ -163,7 +155,7 @@ def run_axioms_suite(trials: int, seed: int, *, threads: int = 1) -> SuiteReport
             failures.append({"check": "decomposition", "trial": index, "gap": gap})
         return failures
 
-    failures = [f for trial in _map_trials(one_trial, range(trials), threads) for f in trial]
+    failures = [f for index in range(trials) for f in one_trial(index)]
     checks = ("recursivity", "linearity", "decomposition")
     lines = []
     for check in checks:
@@ -175,7 +167,7 @@ def run_axioms_suite(trials: int, seed: int, *, threads: int = 1) -> SuiteReport
     return SuiteReport("axioms", not failures, lines, failures)
 
 
-def run_theorem1_suite(trials: int, seed: int, *, threads: int = 1) -> SuiteReport:
+def run_theorem1_suite(trials: int, seed: int) -> SuiteReport:
     """Closed-form completeness against the brute-force decoder maximum."""
 
     def one_trial(index: int) -> list[dict]:
@@ -206,7 +198,7 @@ def run_theorem1_suite(trials: int, seed: int, *, threads: int = 1) -> SuiteRepo
             )
         return failures
 
-    failures = [f for trial in _map_trials(one_trial, range(trials), threads) for f in trial]
+    failures = [f for index in range(trials) for f in one_trial(index)]
     bad = len({f["trial"] for f in failures})
     status = "PASS" if not failures else "FAIL"
     lines = [
@@ -215,25 +207,13 @@ def run_theorem1_suite(trials: int, seed: int, *, threads: int = 1) -> SuiteRepo
     return SuiteReport("theorem1", not failures, lines, failures)
 
 
-def run_theorem2_suite(
-    epsilon: float,
-    delta: float,
-    dim: int,
-    trials: int,
-    seed: int,
-    *,
-    threads: int = 1,
-):
+def run_theorem2_suite(epsilon: float, delta: float, dim: int, trials: int, seed: int):
     """Monte Carlo check of the concept-score bound.
 
     Passes when the empirical failure rate stays within delta plus
     three sigma of the binomial sampling noise.
     """
-
-    def one_trial(index: int):
-        return theorem2_trial(epsilon, delta, dim, derive_seed(seed, index))
-
-    records = _map_trials(one_trial, range(trials), threads)
+    records = run_theorem2_batch(epsilon, delta, dim, trials, seed)
     held = sum(1 for r in records if r.bound_holds)
     failure_rate = 1.0 - held / trials
     slack = 3.0 * math.sqrt(delta * (1.0 - delta) / trials)

@@ -281,3 +281,63 @@ def test_verify_thread_count_does_not_change_output(runner):
     first = invoke(runner, ["--threads", "1"] + args)
     second = invoke(runner, ["--threads", "8"] + args)
     assert first.stdout == second.stdout
+
+
+def invoke_input_error(runner, args):
+    result = invoke(runner, args, expect=2)
+    assert "Traceback" not in result.output
+    return result
+
+
+def test_verify_negative_seed_exits_2(runner):
+    result = invoke_input_error(runner, ["verify", "--suite", "axioms", "--seed", "-1"])
+    assert "--seed" in result.stderr
+
+
+def test_tcav_non_numeric_theta_exits_2(runner, fixtures, tmp_path):
+    model = json.loads(fixtures["model"].read_text())
+    model["theta_h"] = "abc"
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(model))
+    result = invoke_input_error(runner, ["tcav", str(bad), str(fixtures["embeddings"])])
+    assert "error:" in result.stderr and "theta_h" in result.stderr
+
+
+def test_tcav_non_numeric_vector_values_exit_2(runner, fixtures, tmp_path):
+    embeddings = tmp_path / "embeddings.json"
+    embeddings.write_text(
+        json.dumps({"dim": 4, "vectors": [{"id": "e", "values": ["a", 0, 0, 0]}]})
+    )
+    result = invoke_input_error(runner, ["tcav", str(fixtures["model"]), str(embeddings)])
+    assert "vectors[0]" in result.stderr
+    model = json.loads(fixtures["model"].read_text())
+    model["w_h"] = ["a", 0, 0, 0]
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(model))
+    result = invoke_input_error(runner, ["tcav", str(bad), str(fixtures["embeddings"])])
+    assert "w_h" in result.stderr
+
+
+def _edit_with_plan(runner, fixtures, tmp_path, plan):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    return invoke_input_error(
+        runner,
+        ["edit", str(fixtures["prompts"]), str(fixtures["concepts"]), str(path),
+         str(fixtures["images"])],
+    )
+
+
+def test_edit_non_numeric_lambda_exits_2(runner, fixtures, tmp_path):
+    result = _edit_with_plan(
+        runner, fixtures, tmp_path, {"class_name": "a", "concept_names": ["w"], "lambda": "q"}
+    )
+    assert "error:" in result.stderr and "lambda" in result.stderr
+
+
+def test_edit_string_concept_names_exits_2(runner, fixtures, tmp_path):
+    # A bare string would otherwise be split into one-letter concept names.
+    result = _edit_with_plan(
+        runner, fixtures, tmp_path, {"class_name": "a", "concept_names": "w", "lambda": 0.5}
+    )
+    assert "error:" in result.stderr and "concept_names" in result.stderr

@@ -30,6 +30,7 @@ from conceptscope.synthetic import (
     split_example,
     theorem2_trial,
 )
+from conceptscope.verify import run_theorem2_suite
 from oracles import naive_symmetric
 
 # Pin generator output: identical spec must give identical bytes.
@@ -267,6 +268,11 @@ def test_theorem2_batch_derives_distinct_seeds():
     assert len({r.lhs_gap for r in records}) > 1
     assert derive_seed(7, 0) != derive_seed(7, 1)
     assert derive_seed(7, 3) == derive_seed(7, 3)
+
+
+def test_theorem2_suite_records_are_the_batch():
+    args = (0.3, 0.2, 4, 6, 11)
+    assert run_theorem2_suite(*args)[1] == run_theorem2_batch(*args)
 
 
 def test_hierarchy_world_margins():
