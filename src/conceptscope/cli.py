@@ -32,6 +32,7 @@ from conceptscope.embeddings import (
     unit_normalize,
 )
 from conceptscope.errors import (
+    JSON_ERRORS,
     ConceptScopeError,
     DomainError,
     OracleMismatchError,
@@ -228,9 +229,10 @@ def completeness_cmd(dataset_path, concept, oracle, output):
 
 
 def _load_model(path: str) -> LinearConceptModel:
+    data = _read_file(path)
     try:
-        obj = json.loads(_read_file(path).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        obj = json.loads(data.decode("utf-8"))
+    except JSON_ERRORS as exc:
         raise ParseError(f"invalid model file {path}: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError(f"model file {path} must be a JSON object")
@@ -291,9 +293,10 @@ def plan_cmd(epsilon, delta):
 
 
 def _load_plans(path: str) -> list[EditPlan]:
+    data = _read_file(path)
     try:
-        obj = json.loads(_read_file(path).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        obj = json.loads(data.decode("utf-8"))
+    except JSON_ERRORS as exc:
         raise ParseError(f"invalid plan file {path}: {exc}") from None
     raw_plans = obj if isinstance(obj, list) else [obj]
     plans = []

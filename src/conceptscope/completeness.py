@@ -11,19 +11,20 @@ provided:
   {concept level} -> {predicted class} and takes the maximum weighted
   agreement with h.
 
-The two must agree to 1e-12 on every binary dataset; the brute force
-shares no intermediate with the closed form, so it serves as the
-oracle for that identity.
+The two must agree to 1e-12 on every binary dataset. The closed form
+reduces over the dataset's columns; the brute force is a scalar loop
+over rows with its own inline Kahan step and shares no intermediate
+with the closed form, so it serves as the oracle for that identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from conceptscope.dataset import ConceptDataset
 from conceptscope.errors import DomainError
-from conceptscope.measures import _require_concept
-from conceptscope.numerics import KahanAccumulator
+from conceptscope.numerics import kahan_sum
 
 CLOSED_FORM = "closed_form"
 BRUTE_FORCE = "brute_force"
@@ -45,44 +46,39 @@ class CompletenessScore:
     method: str
 
 
-def _require_binary(dataset: ConceptDataset, concept: str) -> None:
-    _require_concept(dataset, concept)
-    for ex in dataset.examples:
-        value = ex.concepts[concept]
-        if value not in (-1.0, 1.0):
-            raise DomainError(
-                f"concept {concept!r} has non-binary value {value!r} on example"
-                f" {ex.id!r}; binarize the concept to {{-1,+1}} first"
-            )
+def _binary_column(dataset: ConceptDataset, concept: str) -> tuple[float, ...]:
+    """The concept's column, which must hold only -1.0 and +1.0."""
+    column = dataset.column(concept)
+    if not set(column) <= {-1.0, 1.0}:
+        index = next(i for i, value in enumerate(column) if value not in (-1.0, 1.0))
+        raise DomainError(
+            f"concept {concept!r} has non-binary value {column[index]!r} on example"
+            f" {dataset.ids[index]!r}; binarize the concept to {{-1,+1}} first"
+        )
+    return column
 
 
 def _level_terms(
-    dataset: ConceptDataset, concept: str
+    column: tuple[float, ...], dataset: ConceptDataset
 ) -> dict[int, tuple[float, float]]:
     terms: dict[int, tuple[float, float]] = {}
     for level in _LEVELS:
-        weight = KahanAccumulator()
-        signed = KahanAccumulator()
-        for ex in dataset.examples:
-            if ex.concepts[concept] == float(level):
-                weight.add(ex.weight)
-                signed.add(ex.weight * ex.prediction)
-        if weight.total > 0.0:
-            terms[level] = (abs(signed.total / weight.total), weight.total)
+        mask = [value == float(level) for value in column]
+        weight = kahan_sum(compress(dataset.weights, mask))
+        if weight > 0.0:
+            signed = kahan_sum(compress(dataset.signed_weights, mask))
+            terms[level] = (abs(signed / weight), weight)
     return terms
 
 
 def completeness_closed_form(dataset: ConceptDataset, concept: str) -> CompletenessScore:
     """Evaluate the closed form over the two concept levels."""
-    _require_binary(dataset, concept)
-    terms = _level_terms(dataset, concept)
-    acc = KahanAccumulator()
-    for level in _LEVELS:
-        if level in terms:
-            conditional, probability = terms[level]
-            acc.add(conditional * probability)
+    terms = _level_terms(_binary_column(dataset, concept), dataset)
+    total = kahan_sum(
+        conditional * probability for conditional, probability in terms.values()
+    )
     return CompletenessScore(
-        value=min(1.0, 0.5 + 0.5 * acc.total),
+        value=min(1.0, 0.5 + 0.5 * total),
         per_level_terms=terms,
         method=CLOSED_FORM,
     )
@@ -96,20 +92,24 @@ def completeness_brute_force(dataset: ConceptDataset, concept: str) -> Completen
     it reproduces. Includes the two constant decoders, so the result is
     always at least the majority-class probability.
     """
-    _require_binary(dataset, concept)
+    column = _binary_column(dataset, concept)
     best: float | None = None
     for out_pos in (1, -1):
         for out_neg in (1, -1):
-            agreement = KahanAccumulator()
-            for ex in dataset.examples:
-                decoded = out_pos if ex.concepts[concept] == 1.0 else out_neg
-                if ex.prediction == decoded:
-                    agreement.add(ex.weight)
-            if best is None or agreement.total > best:
-                best = agreement.total
+            # Kahan sum of the agreeing weights, one row at a time.
+            total = correction = 0.0
+            for prediction, value, weight in zip(dataset.predictions, column, dataset.weights):
+                decoded = out_pos if value == 1.0 else out_neg
+                if prediction == decoded:
+                    adjusted = weight - correction
+                    new_total = total + adjusted
+                    correction = (new_total - total) - adjusted
+                    total = new_total
+            if best is None or total > best:
+                best = total
     assert best is not None
     return CompletenessScore(
         value=min(1.0, best),
-        per_level_terms=_level_terms(dataset, concept),
+        per_level_terms=_level_terms(column, dataset),
         method=BRUTE_FORCE,
     )

@@ -21,7 +21,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from conceptscope.errors import ParseError, ValidationError
+from conceptscope.errors import JSON_ERRORS, ParseError, ValidationError
 
 UNIT_NORM_TOLERANCE = 1e-9
 
@@ -72,7 +72,7 @@ def load_vector_file(source: bytes | BinaryIO) -> VectorFile:
     data = _read_bytes(source)
     try:
         obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except JSON_ERRORS as exc:
         raise ParseError(f"invalid vector file: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError("vector file must be a JSON object")

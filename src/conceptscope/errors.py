@@ -6,6 +6,12 @@ command layer and library callers agree on what a failure means.
 
 from __future__ import annotations
 
+# What UTF-8 decoding and ``json.loads`` raise on bad input. ValueError
+# covers invalid UTF-8, invalid JSON and integer literals longer than
+# the int-to-str digit limit; RecursionError covers nesting too deep to
+# parse. Every JSON loader turns these into ParseError.
+JSON_ERRORS = (ValueError, RecursionError)
+
 
 class ConceptScopeError(Exception):
     """Base class for every error raised by this package."""

@@ -7,10 +7,13 @@ probability mass p(x), the measures are
     class-conditioned    E[c(x) | h(x) = +1]   necessity of the concept
     concept-conditioned  E[h(x) | c(x) >= t]   sufficiency of the concept
 
-estimated as weighted means over the dataset. All reductions use
-fixed-order Kahan summation, so equal input bytes give bit-identical
-results. Empty conditioning sets raise UndefinedMeasureError rather
-than returning NaN.
+estimated as weighted means over the dataset's columns. Each sum is a
+fixed-order Kahan sum (``numerics.kahan_sum``) in row order over the
+same IEEE products, (w*h)*c, w*c and w*h, so equal input bytes give
+bit-identical results. The per-dataset factors (w*h per row, the rows
+predicted +1 and their weight total) are computed once per dataset and
+shared by every concept. Empty conditioning sets raise
+UndefinedMeasureError rather than returning NaN.
 
 The sampling plan inverts Hoeffding's one-sided tail for means of
 [-1,1] variables, exp(-n eps^2 / 2) = delta, giving n = ceil(2
@@ -25,10 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul
 
 from conceptscope.dataset import ConceptDataset
-from conceptscope.errors import DomainError, SchemaError, UndefinedMeasureError
-from conceptscope.numerics import KahanAccumulator
+from conceptscope.errors import DomainError, UndefinedMeasureError
+from conceptscope.numerics import kahan_sum
 
 SYMMETRIC = "symmetric"
 CLASS_CONDITIONED = "class_conditioned"
@@ -54,13 +59,6 @@ class MeasureResult:
     confidence_radius: float | None
 
 
-def _require_concept(dataset: ConceptDataset, concept: str) -> None:
-    if concept not in dataset.concept_names:
-        raise SchemaError(
-            f"unknown concept {concept!r}; schema has {list(dataset.concept_names)}"
-        )
-
-
 def _clamp(value: float) -> float:
     # Weights may sum to 1 only within 1e-9, so guard the [-1, 1] range.
     return min(1.0, max(-1.0, value))
@@ -76,19 +74,15 @@ def symmetric_measure(
     dataset: ConceptDataset, concept: str, *, delta: float | None = None
 ) -> MeasureResult:
     """Weighted mean of h(x)*c(x) over the whole dataset."""
-    _require_concept(dataset, concept)
-    total = KahanAccumulator()
-    weight = KahanAccumulator()
-    for ex in dataset.examples:
-        total.add(ex.weight * ex.prediction * ex.concepts[concept])
-        weight.add(ex.weight)
+    column = dataset.column(concept)
+    total = kahan_sum(map(mul, dataset.signed_weights, column))
     return MeasureResult(
         kind=SYMMETRIC,
         concept_name=concept,
-        value=_clamp(total.total),
+        value=_clamp(total),
         threshold=None,
-        effective_count=weight.total,
-        confidence_radius=_radius_or_none(len(dataset.examples), delta),
+        effective_count=dataset.weight_total,
+        confidence_radius=_radius_or_none(len(dataset), delta),
     )
 
 
@@ -96,26 +90,20 @@ def class_conditioned_measure(
     dataset: ConceptDataset, concept: str, *, delta: float | None = None
 ) -> MeasureResult:
     """Weighted mean of c(x) over examples predicted +1."""
-    _require_concept(dataset, concept)
-    numerator = KahanAccumulator()
-    denominator = KahanAccumulator()
-    count = 0
-    for ex in dataset.examples:
-        if ex.prediction == 1:
-            numerator.add(ex.weight * ex.concepts[concept])
-            denominator.add(ex.weight)
-            count += 1
-    if count == 0 or denominator.total <= 0.0:
+    column = dataset.column(concept)
+    mask, weights, denominator, count = dataset.positives
+    if count == 0 or denominator <= 0.0:
         raise UndefinedMeasureError(
             f"class-conditioned measure of {concept!r} is undefined:"
             " no weight on examples predicted +1"
         )
+    numerator = kahan_sum(map(mul, weights, compress(column, mask)))
     return MeasureResult(
         kind=CLASS_CONDITIONED,
         concept_name=concept,
-        value=_clamp(numerator.total / denominator.total),
+        value=_clamp(numerator / denominator),
         threshold=None,
-        effective_count=denominator.total,
+        effective_count=denominator,
         confidence_radius=_radius_or_none(count, delta),
     )
 
@@ -132,30 +120,26 @@ def concept_conditioned_measure(
     Ties c(x) == theta are included. For discrete concepts theta = 1
     conditions on the concept being fully present.
     """
-    _require_concept(dataset, concept)
+    column = dataset.column(concept)
     if not isinstance(theta, (int, float)) or isinstance(theta, bool):
         raise DomainError(f"theta must be a number, got {theta!r}")
     if not math.isfinite(theta) or not -1.0 <= theta <= 1.0:
         raise DomainError(f"theta must lie in [-1, +1], got {theta!r}")
-    numerator = KahanAccumulator()
-    denominator = KahanAccumulator()
-    count = 0
-    for ex in dataset.examples:
-        if ex.concepts[concept] >= theta:
-            numerator.add(ex.weight * ex.prediction)
-            denominator.add(ex.weight)
-            count += 1
-    if count == 0 or denominator.total <= 0.0:
+    mask = [value >= theta for value in column]
+    count = sum(mask)
+    denominator = kahan_sum(compress(dataset.weights, mask))
+    if count == 0 or denominator <= 0.0:
         raise UndefinedMeasureError(
             f"concept-conditioned measure of {concept!r} at theta={theta!r} is undefined:"
             " no weight on examples with the concept above threshold"
         )
+    numerator = kahan_sum(compress(dataset.signed_weights, mask))
     return MeasureResult(
         kind=CONCEPT_CONDITIONED,
         concept_name=concept,
-        value=_clamp(numerator.total / denominator.total),
+        value=_clamp(numerator / denominator),
         threshold=float(theta),
-        effective_count=denominator.total,
+        effective_count=denominator,
         confidence_radius=_radius_or_none(count, delta),
     )
 

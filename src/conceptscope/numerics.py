@@ -1,8 +1,11 @@
-"""Deterministic floating-point reduction helpers.
+"""Deterministic floating-point reduction.
 
-Every measure in this package reduces with compensated (Kahan)
-summation in the input's order, so identical input bytes give
-bit-identical results on every run.
+Every measure in this package is a weighted sum over a dataset's rows.
+Each sum is a compensated (Kahan) sum taken in row order over the same
+IEEE products, so identical input bytes give bit-identical results on
+every run. The measures feed ``kahan_sum`` straight from the dataset's
+columns (``map``/``compress`` over tuples), so no per-row objects are
+built and the reduction order is always the input order.
 """
 
 from __future__ import annotations
@@ -10,26 +13,14 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 
-class KahanAccumulator:
-    """Running compensated sum: total plus a correction term."""
-
-    __slots__ = ("total", "_correction")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._correction = 0.0
-
-    def add(self, value: float) -> None:
-        # Classic Kahan step: fold the previous rounding loss back in.
-        adjusted = value - self._correction
-        new_total = self.total + adjusted
-        self._correction = (new_total - self.total) - adjusted
-        self.total = new_total
-
-
 def kahan_sum(values: Iterable[float]) -> float:
     """Compensated sum of ``values`` in iteration order."""
-    acc = KahanAccumulator()
-    for v in values:
-        acc.add(v)
-    return acc.total
+    total = 0.0
+    correction = 0.0
+    for value in values:
+        # Classic Kahan step: fold the previous rounding loss back in.
+        adjusted = value - correction
+        new_total = total + adjusted
+        correction = (new_total - total) - adjusted
+        total = new_total
+    return total

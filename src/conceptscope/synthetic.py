@@ -173,17 +173,13 @@ def generate_dataset(spec: SyntheticSpec) -> ConceptDataset:
             columns[name] = [float(v) for v in rng.uniform(-1.0, 1.0, size=n)]
 
     width = len(str(n - 1)) if n > 1 else 1
-    examples = tuple(
-        LabeledExample(
-            id=f"x{i:0{width}d}",
-            prediction=predictions[i],
-            concepts={name: columns[name][i] for name in names},
-            weight=weights[i],
-            ground_truth=predictions[i] if spec.with_ground_truth else None,
-        )
-        for i in range(n)
+    return ConceptDataset.from_columns(
+        ids=[f"x{i:0{width}d}" for i in range(n)],
+        predictions=predictions,
+        concepts={name: columns[name] for name in names},
+        weights=weights,
+        ground_truth=predictions if spec.with_ground_truth else None,
     )
-    return ConceptDataset(examples, names)
 
 
 def split_example(dataset: ConceptDataset, example_id: str, fraction: float) -> ConceptDataset:
@@ -198,31 +194,27 @@ def split_example(dataset: ConceptDataset, example_id: str, fraction: float) -> 
         raise DomainError(f"fraction must be a number, got {fraction!r}")
     if not 0.0 < fraction < 1.0:
         raise DomainError(f"fraction must lie strictly in (0, 1), got {fraction!r}")
-    position = next(
-        (i for i, ex in enumerate(dataset.examples) if ex.id == example_id), None
+    try:
+        position = dataset.ids.index(example_id)
+    except ValueError:
+        raise ValidationError(f"no example with id {example_id!r}") from None
+
+    def split(column: tuple, first: object, second: object) -> tuple:
+        return column[:position] + (first, second) + column[position + 1 :]
+
+    def twice(column: tuple) -> tuple:
+        return split(column, column[position], column[position])
+
+    weight = dataset.weights[position]
+    first_weight = fraction * weight
+    return ConceptDataset.from_columns(
+        ids=split(dataset.ids, f"{example_id}#0", f"{example_id}#1"),
+        predictions=twice(dataset.predictions),
+        concepts={name: twice(dataset.column(name)) for name in dataset.concept_names},
+        weights=split(dataset.weights, first_weight, weight - first_weight),
+        ground_truth=twice(dataset.ground_truth),
+        original_weight_total=dataset.original_weight_total,
     )
-    if position is None:
-        raise ValidationError(f"no example with id {example_id!r}")
-    parent = dataset.examples[position]
-    first_weight = fraction * parent.weight
-    children = (
-        LabeledExample(
-            id=f"{parent.id}#0",
-            prediction=parent.prediction,
-            concepts=parent.concepts,
-            weight=first_weight,
-            ground_truth=parent.ground_truth,
-        ),
-        LabeledExample(
-            id=f"{parent.id}#1",
-            prediction=parent.prediction,
-            concepts=parent.concepts,
-            weight=parent.weight - first_weight,
-            ground_truth=parent.ground_truth,
-        ),
-    )
-    examples = dataset.examples[:position] + children + dataset.examples[position + 1 :]
-    return ConceptDataset(examples, dataset.concept_names, dataset.original_weight_total)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from conceptscope.embeddings import check_unit_vector
 from conceptscope.errors import DomainError, UndefinedMeasureError, ValidationError
-from conceptscope.numerics import KahanAccumulator
+from conceptscope.numerics import kahan_sum
 
 
 @dataclass(frozen=True)
@@ -128,14 +128,13 @@ def class_conditioned_from_embeddings(
     model: LinearConceptModel, examples: Sequence[EmbeddedExample]
 ) -> float:
     """Mean of c(x) over examples the head predicts positive."""
-    acc = KahanAccumulator()
-    count = 0
-    for example in examples:
-        if decision_margin(model, example) > 0.0:
-            acc.add(concept_value(model, example))
-            count += 1
-    if count == 0:
+    values = [
+        concept_value(model, example)
+        for example in examples
+        if decision_margin(model, example) > 0.0
+    ]
+    if not values:
         raise UndefinedMeasureError(
             "no examples are predicted positive; the conditional mean is undefined"
         )
-    return acc.total / count
+    return kahan_sum(values) / len(values)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from conceptscope.completeness import completeness_brute_force, completeness_closed_form
-from conceptscope.dataset import ConceptDataset, LabeledExample
+from conceptscope.dataset import ConceptDataset
 from conceptscope.errors import UndefinedMeasureError
 from conceptscope.measures import (
     class_conditioned_measure,
@@ -69,19 +69,14 @@ def _all_measures(dataset: ConceptDataset, concept: str, theta: float) -> dict[s
 
 
 def _duplicate_and_halve(dataset: ConceptDataset) -> ConceptDataset:
-    examples = []
-    for suffix in ("", "+dup"):
-        for ex in dataset.examples:
-            examples.append(
-                LabeledExample(
-                    id=ex.id + suffix,
-                    prediction=ex.prediction,
-                    concepts=ex.concepts,
-                    weight=ex.weight / 2.0,
-                    ground_truth=ex.ground_truth,
-                )
-            )
-    return ConceptDataset(tuple(examples), dataset.concept_names)
+    halves = tuple(weight / 2.0 for weight in dataset.weights)
+    return ConceptDataset.from_columns(
+        ids=dataset.ids + tuple(example_id + "+dup" for example_id in dataset.ids),
+        predictions=dataset.predictions * 2,
+        concepts={name: dataset.column(name) * 2 for name in dataset.concept_names},
+        weights=halves * 2,
+        ground_truth=dataset.ground_truth * 2,
+    )
 
 
 def _decomposition_gap(dataset: ConceptDataset, concept: str) -> float | None:
@@ -90,15 +85,21 @@ def _decomposition_gap(dataset: ConceptDataset, concept: str) -> float | None:
     The h=-1 side is recomputed here with plain fsum so the check does
     not reuse the package's summation path.
     """
-    negatives = [ex for ex in dataset.examples if ex.prediction == -1]
-    weight_neg = math.fsum(ex.weight for ex in negatives)
+    negatives = [
+        (weight, value)
+        for prediction, value, weight in zip(
+            dataset.predictions, dataset.column(concept), dataset.weights
+        )
+        if prediction == -1
+    ]
+    weight_neg = math.fsum(weight for weight, _ in negatives)
     try:
         positive = class_conditioned_measure(dataset, concept)
     except UndefinedMeasureError:
         return None
     if not negatives or weight_neg <= 0.0:
         return None
-    mean_neg = math.fsum(ex.weight * ex.concepts[concept] for ex in negatives) / weight_neg
+    mean_neg = math.fsum(weight * value for weight, value in negatives) / weight_neg
     expected = positive.value * positive.effective_count - mean_neg * weight_neg
     return abs(symmetric_measure(dataset, concept).value - expected)
 
@@ -125,7 +126,7 @@ def run_axioms_suite(trials: int, seed: int) -> SuiteReport:
         failures: list[dict] = []
 
         fraction = int(rng.integers(1, 1024)) / 1024.0
-        target = dataset.examples[int(rng.integers(n))].id
+        target = dataset.ids[int(rng.integers(n))]
         before = _all_measures(dataset, concept, theta)
         after = _all_measures(split_example(dataset, target, fraction), concept, theta)
         for name in before:

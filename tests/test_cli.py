@@ -341,3 +341,42 @@ def test_edit_string_concept_names_exits_2(runner, fixtures, tmp_path):
         runner, fixtures, tmp_path, {"class_name": "a", "concept_names": "w", "lambda": 0.5}
     )
     assert "error:" in result.stderr and "concept_names" in result.stderr
+
+
+def _dataset_with_line(fixtures, tmp_path, line):
+    path = tmp_path / "huge.jsonl"
+    path.write_bytes(fixtures["lr"].read_bytes() + line + b"\n")
+    return path
+
+
+def test_measure_huge_integer_concept_exits_2(runner, fixtures, tmp_path):
+    # Past the int-to-str digit limit json.loads raises a plain ValueError.
+    path = _dataset_with_line(
+        fixtures, tmp_path,
+        b'{"id": "big", "prediction": 1, "concepts": {"stripes": ' + b"9" * 5000
+        + b', "spots": 1.0, "c0": 1.0}}',
+    )
+    result = invoke_input_error(runner, ["measure", "-d", f"X={path}"])
+    assert "error:" in result.stderr and "line 9" in result.stderr
+
+
+def test_measure_huge_integer_weight_exits_2(runner, fixtures, tmp_path):
+    # Parses, but is too large for a float.
+    path = _dataset_with_line(
+        fixtures, tmp_path,
+        b'{"id": "big", "prediction": 1, "concepts": {"stripes": 1.0, "spots": 1.0,'
+        b' "c0": 1.0}, "weight": ' + b"9" * 400 + b"}",
+    )
+    result = invoke_input_error(runner, ["measure", "-d", f"X={path}"])
+    assert "error: line 9: weight" in result.stderr
+
+
+def test_edit_huge_integer_lambda_exits_2(runner, fixtures, tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text('{"class_name": "a", "concept_names": ["w"], "lambda": ' + "9" * 5000 + "}")
+    result = invoke_input_error(
+        runner,
+        ["edit", str(fixtures["prompts"]), str(fixtures["concepts"]), str(path),
+         str(fixtures["images"])],
+    )
+    assert "error:" in result.stderr and "plan file" in result.stderr

@@ -2,10 +2,14 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conceptscope import dataset as dataset_module
 from conceptscope.dataset import (
     ConceptDataset,
     LabeledExample,
+    _split_lines,
     load_dataset,
     to_jsonl,
     with_ground_truth_predictions,
@@ -162,3 +166,151 @@ def test_ground_truth_swap_requires_labels():
     data = _line(id="a", prediction=1, concepts={"s": 1.0})
     with pytest.raises(ValidationError, match="ground_truth"):
         with_ground_truth_predictions(load_dataset(data))
+
+
+def _valid(example_id):
+    return {"id": example_id, "prediction": 1, "concepts": {"s": 0.5, "t": -1.0},
+            "weight": 0.25, "ground_truth": -1}
+
+
+def _without(key):
+    def edit(obj):
+        del obj[key]
+    return edit
+
+
+def _setter(key, value):
+    def edit(obj):
+        obj[key] = value
+    return edit
+
+
+def _concept(value):
+    def edit(obj):
+        obj["concepts"]["s"] = value
+    return edit
+
+
+# One rejected kind of field each. Every case is placed on line 4, after
+# two valid lines and a blank one, with a valid line after it.
+BAD_FIELDS = {
+    "bad prediction": _setter("prediction", 0),
+    "bad ground truth": _setter("ground_truth", 2),
+    "bad concept value": _concept(1.5),
+    "negative weight": _setter("weight", -0.5),
+    "NaN": _concept(float("nan")),
+    "Infinity": _setter("weight", float("inf")),
+    "boolean": _setter("prediction", True),
+    "numeric string": _concept("0.5"),
+    "missing id": _without("id"),
+    "duplicate id": _setter("id", "a"),
+    "integer too large for a float": _setter("weight", 10**400),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
+def test_rejected_field_names_its_line(edit):
+    bad = _valid("c")
+    edit(bad)
+    data = "\n".join(
+        [json.dumps(_valid("a")), json.dumps(_valid("b")), "", json.dumps(bad),
+         json.dumps(_valid("d"))]
+    ).encode()
+    with pytest.raises(ValidationError, match=r"^line 4: "):
+        load_dataset(data)
+
+
+def test_earliest_line_wins_over_field_order():
+    late_field = _valid("c")
+    late_field["ground_truth"] = 0
+    early_field = _valid("d")
+    del early_field["id"]
+    data = b"".join(_line(**obj) for obj in (_valid("a"), _valid("b"), late_field, early_field))
+    with pytest.raises(ValidationError, match=r"^line 3: ground_truth"):
+        load_dataset(data)
+
+
+def test_first_failing_field_of_a_line_is_reported():
+    bad = _valid("c")
+    bad["weight"] = -1.0
+    bad["concepts"]["t"] = 7.0
+    bad["prediction"] = 5
+    data = b"".join(_line(**obj) for obj in (_valid("a"), _valid("b"), bad))
+    with pytest.raises(ValidationError, match=r"^line 3: prediction"):
+        load_dataset(data)
+
+
+def test_huge_integer_literal_is_a_parse_error():
+    data = _line(**_valid("a")) + b'{"id": "b", "prediction": 1, "concepts": {"s": ' + (
+        b"9" * 5000) + b', "t": 1.0}}\n'
+    with pytest.raises(ParseError, match=r"^line 2: "):
+        load_dataset(data)
+
+
+def test_columns_and_row_view_agree():
+    data = (
+        _line(id="a", prediction=1.0, concepts={"s": 1, "t": -0.5}, weight=3, ground_truth=-1)
+        + _line(id="b", prediction=-1, concepts={"s": 0.25, "t": 0}, weight=1)
+    )
+    ds = load_dataset(data)
+    assert ds.ids == ("a", "b")
+    assert ds.predictions == (1, -1) and type(ds.predictions[0]) is int
+    assert ds.column("s") == (1.0, 0.25) and type(ds.column("s")[0]) is float
+    assert ds.weights == (0.75, 0.25)
+    assert ds.ground_truth == (-1, None)
+    assert [(ex.id, ex.prediction, ex.concepts, ex.weight, ex.ground_truth)
+            for ex in ds.examples] == [("a", 1, {"s": 1.0, "t": -0.5}, 0.75, -1),
+                                       ("b", -1, {"s": 0.25, "t": 0.0}, 0.25, None)]
+    with pytest.raises(SchemaError, match="unknown concept"):
+        ds.column("u")
+
+
+def test_from_columns_matches_rows():
+    rows = ConceptDataset(
+        (LabeledExample("a", 1, {"s": 0.5}, 0.25, 1), LabeledExample("b", -1, {"s": 1}, 0.75)),
+        ("s",),
+    )
+    columns = ConceptDataset.from_columns(
+        ids=["a", "b"], predictions=[1, -1], concepts={"s": [0.5, 1.0]},
+        weights=[0.25, 0.75], ground_truth=[1, None],
+    )
+    assert rows == columns
+    with pytest.raises(ValidationError, match="one value per id"):
+        ConceptDataset.from_columns(
+            ids=["a", "b"], predictions=[1], concepts={"s": [0.5, 1.0]}, weights=[0.5, 0.5]
+        )
+    with pytest.raises(ValidationError, match=r"^example 1: concept 's'"):
+        ConceptDataset.from_columns(
+            ids=["a", "b"], predictions=[1, 1], concepts={"s": [0.5, 2.0]}, weights=[0.5, 0.5]
+        )
+
+
+@given(st.text(alphabet="ab \n\r", max_size=60), st.integers(1, 8))
+def test_split_lines_matches_str_split(text, block):
+    assert list(_split_lines(text, block)) == text.split("\n")
+
+
+# Values of every kind a JSON file or a caller can put in a column.
+any_value_st = st.one_of(
+    st.sampled_from([-1, 0, 1, -1.0, -0.5, 0.0, 0.5, 1.0, 2, "x"]),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), True, False, None, "",
+                     "0.5", 10**400, -(10**400)]),
+    st.floats(),
+    st.integers(-(10**400), 10**400),
+)
+SHORTCUTS = {
+    "ids": ("_all_ids", "_is_id"),
+    "signs": ("_all_signs", "_is_sign"),
+    "signs or none": ("_all_signs_or_none", "_is_sign_or_none"),
+    "units": ("_all_units", "_is_unit"),
+    "weights": ("_all_weights", "_is_weight"),
+}
+
+
+@pytest.mark.parametrize("names", SHORTCUTS.values(), ids=SHORTCUTS.keys())
+@given(values=st.lists(any_value_st, max_size=6))
+@settings(max_examples=300)
+def test_column_shortcut_passes_only_valid_values(names, values):
+    column_ok, value_ok = (getattr(dataset_module, name) for name in names)
+    if column_ok(values):
+        assert all(map(value_ok, values))

@@ -1,7 +1,7 @@
 import math
 import random
 
-from conceptscope.numerics import KahanAccumulator, kahan_sum
+from conceptscope.numerics import kahan_sum
 
 
 def test_empty_sum_is_zero():
@@ -22,14 +22,6 @@ def test_compensation_keeps_tiny_terms():
         plain += v
     assert plain == 1.0
     assert abs(kahan_sum(values) - math.fsum(values)) < 1e-18
-
-
-def test_accumulator_matches_function():
-    values = [0.1] * 10
-    acc = KahanAccumulator()
-    for v in values:
-        acc.add(v)
-    assert acc.total == kahan_sum(values)
 
 
 def test_fixed_order_is_deterministic():
