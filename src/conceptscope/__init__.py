@@ -17,7 +17,6 @@ from conceptscope.completeness import (
 )
 from conceptscope.dataset import (
     ConceptDataset,
-    LabeledExample,
     load_dataset,
     to_jsonl,
     with_ground_truth_predictions,
@@ -94,7 +93,6 @@ __all__ = [
     "EmbeddedExample",
     "EvalReport",
     "InfeasiblePlantError",
-    "LabeledExample",
     "LinearConceptModel",
     "MeasureResult",
     "OracleMismatchError",

@@ -91,12 +91,19 @@ def _read_file(path: str) -> bytes:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
+def _write_file(path: str, data: bytes) -> None:
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_output(data: bytes, output: str) -> None:
     if output == "-":
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:
-        Path(output).write_bytes(data)
+        _write_file(output, data)
 
 
 def _emit_json(payload: object, output: str) -> None:
@@ -154,24 +161,19 @@ def _parse_dataset_spec(spec: str) -> tuple[str, str]:
               help="Figure-style filter: keep concepts with a positive value somewhere.")
 @click.option("--strict", is_flag=True,
               help="Fail (exit 3) on undefined measures instead of rendering n/a.")
-@click.option("--schema-mode", type=click.Choice(["infer", "strict"]), default="infer",
-              show_default=True)
 @click.option("--schema", default=None,
-              help="Comma-separated concept names, required with --schema-mode strict.")
+              help="Comma-separated concept names every line must carry exactly;"
+                   " by default the first line's concepts are the schema.")
 @_cli_errors
 def measure_cmd(dataset_specs, measure_name, theta, delta, include_ground_truth,
-                fmt, output, positive_only, strict, schema_mode, schema):
+                fmt, output, positive_only, strict, schema):
     """Per-concept measure table over one or more datasets."""
     kind = _MEASURE_CHOICES[measure_name]
-    if schema and schema_mode != "strict":
-        raise DomainError("--schema requires --schema-mode strict")
     schema_names = [s.strip() for s in schema.split(",")] if schema else None
     datasets = []
     for spec in dataset_specs:
         label, path = _parse_dataset_spec(spec)
-        datasets.append(
-            (label, load_dataset(_read_file(path), schema_mode, schema=schema_names))
-        )
+        datasets.append((label, load_dataset(_read_file(path), schema=schema_names)))
     cells = report_mod.compute_measure_table(
         datasets,
         kind,
@@ -394,7 +396,7 @@ def edit_cmd(prompts_path, concepts_path, plan_path, images_path, out_prompts,
     }
     if out_prompts:
         entries = [VectorEntry(id=p.name, values=p.vector) for p in edited_prompts]
-        Path(out_prompts).write_bytes(dump_vector_file(prompt_file.dim, entries))
+        _write_file(out_prompts, dump_vector_file(prompt_file.dim, entries))
     _emit_json(payload, output)
 
 
@@ -449,7 +451,7 @@ def verify_cmd(suite, trials, seed, epsilon, delta, dim, records_path):
                 )
                 for i, r in enumerate(trial_records)
             ]
-            Path(records_path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+            _write_file(records_path, ("\n".join(lines) + "\n").encode("utf-8"))
     for line in report.lines:
         click.echo(line)
     for failure in report.failures:

@@ -10,17 +10,17 @@ Files are UTF-8 without BOM. ``weight`` and ``ground_truth`` are
 optional; missing weights default to uniform 1/n and the whole weight
 column is renormalized to sum to 1 at load time.
 
-A ``ConceptDataset`` is stored as columns, one tuple per field and all
-in input order: ``ids``, ``predictions`` (+1/-1), ``weights``,
+A ``ConceptDataset`` is columns and nothing else: one tuple per field,
+all in input order: ``ids``, ``predictions`` (+1/-1), ``weights``,
 ``ground_truth`` (+1/-1 or None per row) and one column per concept,
-read with ``column(name)``. ``load_dataset`` parses each line once
-straight into these columns, as ints and floats. Every way of building
-a dataset (from JSONL, from rows, from columns) then runs the same
-single validation pass, ``_check_columns``. It reports the first
-invalid row in input order and, within that row, the first failing
-field, so a message names the same line a row-by-row check would.
-``examples`` is a read-only row view, built on first use for row-wise
-callers; the measures never ask for it.
+read with ``column(name)``. There is no row type; code that wants row
+``i`` reads index ``i`` of each column. A dataset is built either by
+the constructor, from in-memory columns, or by ``load_dataset``, which
+parses each line once straight into columns, as ints and floats. Both
+run the same single validation pass, ``_check_columns``. It reports the
+first invalid row in input order and, within that row, the first
+failing field, so a message names the same line a row-by-row check
+would.
 """
 
 from __future__ import annotations
@@ -28,14 +28,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from itertools import compress, repeat
 from operator import itemgetter, mul
 from typing import BinaryIO, Callable, Mapping, Sequence
 
 from conceptscope.errors import (
     JSON_ERRORS,
-    DomainError,
     ParseError,
     SchemaError,
     ValidationError,
@@ -44,34 +43,18 @@ from conceptscope.numerics import kahan_sum
 
 WEIGHT_SUM_TOLERANCE = 1e-9
 
-SCHEMA_INFER = "infer"
-SCHEMA_STRICT = "strict"
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    """One example: prediction h(x) in {-1,+1}, concept values c(x) in
-    [-1,+1], probability mass p(x), and an optional ground-truth label
-    used only for comparison series."""
-
-    id: str
-    prediction: int
-    concepts: dict[str, float]
-    weight: float
-    ground_truth: int | None = None
-
 
 class ConceptDataset:
     """Immutable weighted dataset with a fixed concept schema, held as columns.
 
-    Invariants (checked at construction): weights are nonnegative and
-    sum to 1 within 1e-9, every row carries exactly the schema's
-    concepts, predictions are in {-1,+1}, ground truth is in {-1,+1} or
-    missing, concept values lie in [-1,+1], and ids are unique.
-
-    ``ConceptDataset(examples, concept_names)`` builds one from rows and
-    keeps them as its ``examples``; ``from_columns`` and
-    ``load_dataset`` build one from columns.
+    ``ConceptDataset(ids, predictions, concepts, weights, ground_truth)``
+    takes one sequence per field, all in row order; ``concepts`` maps
+    each concept name to its column, and its key order is the schema.
+    ``ground_truth`` defaults to None on every row. The invariants are
+    checked here: every column has one value per id, weights are
+    nonnegative and sum to 1 within 1e-9, predictions are in {-1,+1},
+    ground truth is in {-1,+1} or None, concept values lie in [-1,+1],
+    and ids are unique.
     """
 
     concept_names: tuple[str, ...]
@@ -88,45 +71,13 @@ class ConceptDataset:
 
     def __init__(
         self,
-        examples: Sequence[LabeledExample],
-        concept_names: Sequence[str],
-        original_weight_total: float | None = None,
-    ) -> None:
-        examples = tuple(examples)
-        names = tuple(concept_names)
-        read, keys = _concept_reader(names)
-        rows = []
-        bad_concepts = {}
-        for index, ex in enumerate(examples):
-            concepts = ex.concepts
-            if isinstance(concepts, dict) and concepts.keys() == keys:
-                rows.append(read(concepts))
-            else:
-                bad_concepts[index] = concepts
-                rows.append((0.0,) * len(names))
-        fields = _check_columns(
-            names,
-            [ex.id for ex in examples],
-            [ex.prediction for ex in examples],
-            list(zip(*rows)),
-            [ex.weight for ex in examples],
-            [ex.ground_truth for ex in examples],
-            lambda i: f"example {i}",
-            bad_concepts,
-        )
-        _fill(self, names, *fields, original_weight_total, examples)
-
-    @classmethod
-    def from_columns(
-        cls,
         ids: Sequence[str],
         predictions: Sequence[int],
         concepts: Mapping[str, Sequence[float]],
         weights: Sequence[float],
         ground_truth: Sequence[int | None] | None = None,
         original_weight_total: float | None = None,
-    ) -> ConceptDataset:
-        """Dataset from one sequence per field; the schema is ``concepts``' key order."""
+    ) -> None:
         names = tuple(concepts)
         n = len(ids)
         if ground_truth is None:
@@ -139,9 +90,7 @@ class ConceptDataset:
             names, ids, predictions, columns, weights, ground_truth,
             lambda i: f"example {i}", {},
         )
-        dataset = cls.__new__(cls)
-        _fill(dataset, names, *fields, original_weight_total)
-        return dataset
+        _fill(self, names, *fields, original_weight_total)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -182,21 +131,6 @@ class ConceptDataset:
             self.__dict__["_positives"] = positives
         return positives
 
-    @property
-    def examples(self) -> tuple[LabeledExample, ...]:
-        """Row view: one frozen ``LabeledExample`` per row, built on first use."""
-        examples = self._examples
-        if examples is None:
-            names = self.concept_names
-            examples = tuple(
-                LabeledExample(example_id, prediction, dict(zip(names, values)), weight, truth)
-                for example_id, prediction, values, weight, truth in zip(
-                    self.ids, self.predictions, _rows(self), self.weights, self.ground_truth
-                )
-            )
-            self.__dict__["_examples"] = examples
-        return examples
-
 
 def _fill(
     dataset: ConceptDataset,
@@ -207,7 +141,6 @@ def _fill(
     weights: tuple[float, ...],
     ground_truth: tuple[int | None, ...],
     original_weight_total: float | None,
-    examples: tuple[LabeledExample, ...] | None = None,
     weight_total: float | None = None,
 ) -> None:
     """Set the fields of a dataset whose columns have passed ``_check_columns``."""
@@ -227,7 +160,6 @@ def _fill(
         weight_total=weight_total,
         signed_weights=tuple(map(mul, weights, predictions)),
         _columns=dict(zip(names, columns)),
-        _examples=examples,
         _positives=None,
     )
 
@@ -235,12 +167,6 @@ def _fill(
 def _fields(dataset: ConceptDataset) -> tuple:
     return (dataset.concept_names, dataset.ids, dataset.predictions, dataset.weights,
             dataset.ground_truth, dataset._columns, dataset.original_weight_total)
-
-
-def _rows(dataset: ConceptDataset):
-    """Concept values per row, in schema order."""
-    columns = [dataset.column(name) for name in dataset.concept_names]
-    return zip(*columns) if columns else repeat((), len(dataset))
 
 
 def _concept_reader(names: tuple[str, ...]) -> tuple[Callable[[dict], tuple], set[str]]:
@@ -464,7 +390,6 @@ def _split_lines(text: str, block: int = 1 << 20):
 
 def load_dataset(
     source: bytes | BinaryIO,
-    schema_mode: str = SCHEMA_INFER,
     *,
     schema: Sequence[str] | None = None,
 ) -> ConceptDataset:
@@ -472,19 +397,13 @@ def load_dataset(
 
     Args:
         source: raw bytes or a binary file object.
-        schema_mode: ``infer`` takes the schema from the first line in
-            its key order; ``strict`` validates every line against the
-            explicit ``schema`` sequence.
-        schema: concept names, required for strict mode.
+        schema: concept names every line must carry exactly. Without
+            it the schema is the first line's concept keys, in their
+            order.
 
     Missing weights default to uniform 1/n; the weight column is then
     renormalized to total 1 and the raw total is kept on the dataset.
     """
-    if schema_mode not in (SCHEMA_INFER, SCHEMA_STRICT):
-        raise DomainError(f"unknown schema_mode {schema_mode!r}")
-    if schema_mode == SCHEMA_STRICT and not schema:
-        raise DomainError("strict schema_mode requires an explicit schema")
-
     data = source if isinstance(source, bytes) else source.read()
     if data.startswith(b"\xef\xbb\xbf"):
         raise ParseError("input starts with a UTF-8 BOM; the format forbids it")
@@ -561,9 +480,11 @@ def load_dataset(
 def to_jsonl(dataset: ConceptDataset) -> bytes:
     """Serialize in the JSONL interchange format with stable bytes."""
     names = dataset.concept_names
+    columns = [dataset.column(name) for name in names]
+    rows = zip(*columns) if columns else repeat((), len(dataset))
     lines = []
     for example_id, prediction, values, weight, truth in zip(
-        dataset.ids, dataset.predictions, _rows(dataset), dataset.weights, dataset.ground_truth
+        dataset.ids, dataset.predictions, rows, dataset.weights, dataset.ground_truth
     ):
         obj: dict[str, object] = {
             "id": example_id,

@@ -2,7 +2,7 @@
 
 A table has one cell per (concept, series label); series are the input
 datasets in order, followed by per-dataset ground-truth series when
-requested. Undefined measures become None cells, rendered as "n/a" in
+requested, and no two series may share a label. Undefined measures become None cells, rendered as "n/a" in
 CSV and null in JSON. All renderers produce byte-stable output for
 fixed inputs.
 """
@@ -78,6 +78,12 @@ def compute_measure_table(
         raise DomainError("theta is required for the concept-conditioned measure")
     if (theta is not None) and kind != CONCEPT_CONDITIONED:
         raise DomainError("theta is only valid for the concept-conditioned measure")
+    labels = [label for label, _ in datasets]
+    if include_ground_truth:
+        labels += [label + GROUND_TRUTH_SUFFIX for label in labels]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise DomainError(f"series labels must be unique; repeated: {repeated}")
 
     schema = datasets[0][1].concept_names
     for label, dataset in datasets[1:]:

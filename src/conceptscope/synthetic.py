@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import betainc, betaincinv
 
-from conceptscope.dataset import ConceptDataset, LabeledExample
+from conceptscope.dataset import ConceptDataset
 from conceptscope.errors import (
     DomainError,
     InfeasiblePlantError,
@@ -173,7 +173,7 @@ def generate_dataset(spec: SyntheticSpec) -> ConceptDataset:
             columns[name] = [float(v) for v in rng.uniform(-1.0, 1.0, size=n)]
 
     width = len(str(n - 1)) if n > 1 else 1
-    return ConceptDataset.from_columns(
+    return ConceptDataset(
         ids=[f"x{i:0{width}d}" for i in range(n)],
         predictions=predictions,
         concepts={name: columns[name] for name in names},
@@ -207,7 +207,7 @@ def split_example(dataset: ConceptDataset, example_id: str, fraction: float) -> 
 
     weight = dataset.weights[position]
     first_weight = fraction * weight
-    return ConceptDataset.from_columns(
+    return ConceptDataset(
         ids=split(dataset.ids, f"{example_id}#0", f"{example_id}#1"),
         predictions=twice(dataset.predictions),
         concepts={name: twice(dataset.column(name)) for name in dataset.concept_names},
@@ -424,43 +424,27 @@ def generate_hierarchy_world(
     total = n_per_class * len(fine_labels)
     labels = [fine for fine in fine_labels for _ in range(n_per_class)]
 
-    concept_names = tuple(["parent", "unrelated"] + child_labels)
-
-    def concept_row(label: str) -> dict[str, float]:
-        row = {name: -1.0 for name in concept_names}
-        row["unrelated"] = 1.0 if label == "unrelated" else -1.0
-        row["parent"] = 1.0 if label != "unrelated" else -1.0
-        if label in row:
-            row[label] = 1.0
-        return row
-
-    predictor_targets = {name: name for name in child_labels}
-    predictor_targets["parent"] = "parent"
-    predictor_targets["unrelated"] = "unrelated"
+    # Each concept column is also the true indicator of the predictor of
+    # the same name, and every predictor's dataset shares these columns.
+    concepts = {
+        name: tuple(
+            1.0 if label == name or (name == "parent" and label != "unrelated") else -1.0
+            for label in labels
+        )
+        for name in ["parent", "unrelated"] + child_labels
+    }
 
     flips = int(math.floor(flip_rate * total))
     width = len(str(total - 1)) if total > 1 else 1
+    ids = tuple(f"x{i:0{width}d}" for i in range(total))
+    weights = (1.0 / total,) * total
     datasets: dict[str, ConceptDataset] = {}
-    for stream, predictor in enumerate(list(child_labels) + ["parent", "unrelated"]):
+    for stream, predictor in enumerate(child_labels + ["parent", "unrelated"]):
         rng = make_rng(seed, stream)
         flipped = set(int(i) for i in rng.permutation(total)[:flips])
-        examples = []
-        for i, label in enumerate(labels):
-            if predictor == "parent":
-                truth = 1 if label != "unrelated" else -1
-            else:
-                truth = 1 if label == predictor else -1
-            prediction = -truth if i in flipped else truth
-            examples.append(
-                LabeledExample(
-                    id=f"x{i:0{width}d}",
-                    prediction=prediction,
-                    concepts=concept_row(label),
-                    weight=1.0 / total,
-                    ground_truth=truth,
-                )
-            )
-        datasets[predictor] = ConceptDataset(tuple(examples), concept_names)
+        truth = [int(value) for value in concepts[predictor]]
+        predictions = [-t if i in flipped else t for i, t in enumerate(truth)]
+        datasets[predictor] = ConceptDataset(ids, predictions, concepts, weights, truth)
     return datasets
 
 

@@ -70,7 +70,7 @@ def _all_measures(dataset: ConceptDataset, concept: str, theta: float) -> dict[s
 
 def _duplicate_and_halve(dataset: ConceptDataset) -> ConceptDataset:
     halves = tuple(weight / 2.0 for weight in dataset.weights)
-    return ConceptDataset.from_columns(
+    return ConceptDataset(
         ids=dataset.ids + tuple(example_id + "+dup" for example_id in dataset.ids),
         predictions=dataset.predictions * 2,
         concepts={name: dataset.column(name) * 2 for name in dataset.concept_names},

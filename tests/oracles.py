@@ -9,26 +9,31 @@ from __future__ import annotations
 import math
 
 
+def _rows(dataset, concept):
+    """(prediction, concept value, weight) per row, in row order."""
+    return list(zip(dataset.predictions, dataset.column(concept), dataset.weights))
+
+
 def naive_symmetric(dataset, concept):
     return math.fsum(
-        ex.weight * ex.prediction * ex.concepts[concept] for ex in dataset.examples
+        weight * prediction * value for prediction, value, weight in _rows(dataset, concept)
     )
 
 
 def naive_class_conditioned(dataset, concept):
-    members = [ex for ex in dataset.examples if ex.prediction == 1]
-    total = math.fsum(ex.weight for ex in members)
+    members = [row for row in _rows(dataset, concept) if row[0] == 1]
+    total = math.fsum(weight for _, _, weight in members)
     if not members or total <= 0.0:
         return None
-    return math.fsum(ex.weight * ex.concepts[concept] for ex in members) / total
+    return math.fsum(weight * value for _, value, weight in members) / total
 
 
 def naive_concept_conditioned(dataset, concept, theta):
-    members = [ex for ex in dataset.examples if ex.concepts[concept] >= theta]
-    total = math.fsum(ex.weight for ex in members)
+    members = [row for row in _rows(dataset, concept) if row[1] >= theta]
+    total = math.fsum(weight for _, _, weight in members)
     if not members or total <= 0.0:
         return None
-    return math.fsum(ex.weight * ex.prediction for ex in members) / total
+    return math.fsum(weight * prediction for prediction, _, weight in members) / total
 
 
 def naive_completeness(dataset, concept):
@@ -37,9 +42,9 @@ def naive_completeness(dataset, concept):
     for out_pos in (1, -1):
         for out_neg in (1, -1):
             score = math.fsum(
-                ex.weight
-                for ex in dataset.examples
-                if ex.prediction == (out_pos if ex.concepts[concept] == 1.0 else out_neg)
+                weight
+                for prediction, value, weight in _rows(dataset, concept)
+                if prediction == (out_pos if value == 1.0 else out_neg)
             )
             if best is None or score > best:
                 best = score

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from cli_fixtures import write_fixtures
-from conceptscope.dataset import ConceptDataset, LabeledExample
+from conceptscope.dataset import ConceptDataset
 from conceptscope.measures import (
     class_conditioned_measure,
     concept_conditioned_measure,
@@ -121,22 +121,19 @@ def test_estimator_consistency_within_hoeffding_radius():
     )
     assert symmetric_measure(population, "stripes").value == planted
     radius = hoeffding_radius(n, delta)
+    predictions, values = population.predictions, population.column("stripes")
+    ids, weights = [f"r{j}" for j in range(n)], [1.0 / n] * n
     covered = 0
     for trial in range(trials):
         rng = make_rng(SEED, 1, trial)
         indices = rng.integers(0, population_size, size=n)
-        examples = tuple(
-            LabeledExample(
-                id=f"r{j}",
-                prediction=population.examples[i].prediction,
-                concepts=population.examples[i].concepts,
-                weight=1.0 / n,
-            )
-            for j, i in enumerate(indices)
+        sample = ConceptDataset(
+            ids,
+            [predictions[i] for i in indices],
+            {"stripes": [values[i] for i in indices]},
+            weights,
         )
-        estimate = symmetric_measure(
-            ConceptDataset(examples, population.concept_names), "stripes"
-        ).value
+        estimate = symmetric_measure(sample, "stripes").value
         if abs(estimate - planted) <= radius:
             covered += 1
     ok = covered >= 950

@@ -1,8 +1,8 @@
 """The columnar reductions reproduce the row-loop Kahan sums bit for bit.
 
 Datasets are written as JSONL with random, non-dyadic weights (some
-missing) and loaded with ``load_dataset``. The reference rows are built
-from the parsed JSON objects, not from the package's columns, and
+missing) and loaded with ``load_dataset``. The reference dataset is
+built from the parsed JSON objects, not from the loader's columns, and
 reduced with the row loops in ``row_kahan``. Every comparison is ``==``.
 """
 
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import row_kahan
 from conceptscope.completeness import completeness_brute_force, completeness_closed_form
-from conceptscope.dataset import LabeledExample, load_dataset, with_ground_truth_predictions
+from conceptscope.dataset import ConceptDataset, load_dataset, with_ground_truth_predictions
 from conceptscope.errors import UndefinedMeasureError
 from conceptscope.measures import (
     class_conditioned_measure,
@@ -59,17 +59,16 @@ def jsonl_files(draw, binary=False):
 
 
 def reference_rows(data):
-    """Rows from the parsed JSON, weighted by the row-loop normalization."""
+    """Columns from the parsed JSON, weighted by the row-loop normalization."""
     weights, _ = row_kahan.normalized_weights(data)
     objs = [json.loads(line) for line in data.decode().splitlines()]
-    return [
-        LabeledExample(
-            obj["id"], obj["prediction"],
-            {name: float(value) for name, value in obj["concepts"].items()},
-            weight, obj["ground_truth"],
-        )
-        for obj, weight in zip(objs, weights)
-    ]
+    return ConceptDataset(
+        [obj["id"] for obj in objs],
+        [obj["prediction"] for obj in objs],
+        {name: [float(obj["concepts"][name]) for obj in objs] for name in NAMES},
+        weights,
+        [obj["ground_truth"] for obj in objs],
+    )
 
 
 def measured(measure, *args):

@@ -380,3 +380,45 @@ def test_edit_huge_integer_lambda_exits_2(runner, fixtures, tmp_path):
          str(fixtures["images"])],
     )
     assert "error:" in result.stderr and "plan file" in result.stderr
+
+
+def test_measure_schema_matching_the_file_changes_nothing(runner, fixtures):
+    args = ["measure", "-d", f"LR={fixtures['lr']}", "-d", f"RF={fixtures['rf']}"]
+    inferred = invoke(runner, args)
+    checked = invoke(runner, args + ["--schema", "stripes,spots,c0"])
+    assert checked.stdout.encode() == inferred.stdout.encode()
+
+
+@pytest.mark.parametrize("schema", ["other", "stripes,spots"])
+def test_measure_schema_mismatch_exits_2(runner, fixtures, schema):
+    result = invoke_input_error(
+        runner, ["measure", "-d", f"LR={fixtures['lr']}", "--schema", schema]
+    )
+    assert "error: line 1: concept keys do not match schema" in result.stderr
+
+
+def _write_sites(fixtures, target):
+    return {
+        "measure": ["measure", "-d", f"LR={fixtures['lr']}", "-o", target],
+        "completeness": ["completeness", str(fixtures["lr"]), "stripes", "-o", target],
+        "verify": ["verify", "--suite", "theorem2", "--trials", "2", "--dim", "4",
+                   "--records", target],
+        "edit": ["edit", str(fixtures["prompts"]), str(fixtures["concepts"]),
+                 str(fixtures["plan"]), str(fixtures["images"]), "--out-prompts", target],
+    }
+
+
+@pytest.mark.parametrize("site", ["measure", "completeness", "verify", "edit"])
+def test_unwritable_output_path_exits_2(runner, fixtures, tmp_path, site):
+    target = str(tmp_path / "missing-directory" / "out")
+    result = invoke_input_error(runner, _write_sites(fixtures, target)[site])
+    assert f"error: cannot write {target}" in result.stderr
+
+
+@pytest.mark.parametrize("second, extra", [("LR", []), ("LR:ground_truth", ["--ground-truth"])])
+def test_measure_repeated_series_label_exits_2(runner, fixtures, second, extra):
+    result = invoke_input_error(
+        runner, ["measure", "-d", f"LR={fixtures['lr']}", "-d", f"{second}={fixtures['rf']}"]
+        + extra,
+    )
+    assert f"repeated: [{second!r}]" in result.stderr

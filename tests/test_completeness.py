@@ -6,18 +6,15 @@ from conceptscope.completeness import (
     completeness_brute_force,
     completeness_closed_form,
 )
-from conceptscope.dataset import ConceptDataset, LabeledExample
+from conceptscope.dataset import ConceptDataset
 from conceptscope.errors import DomainError, SchemaError
 from oracles import naive_completeness
 
 
 def dataset(rows):
+    predictions, values, weights = zip(*rows)
     return ConceptDataset(
-        tuple(
-            LabeledExample(f"x{i}", pred, {"s": value}, weight)
-            for i, (pred, value, weight) in enumerate(rows)
-        ),
-        ("s",),
+        [f"x{i}" for i in range(len(rows))], predictions, {"s": values}, weights
     )
 
 

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from conceptscope import dataset as dataset_module
 from conceptscope.dataset import (
     ConceptDataset,
-    LabeledExample,
     _split_lines,
     load_dataset,
     to_jsonl,
     with_ground_truth_predictions,
 )
-from conceptscope.errors import DomainError, ParseError, SchemaError, ValidationError
+from conceptscope.errors import ParseError, SchemaError, ValidationError
 
 
 def _line(**kwargs):
@@ -26,7 +25,7 @@ def test_uniform_default_weights():
         id="b", prediction=-1, concepts={"s": -1.0}
     )
     ds = load_dataset(data)
-    assert [ex.weight for ex in ds.examples] == [0.5, 0.5]
+    assert ds.weights == (0.5, 0.5)
 
 
 def test_weights_renormalized():
@@ -34,7 +33,7 @@ def test_weights_renormalized():
         id="b", prediction=-1, concepts={"s": -1.0}, weight=2
     )
     ds = load_dataset(data)
-    assert [ex.weight for ex in ds.examples] == [0.5, 0.5]
+    assert ds.weights == (0.5, 0.5)
     assert ds.original_weight_total == 4.0
 
 
@@ -84,14 +83,17 @@ def test_schema_mismatch_between_lines():
         load_dataset(data)
 
 
-def test_strict_mode_requires_schema():
-    data = _line(id="a", prediction=1, concepts={"s": 1.0})
-    with pytest.raises(DomainError):
-        load_dataset(data, "strict")
-    ds = load_dataset(data, "strict", schema=["s"])
-    assert ds.concept_names == ("s",)
-    with pytest.raises(SchemaError):
-        load_dataset(data, "strict", schema=["other"])
+def test_explicit_schema_is_checked_on_every_line():
+    data = _line(id="a", prediction=1, concepts={"s": 1.0, "t": 0.5}) + _line(
+        id="b", prediction=1, concepts={"t": 0.5, "s": 1.0}
+    )
+    ds = load_dataset(data, schema=["t", "s"])
+    assert ds.concept_names == ("t", "s")
+    assert ds.column("s") == (1.0, 1.0)
+    with pytest.raises(SchemaError, match="line 1"):
+        load_dataset(data, schema=["other"])
+    with pytest.raises(SchemaError, match="line 1"):
+        load_dataset(data, schema=["s"])
 
 
 def test_negative_weight_rejected():
@@ -113,23 +115,23 @@ def test_ground_truth_parsed_and_optional():
         id="b", prediction=1, concepts={"s": 1.0}
     )
     ds = load_dataset(data)
-    assert ds.examples[0].ground_truth == -1
-    assert ds.examples[1].ground_truth is None
+    assert ds.ground_truth == (-1, None)
 
 
 def test_constructor_checks_weight_sum():
     with pytest.raises(ValidationError, match="sum"):
-        ConceptDataset(
-            (LabeledExample("a", 1, {"s": 1.0}, 0.4),), ("s",)
-        )
+        ConceptDataset(["a"], [1], {"s": [1.0]}, [0.4])
 
 
 def test_examples_are_immutable():
     ds = load_dataset(_line(id="a", prediction=1, concepts={"s": 1.0}))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        ds.examples[0].weight = 0.2
-    with pytest.raises(dataclasses.FrozenInstanceError):
         ds.concept_names = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds.weights = (0.2,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del ds.ids
+    assert isinstance(ds.weights, tuple) and isinstance(ds.column("s"), tuple)
 
 
 def test_jsonl_round_trip():
@@ -140,12 +142,12 @@ def test_jsonl_round_trip():
     ds = load_dataset(data)
     again = load_dataset(to_jsonl(ds))
     assert again.concept_names == ds.concept_names
-    for left, right in zip(ds.examples, again.examples):
-        assert left.id == right.id
-        assert left.prediction == right.prediction
-        assert left.ground_truth == right.ground_truth
-        assert left.concepts == right.concepts
-        assert left.weight == pytest.approx(right.weight, abs=1e-15)
+    assert again.ids == ds.ids
+    assert again.predictions == ds.predictions
+    assert again.ground_truth == ds.ground_truth
+    for name in ds.concept_names:
+        assert again.column(name) == ds.column(name)
+    assert again.weights == pytest.approx(ds.weights, abs=1e-15)
 
 
 def test_load_from_binary_file_object(tmp_path):
@@ -153,13 +155,13 @@ def test_load_from_binary_file_object(tmp_path):
     path.write_bytes(_line(id="a", prediction=1, concepts={"s": 1.0}))
     with open(path, "rb") as fh:
         ds = load_dataset(fh)
-    assert ds.examples[0].id == "a"
+    assert ds.ids == ("a",)
 
 
 def test_ground_truth_swap():
     data = _line(id="a", prediction=1, concepts={"s": 1.0}, ground_truth=-1)
     swapped = with_ground_truth_predictions(load_dataset(data))
-    assert swapped.examples[0].prediction == -1
+    assert swapped.predictions == (-1,)
 
 
 def test_ground_truth_swap_requires_labels():
@@ -247,7 +249,7 @@ def test_huge_integer_literal_is_a_parse_error():
         load_dataset(data)
 
 
-def test_columns_and_row_view_agree():
+def test_loaded_columns_hold_the_format_types():
     data = (
         _line(id="a", prediction=1.0, concepts={"s": 1, "t": -0.5}, weight=3, ground_truth=-1)
         + _line(id="b", prediction=-1, concepts={"s": 0.25, "t": 0}, weight=1)
@@ -258,29 +260,26 @@ def test_columns_and_row_view_agree():
     assert ds.column("s") == (1.0, 0.25) and type(ds.column("s")[0]) is float
     assert ds.weights == (0.75, 0.25)
     assert ds.ground_truth == (-1, None)
-    assert [(ex.id, ex.prediction, ex.concepts, ex.weight, ex.ground_truth)
-            for ex in ds.examples] == [("a", 1, {"s": 1.0, "t": -0.5}, 0.75, -1),
-                                       ("b", -1, {"s": 0.25, "t": 0.0}, 0.25, None)]
     with pytest.raises(SchemaError, match="unknown concept"):
         ds.column("u")
 
 
-def test_from_columns_matches_rows():
-    rows = ConceptDataset(
-        (LabeledExample("a", 1, {"s": 0.5}, 0.25, 1), LabeledExample("b", -1, {"s": 1}, 0.75)),
-        ("s",),
-    )
-    columns = ConceptDataset.from_columns(
+def test_constructor_takes_columns():
+    built = ConceptDataset(
         ids=["a", "b"], predictions=[1, -1], concepts={"s": [0.5, 1.0]},
-        weights=[0.25, 0.75], ground_truth=[1, None],
+        weights=[0.25, 0.75], ground_truth=[1, None], original_weight_total=1.0,
     )
-    assert rows == columns
+    loaded = load_dataset(
+        _line(id="a", prediction=1, concepts={"s": 0.5}, weight=0.25, ground_truth=1)
+        + _line(id="b", prediction=-1, concepts={"s": 1.0}, weight=0.75)
+    )
+    assert built == loaded
     with pytest.raises(ValidationError, match="one value per id"):
-        ConceptDataset.from_columns(
+        ConceptDataset(
             ids=["a", "b"], predictions=[1], concepts={"s": [0.5, 1.0]}, weights=[0.5, 0.5]
         )
     with pytest.raises(ValidationError, match=r"^example 1: concept 's'"):
-        ConceptDataset.from_columns(
+        ConceptDataset(
             ids=["a", "b"], predictions=[1, 1], concepts={"s": [0.5, 2.0]}, weights=[0.5, 0.5]
         )
 

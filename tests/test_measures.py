@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conceptscope.dataset import ConceptDataset, LabeledExample
+from conceptscope.dataset import ConceptDataset
 from conceptscope.errors import DomainError, SchemaError, UndefinedMeasureError
 from conceptscope.measures import (
     class_conditioned_measure,
@@ -15,12 +15,12 @@ from oracles import naive_class_conditioned, naive_concept_conditioned, naive_sy
 
 
 def dataset(rows, names=("s",)):
+    predictions, values, weights = zip(*rows)
     return ConceptDataset(
-        tuple(
-            LabeledExample(f"x{i}", pred, dict(zip(names, concepts)), weight)
-            for i, (pred, concepts, weight) in enumerate(rows)
-        ),
-        names,
+        [f"x{i}" for i in range(len(rows))],
+        predictions,
+        {name: [row[k] for row in values] for k, name in enumerate(names)},
+        weights,
     )
 
 

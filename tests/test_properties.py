@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conceptscope.completeness import completeness_brute_force, completeness_closed_form
-from conceptscope.dataset import ConceptDataset, LabeledExample
+from conceptscope.dataset import ConceptDataset
 from conceptscope.errors import UndefinedMeasureError
 from conceptscope.measures import (
     class_conditioned_measure,
@@ -40,11 +40,9 @@ def datasets(draw, max_size=12, binary=False):
     values = draw(st.lists(values_st, min_size=n, max_size=n))
     raw = draw(st.lists(weights_st, min_size=n, max_size=n))
     total = math.fsum(raw)
-    examples = tuple(
-        LabeledExample(f"x{i}", predictions[i], {"c": values[i]}, raw[i] / total)
-        for i in range(n)
+    return ConceptDataset(
+        [f"x{i}" for i in range(n)], predictions, {"c": values}, [w / total for w in raw]
     )
-    return ConceptDataset(examples, ("c",))
 
 
 def all_measures(dataset, theta):
@@ -68,7 +66,7 @@ def all_measures(dataset, theta):
 )
 @settings(max_examples=300, deadline=None)
 def test_recursivity_under_weight_splits(ds, position, numerator, theta):
-    target = ds.examples[position % len(ds.examples)].id
+    target = ds.ids[position % len(ds)]
     fraction = numerator / 1024.0
     before = all_measures(ds, theta)
     after = all_measures(split_example(ds, target, fraction), theta)
@@ -82,12 +80,10 @@ def test_recursivity_under_weight_splits(ds, position, numerator, theta):
 @settings(max_examples=200, deadline=None)
 def test_duplicate_and_halve_changes_nothing(ds):
     doubled = ConceptDataset(
-        tuple(
-            LabeledExample(ex.id + suffix, ex.prediction, ex.concepts, ex.weight / 2.0)
-            for suffix in ("", "*")
-            for ex in ds.examples
-        ),
-        ds.concept_names,
+        [example_id + suffix for suffix in ("", "*") for example_id in ds.ids],
+        ds.predictions * 2,
+        {"c": ds.column("c") * 2},
+        [weight / 2.0 for weight in ds.weights] * 2,
     )
     before = all_measures(ds, 0.25)
     after = all_measures(doubled, 0.25)
@@ -99,15 +95,19 @@ def test_duplicate_and_halve_changes_nothing(ds):
 @given(datasets())
 @settings(max_examples=300, deadline=None)
 def test_symmetric_decomposes_over_prediction_classes(ds):
-    negatives = [ex for ex in ds.examples if ex.prediction == -1]
-    weight_neg = math.fsum(ex.weight for ex in negatives)
+    negatives = [
+        (value, weight)
+        for prediction, value, weight in zip(ds.predictions, ds.column("c"), ds.weights)
+        if prediction == -1
+    ]
+    weight_neg = math.fsum(weight for _, weight in negatives)
     try:
         positive = class_conditioned_measure(ds, "c")
     except UndefinedMeasureError:
         return
     if not negatives or weight_neg <= 0.0:
         return
-    mean_neg = math.fsum(ex.weight * ex.concepts["c"] for ex in negatives) / weight_neg
+    mean_neg = math.fsum(weight * value for value, weight in negatives) / weight_neg
     expected = positive.value * positive.effective_count - mean_neg * weight_neg
     assert abs(symmetric_measure(ds, "c").value - expected) <= TOL
 

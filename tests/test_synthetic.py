@@ -37,6 +37,13 @@ from oracles import naive_symmetric
 GOLDEN_HASHES = {
     "binary_planted": "ba8024c2c03c52e3ea72363ca788a57c6fa16dd508f6506bbcd1a16886212193",
     "continuous_dyadic": "9088243066bdd81c45329bc6f7e080d196540ad927f3010aae5920c8b2c3f6ad",
+    "hierarchy_world": {
+        "child_0": "ac021529094650fd54180444cc8f28c9692131ca6a2815b97dda8f9dbfe926bf",
+        "child_1": "f9040b35c22efc2420f2db2a8d31d9568a959c19187aaa058929ecae087b4dcc",
+        "child_2": "f10b567fcd42aa0cd34551dc6fd972fed62749cb1600c01782d4b0781853d4f1",
+        "parent": "e0c5c77c1ee88b3a40072926c496a09e74aa89fdd58c3edb02d4f5dacdb3da7e",
+        "unrelated": "5a24efaf49c295f269b705a0014a7dc0da7de57a43aed11797ffd71a91192ae5",
+    },
 }
 
 
@@ -44,8 +51,8 @@ def test_planted_full_agreement():
     ds = generate_dataset(
         SyntheticSpec(n_examples=6, n_concepts=1, seed=1, planted_measures={"stripes": 1.0})
     )
-    for ex in ds.examples:
-        assert ex.concepts["stripes"] == float(ex.prediction)
+    for value, prediction in zip(ds.column("stripes"), ds.predictions):
+        assert value == float(prediction)
 
 
 def test_planted_zero_is_balanced():
@@ -119,37 +126,31 @@ def test_generation_is_deterministic_golden():
 
 def test_ground_truth_flag_sets_y_equal_h():
     ds = generate_dataset(SyntheticSpec(n_examples=5, n_concepts=1, seed=8, with_ground_truth=True))
-    assert all(ex.ground_truth == ex.prediction for ex in ds.examples)
+    assert ds.ground_truth == ds.predictions
 
 
 def test_dyadic_weights_sum_exactly_one():
     ds = generate_dataset(
         SyntheticSpec(n_examples=7, n_concepts=1, seed=10, weight_kind="dyadic")
     )
-    assert kahan_sum(ex.weight for ex in ds.examples) == 1.0
+    assert kahan_sum(ds.weights) == 1.0
 
 
 def test_split_preserves_total_weight_exactly_on_dyadic():
     ds = generate_dataset(
         SyntheticSpec(n_examples=9, n_concepts=2, seed=11, weight_kind="dyadic")
     )
-    before = kahan_sum(ex.weight for ex in ds.examples)
-    split = split_example(ds, ds.examples[4].id, 3 / 16)
-    after = kahan_sum(ex.weight for ex in split.examples)
+    before = kahan_sum(ds.weights)
+    split = split_example(ds, ds.ids[4], 3 / 16)
+    after = kahan_sum(split.weights)
     assert before == after
-    assert len(split.examples) == len(ds.examples) + 1
+    assert len(split.ids) == len(ds.ids) + 1
 
 
 def test_split_preserves_measures_on_hand_dataset():
-    from conceptscope.dataset import ConceptDataset, LabeledExample
+    from conceptscope.dataset import ConceptDataset
 
-    ds = ConceptDataset(
-        (
-            LabeledExample("a", 1, {"s": 0.5}, 0.6),
-            LabeledExample("b", -1, {"s": 0.2}, 0.4),
-        ),
-        ("s",),
-    )
+    ds = ConceptDataset(["a", "b"], [1, -1], {"s": [0.5, 0.2]}, [0.6, 0.4])
     split = split_example(ds, "a", 0.3)
     assert symmetric_measure(split, "s").value == pytest.approx(0.22, abs=1e-12)
     assert abs(
@@ -169,7 +170,7 @@ def test_chained_splits_preserve_measures():
         "ccth": concept_conditioned_measure(ds, concept, -0.5).value,
     }
     current = ds
-    target = current.examples[0].id
+    target = current.ids[0]
     for fraction in (0.5, 0.25, 0.75):
         current = split_example(current, target, fraction)
         target = f"{target}#0"
@@ -186,7 +187,7 @@ def test_split_argument_validation():
         split_example(ds, "nope", 0.5)
     for fraction in (0.0, 1.0, -0.5):
         with pytest.raises(DomainError):
-            split_example(ds, ds.examples[0].id, fraction)
+            split_example(ds, ds.ids[0], fraction)
 
 
 def test_cap_probability_matches_arc_length_in_2d():
@@ -275,6 +276,12 @@ def test_theorem2_suite_records_are_the_batch():
     assert run_theorem2_suite(*args)[1] == run_theorem2_batch(*args)
 
 
+def test_hierarchy_world_is_deterministic_golden():
+    world = generate_hierarchy_world(seed=0)
+    hashes = {name: hashlib.sha256(to_jsonl(ds)).hexdigest() for name, ds in world.items()}
+    assert hashes == GOLDEN_HASHES["hierarchy_world"]
+
+
 def test_hierarchy_world_margins():
     world = generate_hierarchy_world(seed=0)
     children = [name for name in world if name.startswith("child_")]
@@ -289,7 +296,7 @@ def test_hierarchy_world_margins():
 def test_hierarchy_world_has_ground_truth_and_flips():
     world = generate_hierarchy_world(n_children=2, n_per_class=10, flip_rate=0.1, seed=1)
     ds = world["child_0"]
-    flipped = sum(1 for ex in ds.examples if ex.prediction != ex.ground_truth)
+    flipped = sum(1 for h, y in zip(ds.predictions, ds.ground_truth) if h != y)
     assert flipped == 3  # floor(0.1 * 30)
 
 
