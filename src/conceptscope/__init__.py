@@ -67,7 +67,6 @@ from conceptscope.synthetic import (
     theorem2_trial,
 )
 from conceptscope.tcav import (
-    EmbeddedExample,
     LinearConceptModel,
     class_conditioned_from_embeddings,
     tcav_continuous,
@@ -90,7 +89,6 @@ __all__ = [
     "ContaminationInstance",
     "DomainError",
     "EditPlan",
-    "EmbeddedExample",
     "EvalReport",
     "InfeasiblePlantError",
     "LinearConceptModel",

@@ -29,7 +29,8 @@ from conceptscope.embeddings import (
     VectorEntry,
     dump_vector_file,
     load_vector_file,
-    unit_normalize,
+    parse_dim,
+    parse_vector,
 )
 from conceptscope.errors import (
     JSON_ERRORS,
@@ -55,10 +56,9 @@ from conceptscope.prompts import (
     evaluate,
 )
 from conceptscope.tcav import (
-    EmbeddedExample,
     LinearConceptModel,
     class_conditioned_from_embeddings,
-    decision_margin,
+    decision_margins,
     tcav_continuous,
     tcav_discrete,
 )
@@ -241,21 +241,13 @@ def _load_model(path: str) -> LinearConceptModel:
     for key in ("dim", "w_h", "theta_h", "v"):
         if key not in obj:
             raise ValidationError(f"model file {path} is missing {key!r}")
-    dim = obj["dim"]
-    vectors = {}
-    for name in ("w_h", "v"):
-        try:
-            vec = np.asarray(obj[name], dtype=np.float64)
-        except (TypeError, ValueError):
-            vec = None
-        if vec is None or vec.ndim != 1 or vec.shape[0] != dim:
-            raise ValidationError(f"model {name} must be a vector of dim {dim}")
-        vectors[name] = unit_normalize(vec, f"model {name}")
+    where = f"model file {path}:"
+    dim = parse_dim(obj["dim"], f"{where} 'dim'")
     return LinearConceptModel(
-        w_h=vectors["w_h"],
-        theta_h=_finite_number(obj["theta_h"], f"model file {path}: 'theta_h'"),
-        v=vectors["v"],
-        dim=int(dim),
+        w_h=parse_vector(obj["w_h"], dim, f"{where} 'w_h'"),
+        theta_h=_finite_number(obj["theta_h"], f"{where} 'theta_h'"),
+        v=parse_vector(obj["v"], dim, f"{where} 'v'"),
+        dim=dim,
     )
 
 
@@ -272,9 +264,9 @@ def tcav_cmd(model_path, embeddings_path, output):
         raise ValidationError(
             f"embedding dim {vector_file.dim} does not match model dim {model.dim}"
         )
-    examples = [EmbeddedExample(id=e.id, embedding=e.values) for e in vector_file.entries]
-    members = [ex for ex in examples if decision_margin(model, ex) > 0.0]
-    conditional = class_conditioned_from_embeddings(model, examples)
+    embeddings = np.stack([entry.values for entry in vector_file.entries])
+    members = embeddings[decision_margins(model, embeddings) > 0.0]
+    conditional = class_conditioned_from_embeddings(model, embeddings)
     continuous = tcav_continuous(model, members)
     payload = {
         "tcav": tcav_discrete(model, members),

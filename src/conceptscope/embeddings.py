@@ -9,8 +9,10 @@ non-finite vectors are rejected. A vector entry may carry an optional
 writer emits raw values without renormalizing, so edited (non-unit)
 prompts round-trip unchanged.
 
-The unit-norm check and the normalization here are the package's only
-ones; every module that takes unit vectors uses them.
+``parse_vector`` is the one reader of a JSON vector (vector files and
+model files). ``check_unit_vectors`` is the package's one unit-norm
+check, for a single vector and for the rows of an ``(n, dim)`` array
+alike; it and ``unit_normalize`` take norms as sqrt(vecdot(x, x)).
 """
 
 from __future__ import annotations
@@ -43,6 +45,15 @@ def _read_bytes(source: bytes | BinaryIO) -> bytes:
     return source if isinstance(source, bytes) else source.read()
 
 
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norm of a vector, or of each row of an ``(n, dim)`` array.
+
+    ``np.vecdot`` runs the same dot kernel as a 1-D ``np.dot``, so each
+    norm is bit-identical to ``np.linalg.norm`` of that vector alone.
+    """
+    return np.sqrt(np.vecdot(vectors, vectors))
+
+
 def check_finite_vector(vector: np.ndarray, what: str) -> None:
     """Reject a ``vector`` that is not 1-D or has non-finite components."""
     if vector.ndim != 1:
@@ -51,20 +62,58 @@ def check_finite_vector(vector: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} has non-finite components")
 
 
+def check_unit_vectors(vectors: np.ndarray, what: str) -> None:
+    """Reject a vector, or ``(n, dim)`` rows, unless each has unit norm.
+
+    A non-finite component makes the norm nan or inf, which fails too.
+    For rows the error names the first bad one as ``what i``.
+    """
+    norms = _norms(vectors)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOLERANCE))
+    if bad.size:
+        name = f"{what} {bad[0]}" if vectors.ndim == 2 else what
+        norm = float(norms.flat[bad[0]])
+        raise ValidationError(f"{name} must have unit norm, got {norm!r}")
+
+
 def check_unit_vector(vector: np.ndarray, what: str) -> None:
-    """Reject a ``vector`` that is not a finite 1-D vector of unit norm."""
-    check_finite_vector(vector, what)
-    norm = float(np.linalg.norm(vector))
-    if abs(norm - 1.0) > UNIT_NORM_TOLERANCE:
-        raise ValidationError(f"{what} must have unit norm, got {norm!r}")
+    """Reject a ``vector`` that is not a 1-D vector of unit norm."""
+    if vector.ndim != 1:
+        raise ValidationError(f"{what} must be a 1-D vector")
+    check_unit_vectors(vector, what)
 
 
 def unit_normalize(vector: np.ndarray, what: str) -> np.ndarray:
     """``vector`` divided by its Euclidean norm, which must be finite and nonzero."""
-    norm = float(np.linalg.norm(vector))
+    norm = float(_norms(vector))
     if norm == 0.0 or not np.isfinite(norm):
         raise ValidationError(f"{what} has norm {norm!r} and cannot be normalized")
     return vector / norm
+
+
+def parse_dim(value: object, what: str) -> int:
+    """A positive JSON integer; booleans are rejected."""
+    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+        raise ValidationError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
+def parse_vector(raw: object, dim: int, what: str) -> np.ndarray:
+    """A JSON list of ``dim`` numbers (not booleans), unit-normalized.
+
+    A non-finite component makes the norm non-finite, so
+    ``unit_normalize`` rejects it.
+    """
+    message = f"{what} must be a list of {dim} finite numbers"
+    if not isinstance(raw, list) or len(raw) != dim or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
+    ):
+        raise ValidationError(message)
+    try:
+        vector = np.asarray(raw, dtype=np.float64)
+    except OverflowError:  # an integer literal too large for a float
+        raise ValidationError(message) from None
+    return unit_normalize(vector, what)
 
 
 def load_vector_file(source: bytes | BinaryIO) -> VectorFile:
@@ -77,9 +126,7 @@ def load_vector_file(source: bytes | BinaryIO) -> VectorFile:
     if not isinstance(obj, dict):
         raise ParseError("vector file must be a JSON object")
 
-    dim = obj.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
-        raise ValidationError(f"'dim' must be a positive integer, got {dim!r}")
+    dim = parse_dim(obj.get("dim"), "'dim'")
     vectors = obj.get("vectors")
     if not isinstance(vectors, list) or not vectors:
         raise ValidationError("'vectors' must be a non-empty list")
@@ -96,16 +143,7 @@ def load_vector_file(source: bytes | BinaryIO) -> VectorFile:
         if vector_id in seen:
             raise ValidationError(f"{where}: duplicate id {vector_id!r}")
         seen.add(vector_id)
-        raw = item.get("values")
-        if not isinstance(raw, list) or len(raw) != dim:
-            raise ValidationError(f"{where}: 'values' must be a list of {dim} numbers")
-        try:
-            values = np.asarray(raw, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValidationError(f"{where}: 'values' must be a list of {dim} numbers") from None
-        what = f"{where}: vector {vector_id!r}"
-        check_finite_vector(values, what)
-        values = unit_normalize(values, what)
+        values = parse_vector(item.get("values"), dim, f"{where}: 'values' of {vector_id!r}")
         label = item.get("label")
         if label is not None and not isinstance(label, str):
             raise ValidationError(f"{where}: 'label' must be a string when present")

@@ -150,7 +150,12 @@ def hoeffding_sample_size(epsilon: float, delta: float) -> int:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
-    return math.ceil(2.0 * math.log(1.0 / delta) / (epsilon * epsilon))
+    try:
+        return math.ceil(2.0 * math.log(1.0 / delta) / (epsilon * epsilon))
+    except (OverflowError, ZeroDivisionError):  # the size is not a finite float
+        raise DomainError(
+            f"epsilon={epsilon!r}, delta={delta!r} need a sample size too large for a float"
+        ) from None
 
 
 def hoeffding_radius(n: int, delta: float) -> float:
@@ -159,4 +164,7 @@ def hoeffding_radius(n: int, delta: float) -> float:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
-    return math.sqrt(2.0 * math.log(1.0 / delta) / n)
+    radius = math.sqrt(2.0 * math.log(1.0 / delta) / n)
+    if math.isinf(radius):  # 1/delta overflowed
+        raise DomainError(f"delta={delta!r} is too small for a finite radius")
+    return radius

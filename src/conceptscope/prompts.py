@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from conceptscope.embeddings import check_finite_vector, check_unit_vector
+from conceptscope.embeddings import check_finite_vector, check_unit_vector, unit_normalize
 from conceptscope.errors import DomainError, ValidationError
 
 CLASS_PROMPT = "class_prompt"
@@ -111,12 +111,7 @@ def edit_prompt(
     mean = np.mean(np.stack([c.vector for c in concepts]), axis=0)
     vector = class_prompt.vector - float(lam) * mean
     if renormalize:
-        norm = float(np.linalg.norm(vector))
-        if norm == 0.0:
-            raise ValidationError(
-                f"edited prompt {class_prompt.name!r} cancelled to zero; cannot renormalize"
-            )
-        vector = vector / norm
+        vector = unit_normalize(vector, f"edited prompt {class_prompt.name!r}")
     return PromptEmbedding(name=class_prompt.name, vector=vector, kind=EDITED)
 
 

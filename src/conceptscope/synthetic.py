@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import betainc, betaincinv
 
 from conceptscope.dataset import ConceptDataset
+from conceptscope.embeddings import check_unit_vectors
 from conceptscope.errors import (
     DomainError,
     InfeasiblePlantError,
@@ -30,10 +31,9 @@ from conceptscope.prompts import (
     PromptEmbedding,
 )
 from conceptscope.tcav import (
-    EmbeddedExample,
     LinearConceptModel,
     class_conditioned_from_embeddings,
-    decision_margin,
+    decision_margins,
     tcav_continuous,
 )
 
@@ -274,26 +274,23 @@ def _cap_rejection(
 ) -> np.ndarray:
     dim = axis.shape[0]
     accepted: list[np.ndarray] = []
-    drawn = 0
-    while len(accepted) < n and drawn < max_draws:
+    count = drawn = 0
+    while count < n and drawn < max_draws:
         batch = max(1024, n)
         z = rng.standard_normal((batch, dim))
         norms = np.linalg.norm(z, axis=1)
         keep_rows = norms > 1e-12
         z = z[keep_rows] / norms[keep_rows, None]
         drawn += batch
-        hits = z[z @ axis >= theta]
-        for row in hits:
-            accepted.append(row)
-            if len(accepted) == n:
-                break
-    if len(accepted) < n:
-        rate = len(accepted) / max(1, drawn)
+        accepted.append(z[z @ axis >= theta])
+        count += len(accepted[-1])
+    if count < n:
+        rate = count / max(1, drawn)
         raise SamplingError(
-            f"cap rejection sampling got {len(accepted)}/{n} points in {drawn} draws"
+            f"cap rejection sampling got {count}/{n} points in {drawn} draws"
             f" (acceptance rate {rate:.2e}); use the exact sampler"
         )
-    return np.stack(accepted)
+    return np.concatenate(accepted)[:n]
 
 
 def sample_spherical_cap(
@@ -315,8 +312,10 @@ def sample_spherical_cap(
     axis = np.asarray(axis, dtype=np.float64)
     if axis.ndim != 1 or axis.shape[0] < 2:
         raise DomainError("axis must be a 1-D vector with dim >= 2")
-    if abs(float(np.linalg.norm(axis)) - 1.0) > 1e-9:
-        raise DomainError("axis must have unit norm")
+    try:
+        check_unit_vectors(axis, "axis")
+    except ValidationError as exc:
+        raise DomainError(str(exc)) from None
     if not -1.0 <= theta < 1.0:
         raise DomainError(f"theta must lie in [-1, 1), got {theta!r}")
     if n < 1:
@@ -365,14 +364,10 @@ def theorem2_trial(epsilon: float, delta: float, dim: int, seed: int) -> Theorem
     n = hoeffding_sample_size(epsilon, delta)
     points = sample_spherical_cap(rng, w_h, theta_h, n)
     model = LinearConceptModel(w_h=w_h, theta_h=theta_h, v=v, dim=dim)
-    width = len(str(n - 1)) if n > 1 else 1
-    examples = [
-        EmbeddedExample(id=f"g{i:0{width}d}", embedding=points[i]) for i in range(n)
-    ]
-    members = [ex for ex in examples if decision_margin(model, ex) > 0.0]
-    if not members:
+    members = points[decision_margins(model, points) > 0.0]
+    if not len(members):
         raise SamplingError("no sampled embedding fell strictly inside the class")
-    lhs = class_conditioned_from_embeddings(model, examples)
+    lhs = class_conditioned_from_embeddings(model, points)
     score = tcav_continuous(model, members)
     gap = abs(lhs - score)
     return Theorem2Trial(lhs_gap=gap, n_used=len(members), bound_holds=gap < epsilon)

@@ -12,32 +12,21 @@ constant w_h . v, so:
 ``class_conditioned_from_embeddings`` is the quantity the continuous
 score approximates: the mean concept value over examples the head
 predicts positive.
+
+Embeddings come in as one ``(n, dim)`` float64 array, one unit row g(x)
+per example; errors name an example by its row index. Row dot products
+use ``np.vecdot``, which gives each row the bits of a 1-D ``np.dot``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from conceptscope.embeddings import check_unit_vector
+from conceptscope.embeddings import check_unit_vector, check_unit_vectors
 from conceptscope.errors import DomainError, UndefinedMeasureError, ValidationError
 from conceptscope.numerics import kahan_sum
-
-
-@dataclass(frozen=True)
-class EmbeddedExample:
-    """An example's unit-norm embedding g(x)."""
-
-    id: str
-    embedding: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "embedding", np.asarray(self.embedding, dtype=np.float64)
-        )
-        check_unit_vector(self.embedding, f"embedding of {self.id!r}")
 
 
 @dataclass(frozen=True)
@@ -60,81 +49,58 @@ class LinearConceptModel:
                 f" got {self.w_h.shape[0]} and {self.v.shape[0]}"
             )
 
-    @classmethod
-    def from_vectors(
-        cls, w_h: Sequence[float], theta_h: float, v: Sequence[float]
-    ) -> "LinearConceptModel":
-        w = np.asarray(w_h, dtype=np.float64)
-        return cls(w_h=w, theta_h=float(theta_h), v=np.asarray(v, dtype=np.float64), dim=int(w.shape[0]))
 
+def decision_margins(model: LinearConceptModel, embeddings: np.ndarray) -> np.ndarray:
+    """w_h . g(x) - theta_h per row; positive means the head predicts +1.
 
-def decision_margin(model: LinearConceptModel, example: EmbeddedExample) -> float:
-    """w_h . g(x) - theta_h; positive means the head predicts +1."""
-    if example.embedding.shape[0] != model.dim:
+    ``embeddings`` must be an ``(n, dim)`` array of finite unit rows.
+    """
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    if embeddings.ndim != 2 or embeddings.shape[1] != model.dim:
         raise ValidationError(
-            f"embedding of {example.id!r} has dim {example.embedding.shape[0]},"
-            f" model has dim {model.dim}"
+            f"embeddings must be an (n, {model.dim}) array, got shape {embeddings.shape}"
         )
-    return float(np.dot(model.w_h, example.embedding)) - model.theta_h
+    check_unit_vectors(embeddings, "embedding")
+    return np.vecdot(embeddings, model.w_h) - model.theta_h
 
 
-def concept_value(model: LinearConceptModel, example: EmbeddedExample) -> float:
-    """c(x) = g(x) . v."""
-    if example.embedding.shape[0] != model.dim:
+def _check_class_embeddings(model: LinearConceptModel, embeddings: np.ndarray) -> None:
+    margins = decision_margins(model, embeddings)
+    if margins.size == 0:
+        raise DomainError("class embeddings must be non-empty")
+    outside = np.flatnonzero(margins <= 0.0)
+    if outside.size:
         raise ValidationError(
-            f"embedding of {example.id!r} has dim {example.embedding.shape[0]},"
-            f" model has dim {model.dim}"
+            f"embedding {int(outside[0])} is not predicted positive by the head"
+            " (strictly positive margin required)"
         )
-    return float(np.dot(example.embedding, model.v))
 
 
-def _check_class_examples(
-    model: LinearConceptModel, class_examples: Sequence[EmbeddedExample]
-) -> None:
-    if not class_examples:
-        raise DomainError("class_examples must be non-empty")
-    for example in class_examples:
-        if decision_margin(model, example) <= 0.0:
-            raise ValidationError(
-                f"example {example.id!r} is not predicted positive by the head"
-                " (strictly positive margin required)"
-            )
-
-
-def tcav_discrete(
-    model: LinearConceptModel, class_examples: Sequence[EmbeddedExample]
-) -> float:
+def tcav_discrete(model: LinearConceptModel, class_embeddings: np.ndarray) -> float:
     """Fraction of class examples whose concept score is strictly positive.
 
     The score is the constant w_h . v here, so the fraction is 1 when
     that dot product is positive and 0 otherwise (a zero score counts
     as not positive).
     """
-    _check_class_examples(model, class_examples)
-    score = float(np.dot(model.w_h, model.v))
-    positives = len(class_examples) if score > 0.0 else 0
-    return positives / len(class_examples)
+    _check_class_embeddings(model, class_embeddings)
+    return 1.0 if float(np.dot(model.w_h, model.v)) > 0.0 else 0.0
 
 
-def tcav_continuous(
-    model: LinearConceptModel, class_examples: Sequence[EmbeddedExample]
-) -> float:
+def tcav_continuous(model: LinearConceptModel, class_embeddings: np.ndarray) -> float:
     """Mean concept score over the class: exactly w_h . v for this head."""
-    _check_class_examples(model, class_examples)
+    _check_class_embeddings(model, class_embeddings)
     return float(np.dot(model.w_h, model.v))
 
 
 def class_conditioned_from_embeddings(
-    model: LinearConceptModel, examples: Sequence[EmbeddedExample]
+    model: LinearConceptModel, embeddings: np.ndarray
 ) -> float:
-    """Mean of c(x) over examples the head predicts positive."""
-    values = [
-        concept_value(model, example)
-        for example in examples
-        if decision_margin(model, example) > 0.0
-    ]
-    if not values:
+    """Mean of c(x) over the rows the head predicts positive."""
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    members = embeddings[decision_margins(model, embeddings) > 0.0]
+    if not len(members):
         raise UndefinedMeasureError(
             "no examples are predicted positive; the conditional mean is undefined"
         )
-    return kahan_sum(values) / len(values)
+    return kahan_sum(np.vecdot(members, model.v).tolist()) / len(members)

@@ -173,6 +173,27 @@ def test_plan_domain_error(runner):
     invoke(runner, ["plan", "--epsilon", "1.5", "--delta", "0.1"], expect=2)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["plan", "--epsilon", "1e-160", "--delta", "0.1"],
+        ["plan", "--epsilon", "1e-300", "--delta", "0.1"],
+        ["plan", "--epsilon", "0.2", "--delta", "1e-320"],
+        ["verify", "--suite", "theorem2", "--epsilon", "1e-160", "--trials", "1"],
+        ["measure", "--delta", "1e-320", "-f", "json"],
+    ],
+    ids=["plan-tiny-epsilon", "plan-epsilon-squared-underflows", "plan-tiny-delta",
+         "verify-tiny-epsilon", "measure-tiny-delta"],
+)
+def test_non_finite_hoeffding_result_exits_2(runner, fixtures, args):
+    if args[0] == "measure":
+        args = ["measure", "-d", f"LR={fixtures['lr']}"] + args[1:]
+    result = invoke(runner, args, expect=2)
+    assert "Traceback" not in result.output
+    assert "Infinity" not in result.stdout
+    assert "error:" in result.stderr
+
+
 def test_votes_golden(runner, fixtures):
     result = invoke(runner, ["votes", str(fixtures["votes"])])
     assert result.stdout.encode() == golden_bytes("votes.txt")
@@ -316,6 +337,33 @@ def test_tcav_non_numeric_vector_values_exit_2(runner, fixtures, tmp_path):
     bad.write_text(json.dumps(model))
     result = invoke_input_error(runner, ["tcav", str(bad), str(fixtures["embeddings"])])
     assert "w_h" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("w_h", [True, False, False, False]), ("v", [0, 1, 0, True]), ("dim", True)],
+)
+def test_tcav_boolean_model_fields_exit_2(runner, fixtures, tmp_path, field, value):
+    model = json.loads(fixtures["model"].read_text())
+    model[field] = value
+    if field == "dim":
+        # 1-element vectors, so a boolean dim is the only fault.
+        model["w_h"], model["v"] = [1.0], [1.0]
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(model))
+    result = invoke_input_error(runner, ["tcav", str(bad), str(fixtures["embeddings"])])
+    assert f"'{field}'" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "values", ["[true, false, false, false]", "[1" + "0" * 400 + ", 0, 0, 0]"],
+    ids=["boolean", "too-large-for-a-float"],
+)
+def test_tcav_rejected_vector_values_exit_2(runner, fixtures, tmp_path, values):
+    embeddings = tmp_path / "embeddings.json"
+    embeddings.write_text('{"dim": 4, "vectors": [{"id": "e", "values": ' + values + "}]}")
+    result = invoke_input_error(runner, ["tcav", str(fixtures["model"]), str(embeddings)])
+    assert "vectors[0]" in result.stderr
 
 
 def _edit_with_plan(runner, fixtures, tmp_path, plan):

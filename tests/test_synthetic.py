@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -45,6 +46,12 @@ GOLDEN_HASHES = {
         "unrelated": "5a24efaf49c295f269b705a0014a7dc0da7de57a43aed11797ffd71a91192ae5",
     },
 }
+
+# Pin the theorem2 records of run_theorem2_batch(epsilon, 0.1, dim, 20,
+# seed=0) over THEOREM2_CASES: (lhs_gap as float.hex(), n_used,
+# bound_holds) per trial, JSON-encoded.
+THEOREM2_CASES = ((0.2, 2), (0.2, 8), (0.2, 64), (0.9, 2))
+THEOREM2_RECORDS_SHA256 = "032b107b636a8da8b8b65bbe648fc91a350d5d9be353b5f46c9ff059ab4d4fad"
 
 
 def test_planted_full_agreement():
@@ -261,6 +268,20 @@ def test_theorem2_gap_with_forced_aligned_concept():
     points = sample_spherical_cap(rng, axis, theta, 500)
     gaps = np.abs(points @ axis - 1.0)
     assert float(np.max(gaps)) <= epsilon / 2.0 + 1e-12
+
+
+def test_theorem2_records_are_pinned():
+    # (0.9, 2) is a big cap, so it takes the rejection sampler; the
+    # other cases take the exact sampler.
+    assert cap_probability(2, 1.0 - 0.9**2 / 8.0) >= 0.05
+    assert all(cap_probability(dim, 1.0 - 0.2**2 / 8.0) < 0.05 for dim in (2, 8, 64))
+    records = [
+        [record.lhs_gap.hex(), record.n_used, record.bound_holds]
+        for epsilon, dim in THEOREM2_CASES
+        for record in run_theorem2_batch(epsilon, 0.1, dim, 20, seed=0)
+    ]
+    digest = hashlib.sha256(json.dumps(records).encode("utf-8")).hexdigest()
+    assert digest == THEOREM2_RECORDS_SHA256
 
 
 def test_theorem2_batch_derives_distinct_seeds():

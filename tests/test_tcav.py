@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conceptscope.errors import DomainError, UndefinedMeasureError, ValidationError
 from conceptscope.tcav import (
-    EmbeddedExample,
     LinearConceptModel,
     class_conditioned_from_embeddings,
-    decision_margin,
+    decision_margins,
     tcav_continuous,
     tcav_discrete,
 )
@@ -29,7 +30,7 @@ E1 = np.array([0.0, 1.0, 0.0, 0.0])
 
 
 def members_along(w, count=3):
-    return [EmbeddedExample(id=f"m{i}", embedding=w) for i in range(count)]
+    return np.tile(w, (count, 1))
 
 
 def test_discrete_positive_alignment():
@@ -61,32 +62,33 @@ def test_continuous_dot_product():
 def test_empty_class_rejected():
     m = model(E0, E1)
     with pytest.raises(DomainError):
-        tcav_discrete(m, [])
+        tcav_discrete(m, np.empty((0, 4)))
     with pytest.raises(DomainError):
-        tcav_continuous(m, [])
+        tcav_continuous(m, np.empty((0, 4)))
 
 
 def test_non_member_rejected():
     m = model(E0, E1, theta=0.5)
-    outsider = EmbeddedExample(id="out", embedding=E1)
-    with pytest.raises(ValidationError, match="out"):
-        tcav_discrete(m, [outsider])
+    with pytest.raises(ValidationError, match="embedding 0"):
+        tcav_discrete(m, E1[None, :])
+    with pytest.raises(ValidationError, match="embedding 2 is not predicted positive"):
+        tcav_continuous(m, np.stack([E0, E0, E1, E1]))
 
 
 def test_boundary_margin_is_not_membership():
     m = model(E0, E1, theta=1.0)
-    boundary = EmbeddedExample(id="edge", embedding=E0)
-    assert decision_margin(m, boundary) == 0.0
+    boundary = E0[None, :]
+    assert decision_margins(m, boundary).tolist() == [0.0]
     with pytest.raises(ValidationError):
-        tcav_continuous(m, [boundary])
+        tcav_continuous(m, boundary)
 
 
 def test_class_conditioned_zero_spread():
     v = unit(0.3, -0.4, 0.5, 0.1)
     m = model(E0, v, theta=0.5)
-    examples = members_along(E0, count=5)
-    assert class_conditioned_from_embeddings(m, examples) == pytest.approx(
-        tcav_continuous(m, examples), abs=1e-15
+    embeddings = members_along(E0, count=5)
+    assert class_conditioned_from_embeddings(m, embeddings) == pytest.approx(
+        tcav_continuous(m, embeddings), abs=1e-15
     )
 
 
@@ -95,26 +97,29 @@ def test_class_conditioned_single_example_on_concept():
     w = unit(1.0, 0.2)
     assert float(np.dot(w, v)) > 0.5
     m = model(w, v, theta=0.5)
-    result = class_conditioned_from_embeddings(m, [EmbeddedExample(id="v", embedding=v)])
+    result = class_conditioned_from_embeddings(m, v[None, :])
     assert result == pytest.approx(1.0, abs=1e-12)
 
 
 def test_class_conditioned_filters_nonmembers():
     m = model(E0, E0, theta=0.5)
-    inside = EmbeddedExample(id="in", embedding=E0)
-    outside = EmbeddedExample(id="out", embedding=E1)
-    assert class_conditioned_from_embeddings(m, [outside, inside]) == pytest.approx(1.0)
+    assert class_conditioned_from_embeddings(m, np.stack([E1, E0])) == pytest.approx(1.0)
 
 
 def test_class_conditioned_no_members():
     m = model(E0, E0, theta=0.5)
     with pytest.raises(UndefinedMeasureError):
-        class_conditioned_from_embeddings(m, [EmbeddedExample(id="out", embedding=E1)])
+        class_conditioned_from_embeddings(m, E1[None, :])
 
 
 def test_unit_norm_enforced():
-    with pytest.raises(ValidationError):
-        EmbeddedExample(id="bad", embedding=np.array([1.0, 1.0]))
+    m = model(unit(1.0, 0.0), unit(0.0, 1.0))
+    with pytest.raises(ValidationError, match="embedding 0 must have unit norm"):
+        decision_margins(m, np.array([[1.0, 1.0]]))
+    with pytest.raises(ValidationError, match="embedding 1 must have unit norm"):
+        class_conditioned_from_embeddings(m, np.array([[1.0, 0.0], [0.5, 0.0]]))
+    with pytest.raises(ValidationError, match="embedding 1 must have unit norm, got nan"):
+        decision_margins(m, np.array([[1.0, 0.0], [np.nan, 0.0]]))
     with pytest.raises(ValidationError):
         LinearConceptModel(w_h=np.array([2.0, 0.0]), theta_h=0.0, v=np.array([1.0, 0.0]), dim=2)
 
@@ -124,13 +129,48 @@ def test_dim_mismatch_rejected():
         LinearConceptModel(w_h=np.array([1.0, 0.0]), theta_h=0.0, v=np.array([1.0, 0.0, 0.0]), dim=2)
     m = model(E0, E1)
     with pytest.raises(ValidationError):
-        decision_margin(m, EmbeddedExample(id="short", embedding=np.array([1.0, 0.0])))
+        decision_margins(m, np.array([[1.0, 0.0]]))
+    with pytest.raises(ValidationError):
+        decision_margins(m, E0)
 
 
-def test_from_vectors_helper():
-    m = LinearConceptModel.from_vectors([1.0, 0.0], 0.25, [0.0, 1.0])
-    assert m.dim == 2
-    assert m.theta_h == 0.25
+def row_loop_margins(w_h, theta_h, rows):
+    return [float(np.dot(w_h, row)) - theta_h for row in rows]
+
+
+def row_loop_conditional(w_h, theta_h, v, rows):
+    """The per-row reference: membership, concept value and a Kahan step per row."""
+    total = correction = 0.0
+    count = 0
+    for row in rows:
+        if float(np.dot(w_h, row)) - theta_h > 0.0:
+            adjusted = float(np.dot(row, v)) - correction
+            new_total = total + adjusted
+            correction = (new_total - total) - adjusted
+            total = new_total
+            count += 1
+    return total / count if count else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 64), st.integers(1, 60))
+def test_array_path_matches_row_loop(seed, dim, n):
+    # Random unit rows, not aligned with any axis, so every dot product
+    # rounds and the reduction order of each one shows in the last bits.
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    w_h = unit(*rng.standard_normal(dim))
+    v = unit(*rng.standard_normal(dim))
+    theta_h = float(rng.uniform(-1.0, 1.0) * np.max(np.abs(rows @ w_h)))
+    m = LinearConceptModel(w_h=w_h, theta_h=theta_h, v=v, dim=dim)
+    assert decision_margins(m, rows).tolist() == row_loop_margins(w_h, theta_h, rows)
+    expected = row_loop_conditional(w_h, theta_h, v, rows)
+    if expected is None:
+        with pytest.raises(UndefinedMeasureError):
+            class_conditioned_from_embeddings(m, rows)
+    else:
+        assert class_conditioned_from_embeddings(m, rows) == expected
 
 
 def test_pointwise_gap_bound_small_sample():
