@@ -47,7 +47,6 @@ from conceptscope.prompts import (
     DEFAULT_LAMBDA_GRID,
     EditPlan,
     EvalReport,
-    PromptEmbedding,
     classify,
     edit_prompt,
     evaluate,
@@ -95,7 +94,6 @@ __all__ = [
     "MeasureResult",
     "OracleMismatchError",
     "ParseError",
-    "PromptEmbedding",
     "SamplingError",
     "SchemaError",
     "SyntheticSpec",

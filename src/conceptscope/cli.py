@@ -2,20 +2,19 @@
 
 Exit codes: 0 all requested computations succeeded; 1 an internal
 consistency check failed (oracle mismatch, failed verification suite);
-2 invalid inputs or parameters; 3 an undefined measure requested in
-strict mode.
+2 invalid inputs or parameters; 3 a requested measure is undefined on
+the input (for example a conditional mean over an empty set). ``tcav``
+and ``votes`` exit 3 whenever that happens; ``measure`` renders such a
+cell as ``n/a`` instead, and exits 3 only under ``--strict``.
 
-All command output is byte-stable for fixed inputs and seeds. Set
-CONCEPTSCOPE_LOG=debug|info|warning for stderr logging.
+All command output is byte-stable for fixed inputs and seeds.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import logging
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from conceptscope.embeddings import (
     load_vector_file,
     parse_dim,
     parse_vector,
+    unit_normalize,
 )
 from conceptscope.errors import (
     JSON_ERRORS,
@@ -46,15 +46,7 @@ from conceptscope.measures import (
     SYMMETRIC,
     hoeffding_sample_size,
 )
-from conceptscope.prompts import (
-    CLASS_PROMPT,
-    CONCEPT_PROMPT,
-    EditPlan,
-    PromptEmbedding,
-    classify,
-    edit_prompt,
-    evaluate,
-)
+from conceptscope.prompts import EditPlan, classify, edit_prompt, evaluate
 from conceptscope.tcav import (
     LinearConceptModel,
     class_conditioned_from_embeddings,
@@ -131,8 +123,6 @@ def _finite_number(value: object, what: str) -> float:
 )
 def main() -> None:
     """Concept-importance measures, verification suites and prompt editing."""
-    level = os.environ.get("CONCEPTSCOPE_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), stream=sys.stderr)
 
 
 def _parse_dataset_spec(spec: str) -> tuple[str, str]:
@@ -332,14 +322,10 @@ def edit_cmd(prompts_path, concepts_path, plan_path, images_path, out_prompts,
         raise ValidationError(
             f"prompt dim {prompt_file.dim} does not match concept dim {concept_file.dim}"
         )
-    class_prompts = [
-        PromptEmbedding(name=e.id, vector=e.values, kind=CLASS_PROMPT)
-        for e in prompt_file.entries
-    ]
-    concepts = {
-        e.id: PromptEmbedding(name=e.id, vector=e.values, kind=CONCEPT_PROMPT)
-        for e in concept_file.entries
-    }
+    names = [e.id for e in prompt_file.entries]
+    prompts = np.stack([e.values for e in prompt_file.entries])
+    concept_row = {e.id: i for i, e in enumerate(concept_file.entries)}
+    concepts = np.stack([e.values for e in concept_file.entries])
     plans = _load_plans(plan_path)
 
     image_file = load_vector_file(_read_file(images_path))
@@ -347,28 +333,31 @@ def edit_cmd(prompts_path, concepts_path, plan_path, images_path, out_prompts,
         raise ValidationError(
             f"image dim {image_file.dim} does not match prompt dim {prompt_file.dim}"
         )
-    for entry in image_file.entries:
-        if entry.label is None:
-            raise ValidationError(f"image {entry.id!r} has no 'label'; evaluation needs one")
-    images = [(e.values, e.label) for e in image_file.entries]
+    labels = [e.label for e in image_file.entries]
+    if None in labels:
+        unlabeled = image_file.entries[labels.index(None)].id
+        raise ValidationError(f"image {unlabeled!r} has no 'label'; evaluation needs one")
+    images = np.stack([e.values for e in image_file.entries])
 
-    edited_prompts = list(class_prompts)
+    # Each plan edits the original class row; a later plan for the same
+    # class replaces an earlier one.
+    edited = prompts.copy()
     for plan in plans:
-        position = next(
-            (i for i, p in enumerate(edited_prompts) if p.name == plan.class_name), None
-        )
-        if position is None:
+        if plan.class_name not in names:
             raise ValidationError(f"plan names unknown class {plan.class_name!r}")
+        position = names.index(plan.class_name)
         try:
-            subtract = [concepts[name] for name in plan.concept_names]
+            rows = [concept_row[name] for name in plan.concept_names]
         except KeyError as exc:
             raise ValidationError(f"plan names unknown concept {exc.args[0]!r}") from None
-        edited_prompts[position] = edit_prompt(
-            class_prompts[position], subtract, plan.lam, renormalize=renormalize
-        )
+        vector = edit_prompt(prompts[position], concepts[rows], plan.lam)
+        if renormalize:
+            vector = unit_normalize(vector, f"edited prompt {plan.class_name!r}")
+        edited[position] = vector
 
-    original_eval = evaluate([(classify(x, class_prompts), label) for x, label in images])
-    edited_eval = evaluate([(classify(x, edited_prompts), label) for x, label in images])
+    name_of_row = np.array(names, dtype=object)
+    original_eval = evaluate(name_of_row[classify(images, prompts)], labels)
+    edited_eval = evaluate(name_of_row[classify(images, edited)], labels)
     payload = {
         "original": {
             "accuracy": original_eval.accuracy,
@@ -387,7 +376,7 @@ def edit_cmd(prompts_path, concepts_path, plan_path, images_path, out_prompts,
         ],
     }
     if out_prompts:
-        entries = [VectorEntry(id=p.name, values=p.vector) for p in edited_prompts]
+        entries = [VectorEntry(id=name, values=row) for name, row in zip(names, edited)]
         _write_file(out_prompts, dump_vector_file(prompt_file.dim, entries))
     _emit_json(payload, output)
 

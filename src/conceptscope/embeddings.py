@@ -54,14 +54,6 @@ def _norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(vectors, vectors))
 
 
-def check_finite_vector(vector: np.ndarray, what: str) -> None:
-    """Reject a ``vector`` that is not 1-D or has non-finite components."""
-    if vector.ndim != 1:
-        raise ValidationError(f"{what} must be a 1-D vector")
-    if not np.all(np.isfinite(vector)):
-        raise ValidationError(f"{what} has non-finite components")
-
-
 def check_unit_vectors(vectors: np.ndarray, what: str) -> None:
     """Reject a vector, or ``(n, dim)`` rows, unless each has unit norm.
 

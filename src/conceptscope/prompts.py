@@ -1,14 +1,17 @@
 """Zero-shot classification over prompt embeddings, and prompt editing.
 
-Classification picks the class prompt with the largest dot product
-against the image embedding. Editing subtracts a scaled mean of
-concept embeddings from a class prompt:
+Prompts, concepts and images are ``(n, dim)`` float64 arrays, one row
+per vector; class names travel beside them as a tuple. Classification
+scores every image against every prompt in one call and picks each
+image's best prompt row. Editing subtracts a scaled mean of concept
+rows from one class vector:
 
-    edited = class_vector - lam * mean(concept_vectors)
+    edited = class_vector - lam * mean(concept_rows)
 
-Edited vectors are not renormalized by default (renormalizing changes
-argmax rankings); pass ``renormalize=True`` to opt in. The scale lam
-can be fitted on few-shot data by grid search over macro F1.
+Edited vectors are not renormalized (renormalizing changes argmax
+rankings); a caller that wants unit prompts normalizes the result with
+``embeddings.unit_normalize``. The scale lam can be fitted on few-shot
+data by grid search over macro F1.
 """
 
 from __future__ import annotations
@@ -18,34 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from conceptscope.embeddings import check_finite_vector, check_unit_vector, unit_normalize
+from conceptscope.embeddings import check_unit_vector, check_unit_vectors
 from conceptscope.errors import DomainError, ValidationError
-
-CLASS_PROMPT = "class_prompt"
-CONCEPT_PROMPT = "concept_prompt"
-EDITED = "edited"
-
-_KINDS = (CLASS_PROMPT, CONCEPT_PROMPT, EDITED)
 
 # Default grid for fitting the subtraction scale: 0, 0.02, ..., 0.5.
 DEFAULT_LAMBDA_GRID = tuple(round(0.02 * i, 2) for i in range(26))
-
-
-@dataclass(frozen=True)
-class PromptEmbedding:
-    """Named embedding vector; unit norm unless kind == "edited"."""
-
-    name: str
-    vector: np.ndarray
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValidationError(f"unknown prompt kind {self.kind!r}")
-        vector = np.asarray(self.vector, dtype=np.float64)
-        object.__setattr__(self, "vector", vector)
-        check = check_finite_vector if self.kind == EDITED else check_unit_vector
-        check(vector, f"prompt {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -71,82 +51,74 @@ class EvalReport:
     per_class: dict[str, float]
 
 
-def _check_dims(vectors: Sequence[np.ndarray]) -> int:
-    dims = {v.shape[0] for v in vectors}
-    if len(dims) != 1:
-        raise ValidationError(f"mixed vector dimensions {sorted(dims)}")
-    return dims.pop()
+def _rows(array: np.ndarray, what: str, dim: int | None = None) -> np.ndarray:
+    """``array`` as float64 rows, with ``dim`` columns when one is given."""
+    rows = np.asarray(array, dtype=np.float64)
+    if rows.ndim != 2 or (dim is not None and rows.shape[1] != dim):
+        shape = f"(n, {dim})" if dim is not None else "(n, dim)"
+        raise ValidationError(f"{what} must be an {shape} array, got shape {rows.shape}")
+    return rows
 
 
-def classify(
-    image_embedding: np.ndarray, class_prompts: Sequence[PromptEmbedding]
-) -> str:
-    """Name of the class prompt with the largest dot product.
+def classify(images: np.ndarray, prompts: np.ndarray) -> np.ndarray:
+    """Row index of each image's best prompt, by dot product.
 
-    Ties go to the lowest list index. Zero (fully cancelled) edited
-    prompts participate with dot product 0.
+    Scores come from ``np.vecdot`` over broadcast ``(n, 1, dim)`` and
+    ``(1, k, dim)`` arrays, so each has the bits of a 1-D ``np.dot`` of
+    its pair (``images @ prompts.T`` does not). ``np.argmax`` keeps the
+    first maximum, so ties go to the lowest row index. Zero (fully
+    cancelled) edited prompts take part with score 0.
     """
-    if not class_prompts:
-        raise DomainError("class_prompts must be non-empty")
-    image = np.asarray(image_embedding, dtype=np.float64)
-    _check_dims([image] + [p.vector for p in class_prompts])
-    scores = [float(np.dot(image, p.vector)) for p in class_prompts]
-    best = max(range(len(scores)), key=scores.__getitem__)
-    return class_prompts[best].name
+    if not len(prompts):
+        raise DomainError("prompts must be non-empty")
+    prompts = _rows(prompts, "prompts")
+    bad = np.flatnonzero(~np.isfinite(prompts).all(axis=1))
+    if bad.size:
+        raise ValidationError(f"prompt {bad[0]} has non-finite components")
+    images = _rows(images, "images", prompts.shape[1])
+    return np.argmax(np.vecdot(images[:, None, :], prompts[None, :, :]), axis=1)
 
 
-def edit_prompt(
-    class_prompt: PromptEmbedding,
-    concepts: Sequence[PromptEmbedding],
-    lam: float,
-    *,
-    renormalize: bool = False,
-) -> PromptEmbedding:
-    """Subtract lam times the mean concept vector from a class prompt."""
-    if not concepts:
+def edit_prompt(vector: np.ndarray, concept_rows: np.ndarray, lam: float) -> np.ndarray:
+    """A unit class ``vector`` minus lam times the mean of unit ``concept_rows``."""
+    if not len(concept_rows):
         raise DomainError("concepts must be non-empty")
     if not np.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam!r}")
-    _check_dims([class_prompt.vector] + [c.vector for c in concepts])
-    mean = np.mean(np.stack([c.vector for c in concepts]), axis=0)
-    vector = class_prompt.vector - float(lam) * mean
-    if renormalize:
-        vector = unit_normalize(vector, f"edited prompt {class_prompt.name!r}")
-    return PromptEmbedding(name=class_prompt.name, vector=vector, kind=EDITED)
+    vector = np.asarray(vector, dtype=np.float64)
+    check_unit_vector(vector, "class prompt")
+    concept_rows = _rows(concept_rows, "concept prompts", vector.shape[0])
+    check_unit_vectors(concept_rows, "concept prompt")
+    return vector - float(lam) * np.mean(concept_rows, axis=0)
 
 
-def substitute_prompt(
-    class_prompts: Sequence[PromptEmbedding], edited: PromptEmbedding
-) -> list[PromptEmbedding]:
-    """Prompt list with the same-named entry replaced by ``edited``."""
-    names = [p.name for p in class_prompts]
-    if edited.name not in names:
-        raise ValidationError(f"no class prompt named {edited.name!r} to replace")
-    return [edited if p.name == edited.name else p for p in class_prompts]
-
-
-def evaluate(predictions: Sequence[tuple[str, str]]) -> EvalReport:
-    """Accuracy and macro F1 of (predicted, true) class-name pairs.
+def evaluate(predicted: Sequence[str], true: Sequence[str]) -> EvalReport:
+    """Accuracy and macro F1 of predicted against true class names.
 
     Per-class F1 is 0 when precision + recall is 0; the macro average
     is unweighted over the union of predicted and true labels.
     """
-    if not predictions:
+    if len(predicted) != len(true):
+        raise ValidationError(f"{len(predicted)} predictions for {len(true)} true labels")
+    if not len(predicted):
         raise DomainError("predictions must be non-empty")
-    labels = sorted({p for p, _ in predictions} | {t for _, t in predictions})
-    correct = sum(1 for predicted, true in predictions if predicted == true)
+    predicted = np.asarray(predicted, dtype=object)
+    true = np.asarray(true, dtype=object)
+    labels = sorted(set(predicted) | set(true))
     per_class: dict[str, float] = {}
     for label in labels:
-        tp = sum(1 for p, t in predictions if p == label and t == label)
-        fp = sum(1 for p, t in predictions if p == label and t != label)
-        fn = sum(1 for p, t in predictions if p != label and t == label)
+        is_predicted = predicted == label
+        is_true = true == label
+        tp = int(np.count_nonzero(is_predicted & is_true))
+        fp = int(np.count_nonzero(is_predicted)) - tp
+        fn = int(np.count_nonzero(is_true)) - tp
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         per_class[label] = (
             2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
         )
     return EvalReport(
-        accuracy=correct / len(predictions),
+        accuracy=int(np.count_nonzero(predicted == true)) / len(predicted),
         macro_f1=sum(per_class.values()) / len(labels),
         per_class=per_class,
     )
@@ -154,30 +126,39 @@ def evaluate(predictions: Sequence[tuple[str, str]]) -> EvalReport:
 
 def fit_lambda(
     class_name: str,
-    few_shot: Sequence[tuple[np.ndarray, str]],
-    class_prompts: Sequence[PromptEmbedding],
-    concepts: Sequence[PromptEmbedding],
+    names: Sequence[str],
+    prompts: np.ndarray,
+    concepts: np.ndarray,
+    images: np.ndarray,
+    labels: Sequence[str],
     search_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
 ) -> float:
     """Grid value of lam maximizing few-shot macro F1 after editing.
 
-    The named class prompt is replaced by its edited version for each
-    candidate lam; ties break toward the smallest lam.
+    ``names`` names the unit ``prompts`` rows; ``images`` are the
+    few-shot rows and ``labels`` their class names. The ``class_name``
+    row is replaced by its edited version for each candidate lam; ties
+    break toward the smallest lam.
     """
-    if not few_shot:
-        raise DomainError("few_shot must be non-empty")
+    if not len(labels):
+        raise DomainError("few-shot images must be non-empty")
     if not search_grid:
         raise DomainError("search_grid must be non-empty")
-    prompt = next((p for p in class_prompts if p.name == class_name), None)
-    if prompt is None:
+    names = tuple(names)
+    if class_name not in names:
         raise ValidationError(f"no class prompt named {class_name!r}")
+    prompts = _rows(prompts, "prompts")
+    if len(prompts) != len(names):
+        raise ValidationError(f"{len(names)} class names for {len(prompts)} prompts")
+    check_unit_vectors(prompts, "class prompt")
+    position = names.index(class_name)
+    name_of_row = np.array(names, dtype=object)
+    edited = prompts.copy()
     best_lam: float | None = None
     best_f1 = -1.0
     for lam in sorted(float(x) for x in search_grid):
-        edited = edit_prompt(prompt, concepts, lam)
-        prompts = substitute_prompt(class_prompts, edited)
-        predicted = [classify(image, prompts) for image, _ in few_shot]
-        f1 = evaluate([(p, t) for p, (_, t) in zip(predicted, few_shot)]).macro_f1
+        edited[position] = edit_prompt(prompts[position], concepts, lam)
+        f1 = evaluate(name_of_row[classify(images, edited)], labels).macro_f1
         if f1 > best_f1:
             best_f1 = f1
             best_lam = lam

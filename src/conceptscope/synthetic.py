@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
 from conceptscope.dataset import ConceptDataset
 from conceptscope.embeddings import check_unit_vectors
@@ -25,11 +24,6 @@ from conceptscope.errors import (
     ValidationError,
 )
 from conceptscope.measures import hoeffding_sample_size
-from conceptscope.prompts import (
-    CLASS_PROMPT,
-    CONCEPT_PROMPT,
-    PromptEmbedding,
-)
 from conceptscope.tcav import (
     LinearConceptModel,
     class_conditioned_from_embeddings,
@@ -229,6 +223,10 @@ def cap_probability(dim: int, theta: float) -> float:
     Beta((d-1)/2, (d-1)/2) law, so the cap mass is its CDF at
     (1 - theta)/2.
     """
+    # scipy is imported here, not at module level, so that commands that
+    # sample no cap never pay for loading it.
+    from scipy.special import betainc
+
     if dim < 2:
         raise DomainError("dim must be >= 2")
     if not -1.0 <= theta < 1.0:
@@ -240,6 +238,8 @@ def cap_probability(dim: int, theta: float) -> float:
 def _cap_exact(
     rng: np.random.Generator, axis: np.ndarray, theta: float, n: int
 ) -> np.ndarray:
+    from scipy.special import betainc, betaincinv
+
     dim = axis.shape[0]
     a = (dim - 1) / 2.0
     b0 = (1.0 - theta) / 2.0
@@ -334,6 +334,11 @@ def sample_spherical_cap(
 # ---------------------------------------------------------------------------
 
 
+# Largest n x dim a theorem2 trial may sample: 2**24 float64s, 128 MiB
+# per (n, dim) array.
+THEOREM2_FLOAT_BUDGET = 2**24
+
+
 @dataclass(frozen=True)
 class Theorem2Trial:
     """One bound check: |E[c | h=+1] - continuous score| vs epsilon."""
@@ -349,7 +354,10 @@ def theorem2_trial(epsilon: float, delta: float, dim: int, seed: int) -> Theorem
     Draws random unit w_h and v, sets theta_h = 1 - epsilon^2/8,
     samples hoeffding_sample_size(epsilon, delta) embeddings on the cap
     {g : w_h.g >= theta_h}, and compares the conditional concept mean
-    against the continuous score w_h.v.
+    against the continuous score w_h.v. Before drawing anything it
+    raises DomainError when n x dim exceeds THEOREM2_FLOAT_BUDGET
+    (2**24 floats), so a tiny epsilon or delta or a huge dim is refused
+    instead of exhausting memory.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
@@ -357,11 +365,16 @@ def theorem2_trial(epsilon: float, delta: float, dim: int, seed: int) -> Theorem
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
     if dim < 2:
         raise DomainError("dim must be >= 2")
+    n = hoeffding_sample_size(epsilon, delta)
+    if n * dim > THEOREM2_FLOAT_BUDGET:
+        raise DomainError(
+            f"a theorem2 trial would sample n x dim = {n} x {dim} floats, more than"
+            f" the budget of {THEOREM2_FLOAT_BUDGET}; raise epsilon or delta, or lower dim"
+        )
     rng = make_rng(seed)
     w_h = random_unit_vector(rng, dim)
     v = random_unit_vector(rng, dim)
     theta_h = 1.0 - epsilon * epsilon / 8.0
-    n = hoeffding_sample_size(epsilon, delta)
     points = sample_spherical_cap(rng, w_h, theta_h, n)
     model = LinearConceptModel(w_h=w_h, theta_h=theta_h, v=v, dim=dim)
     members = points[decision_margins(model, points) > 0.0]
@@ -452,17 +465,24 @@ def generate_hierarchy_world(
 class ContaminationInstance:
     """A zero-shot task whose first class prompt absorbed a distractor.
 
-    ``class_prompts[0]`` points along its class direction plus
+    Row 0 of ``class_prompts`` points along its class direction plus
     ``contamination`` times the distractor direction (then normalized),
     while images of the other classes carry the distractor with random
     strength, which pulls them toward the contaminated prompt.
     Subtracting the distractor from that prompt recovers the margins.
+    Vectors are ``(n, dim)`` arrays: ``class_prompts`` has one row per
+    entry of ``class_names``, ``concept_prompts`` the one distractor
+    row, and ``images`` and ``few_shot`` one row per entry of
+    ``labels`` and ``few_shot_labels``.
     """
 
-    class_prompts: tuple[PromptEmbedding, ...]
-    concept_prompts: tuple[PromptEmbedding, ...]
-    images: tuple[tuple[np.ndarray, str], ...]
-    few_shot: tuple[tuple[np.ndarray, str], ...]
+    class_names: tuple[str, ...]
+    class_prompts: np.ndarray
+    concept_prompts: np.ndarray
+    images: np.ndarray
+    labels: tuple[str, ...]
+    few_shot: np.ndarray
+    few_shot_labels: tuple[str, ...]
     contaminated_class: str
 
 
@@ -517,17 +537,11 @@ def generate_contamination_instance(
 
     contaminated = directions[0] + contamination * distractor
     contaminated = contaminated / float(np.linalg.norm(contaminated))
-    prompt_vectors = [contaminated] + directions[1:]
-    class_prompts = tuple(
-        PromptEmbedding(name=name, vector=vector, kind=CLASS_PROMPT)
-        for name, vector in zip(class_names, prompt_vectors)
-    )
-    concept_prompts = (
-        PromptEmbedding(name="distractor", vector=distractor, kind=CONCEPT_PROMPT),
-    )
+    class_prompts = np.stack([contaminated] + directions[1:])
 
-    def draw(count_per_class: Sequence[int]) -> tuple[tuple[np.ndarray, str], ...]:
-        drawn: list[tuple[np.ndarray, str]] = []
+    def draw(count_per_class: Sequence[int]) -> tuple[np.ndarray, tuple[str, ...]]:
+        rows: list[np.ndarray] = []
+        labels: list[str] = []
         for z, count in enumerate(count_per_class):
             for _ in range(count):
                 strength = 0.0 if z == 0 else float(rng.uniform(0.0, 1.0))
@@ -536,17 +550,21 @@ def generate_contamination_instance(
                     + strength * distractor
                     + noise * rng.standard_normal(dim)
                 )
-                drawn.append((x / float(np.linalg.norm(x)), class_names[z]))
-        return tuple(drawn)
+                rows.append(x / float(np.linalg.norm(x)))
+                labels.append(class_names[z])
+        return np.stack(rows), tuple(labels)
 
     base, extra = divmod(n_images, n_classes)
     eval_counts = [base + (1 if z < extra else 0) for z in range(n_classes)]
-    images = draw(eval_counts)
-    few_shot = draw([few_shot_per_class] * n_classes)
+    images, labels = draw(eval_counts)
+    few_shot, few_shot_labels = draw([few_shot_per_class] * n_classes)
     return ContaminationInstance(
+        class_names=tuple(class_names),
         class_prompts=class_prompts,
-        concept_prompts=concept_prompts,
+        concept_prompts=distractor[None, :],
         images=images,
+        labels=labels,
         few_shot=few_shot,
+        few_shot_labels=few_shot_labels,
         contaminated_class=class_names[0],
     )

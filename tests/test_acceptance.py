@@ -26,7 +26,6 @@ from conceptscope.prompts import (
     edit_prompt,
     evaluate,
     fit_lambda,
-    substitute_prompt,
 )
 from conceptscope.synthetic import (
     SyntheticSpec,
@@ -172,21 +171,18 @@ def test_prompt_editing_improvement():
         instance = generate_contamination_instance(
             seed, n_images=500, dim=32, contamination=0.5
         )
-        prompts = list(instance.class_prompts)
-        concepts = list(instance.concept_prompts)
         lam = fit_lambda(
-            instance.contaminated_class, instance.few_shot, prompts, concepts,
+            instance.contaminated_class, instance.class_names, instance.class_prompts,
+            instance.concept_prompts, instance.few_shot, instance.few_shot_labels,
             DEFAULT_LAMBDA_GRID,
         )
+        names = np.array(instance.class_names, dtype=object)
         baseline = evaluate(
-            [(classify(x, prompts), label) for x, label in instance.images]
+            names[classify(instance.images, instance.class_prompts)], instance.labels
         ).macro_f1
-        edited = substitute_prompt(
-            prompts, edit_prompt(prompts[0], concepts, lam)
-        )
-        fitted = evaluate(
-            [(classify(x, edited), label) for x, label in instance.images]
-        ).macro_f1
+        edited = instance.class_prompts.copy()
+        edited[0] = edit_prompt(edited[0], instance.concept_prompts, lam)
+        fitted = evaluate(names[classify(instance.images, edited)], instance.labels).macro_f1
         gains.append(fitted - baseline)
         if fitted - baseline >= 0.02:
             improved += 1

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -226,6 +229,42 @@ def test_edit_writes_unnormalized_prompts(runner, fixtures, tmp_path):
     # a = (0.8, 0, 0.6, 0) minus 0.5 * (0, 0, 1, 0); not renormalized.
     assert edited["a"] == pytest.approx([0.8, 0.0, 0.1, 0.0])
     assert edited["b"] == pytest.approx([0.0, 1.0, 0.0, 0.0])
+
+
+def test_edit_renormalize_bytes_are_pinned(runner, fixtures, tmp_path):
+    out = tmp_path / "edited.json"
+    result = invoke(
+        runner,
+        ["edit", str(fixtures["prompts"]), str(fixtures["concepts"]),
+         str(fixtures["plan"]), str(fixtures["images"]), "--renormalize",
+         "--out-prompts", str(out)],
+    )
+    # Both edits separate the images, so the report equals the plain one.
+    assert result.stdout.encode() == golden_bytes("edit_report.json")
+    # a - 0.5 w = (0.8, 0, 0.1, 0), divided by its norm sqrt(0.65).
+    expected = {
+        "dim": 4,
+        "vectors": [
+            {"id": "a", "values": [0.9922778767136676, 0.0, 0.12403473458920843, 0.0]},
+            {"id": "b", "values": [0.0, 1.0, 0.0, 0.0]},
+        ],
+    }
+    assert out.read_bytes() == (json.dumps(expected, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_edit_renormalize_zero_prompt_exits_2(runner, fixtures, tmp_path):
+    concepts = tmp_path / "concepts.json"
+    concepts.write_text(
+        json.dumps({"dim": 4, "vectors": [{"id": "same", "values": [0.8, 0.0, 0.6, 0.0]}]})
+    )
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"class_name": "a", "concept_names": ["same"], "lambda": 1.0}))
+    result = invoke_input_error(
+        runner,
+        ["edit", str(fixtures["prompts"]), str(concepts), str(plan), str(fixtures["images"]),
+         "--renormalize"],
+    )
+    assert "error: edited prompt 'a' has norm 0.0 and cannot be normalized" in result.stderr
 
 
 def test_edit_accepts_plan_lists(runner, fixtures, tmp_path):
@@ -470,3 +509,79 @@ def test_measure_repeated_series_label_exits_2(runner, fixtures, second, extra):
         + extra,
     )
     assert f"repeated: [{second!r}]" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--suite", "theorem2", "--epsilon", "1e-4", "--trials", "1"],
+        ["verify", "--suite", "theorem2", "--dim", "100000000", "--trials", "1"],
+    ],
+    ids=["tiny-epsilon", "huge-dim"],
+)
+def test_verify_theorem2_over_budget_exits_2(runner, args):
+    result = invoke_input_error(runner, args)
+    assert "error: a theorem2 trial would sample n x dim" in result.stderr
+
+
+def test_tcav_with_no_positive_embedding_exits_3(runner, fixtures, tmp_path):
+    # e3 is orthogonal to w_h, so its margin is -theta_h: nothing is in the class.
+    embeddings = tmp_path / "embeddings.json"
+    embeddings.write_text(
+        json.dumps({"dim": 4, "vectors": [{"id": "e3", "values": [0.0, 1.0, 0.0, 0.0]}]})
+    )
+    result = invoke(runner, ["tcav", str(fixtures["model"]), str(embeddings)], expect=3)
+    assert "Traceback" not in result.output
+    assert "error: no examples are predicted positive" in result.stderr
+
+
+def test_votes_with_no_present_record_exits_3(runner, tmp_path):
+    votes = tmp_path / "votes.csv"
+    votes.write_text("example_id,concept,yes_count,total_votes,true_label\nx3,wing,7,11,absent\n")
+    result = invoke(runner, ["votes", str(votes)], expect=3)
+    assert "Traceback" not in result.output
+    assert "error: recall is undefined" in result.stderr
+
+
+# Runs each command in one fresh interpreter and reports, after each,
+# whether any scipy module has been imported.
+_SCIPY_PROBE = """
+import json, sys
+from conceptscope.cli import main
+seen = {}
+for name, args in json.loads(sys.argv[1]):
+    try:
+        main.main(args=args, standalone_mode=False)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    seen[name] = [code, any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)]
+print(json.dumps(seen))
+"""
+
+
+def test_only_theorem2_imports_scipy(fixtures, tmp_path):
+    commands = [
+        ("plan", ["plan", "--epsilon", "0.2", "--delta", "0.1"]),
+        ("measure", ["measure", "-d", f"LR={fixtures['lr']}", "-o", str(tmp_path / "m.csv")]),
+        ("votes", ["votes", str(fixtures["votes"]), "-o", str(tmp_path / "v.txt")]),
+        ("tcav", ["tcav", str(fixtures["model"]), str(fixtures["embeddings"]),
+                  "-o", str(tmp_path / "t.json")]),
+        ("edit", ["edit", str(fixtures["prompts"]), str(fixtures["concepts"]),
+                  str(fixtures["plan"]), str(fixtures["images"]),
+                  "-o", str(tmp_path / "e.json")]),
+        ("axioms", ["verify", "--suite", "axioms", "--trials", "5"]),
+        ("theorem1", ["verify", "--suite", "theorem1", "--trials", "5"]),
+        ("theorem2", ["verify", "--suite", "theorem2", "--trials", "5", "--dim", "4"]),
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    process = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
+        capture_output=True, check=True, env=env,
+    )
+    seen = json.loads(process.stdout.decode().splitlines()[-1])
+    assert seen == {
+        name: [0, name == "theorem2"] for name, _ in commands
+    }, process.stderr.decode()

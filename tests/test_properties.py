@@ -16,7 +16,7 @@ from conceptscope.measures import (
     hoeffding_sample_size,
     symmetric_measure,
 )
-from conceptscope.prompts import CONCEPT_PROMPT, PromptEmbedding, edit_prompt
+from conceptscope.prompts import edit_prompt
 from conceptscope.synthetic import split_example
 from conceptscope.votes import VoteRecord, metrics_at_k
 from oracles import (
@@ -156,14 +156,10 @@ def test_hoeffding_sample_size_is_minimal(epsilon, delta):
 @settings(max_examples=200, deadline=None)
 def test_edit_is_linear_in_lambda(components, a, b):
     vector = np.asarray(components) + np.array([2.0, 0.0, 0.0, 0.0])
-    prompt = PromptEmbedding("p", vector / np.linalg.norm(vector), "class_prompt")
-    concept = PromptEmbedding("c", np.array([0.0, 1.0, 0.0, 0.0]), CONCEPT_PROMPT)
-    lhs = (
-        edit_prompt(prompt, [concept], a).vector
-        + edit_prompt(prompt, [concept], b).vector
-        - prompt.vector
-    )
-    rhs = edit_prompt(prompt, [concept], a + b).vector
+    prompt = vector / np.linalg.norm(vector)
+    concepts = np.array([[0.0, 1.0, 0.0, 0.0]])
+    lhs = edit_prompt(prompt, concepts, a) + edit_prompt(prompt, concepts, b) - prompt
+    rhs = edit_prompt(prompt, concepts, a + b)
     assert float(np.max(np.abs(lhs - rhs))) <= TOL
 
 

@@ -323,20 +323,23 @@ def test_hierarchy_world_has_ground_truth_and_flips():
 
 def test_contamination_instance_shape():
     instance = generate_contamination_instance(0, n_images=10, few_shot_per_class=2)
-    assert len(instance.images) == 10
-    assert len(instance.few_shot) == 4
-    assert instance.contaminated_class == instance.class_prompts[0].name
-    for p in instance.class_prompts + instance.concept_prompts:
-        assert float(np.linalg.norm(p.vector)) == pytest.approx(1.0, abs=1e-9)
-    for image, label in instance.images:
-        assert float(np.linalg.norm(image)) == pytest.approx(1.0, abs=1e-9)
-        assert label in {p.name for p in instance.class_prompts}
+    assert instance.images.shape == (10, 32) and len(instance.labels) == 10
+    assert instance.few_shot.shape == (4, 32) and len(instance.few_shot_labels) == 4
+    assert instance.class_prompts.shape == (len(instance.class_names), 32)
+    assert instance.concept_prompts.shape == (1, 32)
+    assert instance.contaminated_class == instance.class_names[0]
+    vector_sets = (instance.class_prompts, instance.concept_prompts, instance.images,
+                   instance.few_shot)
+    for vectors in vector_sets:
+        for vector in vectors:
+            assert float(np.linalg.norm(vector)) == pytest.approx(1.0, abs=1e-9)
+    assert set(instance.labels) <= set(instance.class_names)
 
 
 def test_contamination_zero_keeps_prompt_clean():
     instance = generate_contamination_instance(1, contamination=0.0, n_images=4)
-    contaminated = instance.class_prompts[0].vector
-    distractor = instance.concept_prompts[0].vector
+    contaminated = instance.class_prompts[0]
+    distractor = instance.concept_prompts[0]
     assert abs(float(np.dot(contaminated, distractor))) < 1e-9
 
 
