@@ -129,6 +129,10 @@ def _parse_dataset_spec(spec: str) -> tuple[str, str]:
     label, sep, path = spec.partition("=")
     if not sep or not label or not path:
         raise DomainError(f"dataset must be LABEL=PATH, got {spec!r}")
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:  # argv bytes that are not UTF-8
+        raise DomainError(f"dataset label {label!r} is not valid UTF-8") from None
     return label, path
 
 

@@ -17,10 +17,10 @@ read with ``column(name)``. There is no row type; code that wants row
 ``i`` reads index ``i`` of each column. A dataset is built either by
 the constructor, from in-memory columns, or by ``load_dataset``, which
 parses each line once straight into columns, as ints and floats. Both
-run the same single validation pass, ``_check_columns``. It reports the
-first invalid row in input order and, within that row, the first
-failing field, so a message names the same line a row-by-row check
-would.
+validate with ``_check_columns``: one rule per field, run once over the
+whole column and exact, so valid data always passes. When a rule fails,
+bisection with that rule finds the first bad row, and the message names
+the row and field a row-by-row check would.
 """
 
 from __future__ import annotations
@@ -182,87 +182,75 @@ def _concept_reader(names: tuple[str, ...]) -> tuple[Callable[[dict], tuple], se
 # ---------------------------------------------------------------------------
 
 _MISSING = object()  # a JSONL line without "prediction"
-_NUMBER_TYPES = frozenset({int, float})
-_SIGN_OR_NONE_TYPES = frozenset({int, float, type(None)})
-_SIGNS = frozenset({-1, 1})
-_SIGNS_OR_NONE = frozenset({-1, 1, None})
-_STR_TYPES = frozenset({str})
-_LARGEST_FLOAT = sys.float_info.max
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# Per-value checks. Comparisons between ints and floats are exact in
-# Python, so NaN, the infinities and integers too large for a float all
-# fail them without raising.
-def _is_id(value: object) -> bool:
-    return isinstance(value, str) and value != ""
-
-
-def _is_sign(value: object) -> bool:
-    return _is_number(value) and value in (-1, 1)
-
-
-def _is_sign_or_none(value: object) -> bool:
-    return value is None or _is_sign(value)
-
-
-def _is_unit(value: object) -> bool:
-    return _is_number(value) and -1.0 <= value <= 1.0
-
-
-def _is_weight(value: object) -> bool:
-    return _is_number(value) and 0.0 <= value <= _LARGEST_FLOAT
-
-
-# Whole-column shortcuts for valid data: each passes only if every value
-# passes the per-value check above, and costs a few C-level passes over
-# the column.
 def _types(values: Sequence[object]) -> set[type]:
     return set(map(type, values))
 
 
-def _all_ids(values: Sequence[object]) -> bool:
-    return _types(values) <= _STR_TYPES and "" not in values
+# One rule per field, exact: it holds when every value in the column is
+# valid, so also on each prefix of a column it holds on. Types are checked
+# once each: int and float subclasses pass, bool does not.
+def _numbers(types: set[type], *extra: type) -> bool:
+    return types <= {int, float, *extra} or all(
+        issubclass(t, (int, float, *extra)) and not issubclass(t, bool) for t in types
+    )
 
 
-def _all_signs(values: Sequence[object]) -> bool:
-    return _types(values) <= _NUMBER_TYPES and set(values) <= _SIGNS
+def _ids(values: Sequence[object]) -> bool:
+    return all(issubclass(t, str) for t in _types(values)) and "" not in values
 
 
-def _all_signs_or_none(values: Sequence[object]) -> bool:
-    return _types(values) <= _SIGN_OR_NONE_TYPES and set(values) <= _SIGNS_OR_NONE
+def _members(allowed: frozenset, *extra: type) -> Callable[[Sequence[object]], bool]:
+    return lambda values: _numbers(_types(values), *extra) and set(values) <= allowed
 
 
-def _all_within(low: float, high: float) -> Callable[[Sequence[object]], bool]:
-    def check(values: Sequence[object]) -> bool:
-        if not values:
-            return True
-        if not _types(values) <= _NUMBER_TYPES:
+def _within(low: float, high: float) -> Callable[[Sequence[object]], bool]:
+    def rule(values: Sequence[object]) -> bool:
+        types = _types(values)
+        if not types <= {int, float}:
+            if not _numbers(types):
+                return False
+            if int in types:  # np.float64 and an int may compare inexactly
+                return all(low <= value <= high for value in values)
+        # min and max catch out-of-range values and a leading NaN; a later
+        # NaN makes the sum NaN. Only a sum that is not finite, as when
+        # valid weights overflow, costs a look at each value.
+        if values and not (low <= min(values) and max(values) <= high):
             return False
-        # min and max catch every out-of-range value, and return NaN when
-        # a NaN comes first; a later NaN turns the sum into NaN.
         try:
-            return low <= min(values) and max(values) <= high and math.isfinite(sum(values))
-        except OverflowError:  # a sum of huge integers
-            return False
+            if math.isfinite(sum(values)):
+                return True
+        except OverflowError:  # a sum of large integers
+            pass
+        return not any(value != value for value in values)
 
-    return check
-
-
-_all_units = _all_within(-1.0, 1.0)
-_all_weights = _all_within(0.0, _LARGEST_FLOAT)
+    return rule
 
 
-def _sign_error(where: Callable[[int], str], field: str, values: Sequence[object]):
-    def describe(index: int) -> ValidationError:
-        value = values[index]
-        got = "a boolean" if isinstance(value, bool) else repr(value)
-        return ValidationError(f"{where(index)}: {field}: expected -1 or +1, got {got}")
+_signs = _members(frozenset({-1, 1}))
+_signs_or_none = _members(frozenset({-1, 1, None}), type(None))
+_units = _within(-1.0, 1.0)
+_weights = _within(0.0, sys.float_info.max)
 
-    return describe
+
+def _first_failure(rule: Callable[[Sequence[object]], bool], values: Sequence[object]) -> int:
+    """The first i with ``rule(values[:i + 1])`` false; ``rule(values)`` must be false."""
+    good, bad = 0, len(values)  # rule holds on values[:good], fails on values[:bad]
+    while bad - good > 1:
+        middle = (good + bad) // 2
+        if rule(values[:middle]):
+            good = middle
+        else:
+            bad = middle
+    return good
+
+
+def _sign_error(where: str, field: str, value: object) -> ValidationError:
+    if value is _MISSING:
+        return ValidationError(f"{where}: missing {field!r}")
+    got = "a boolean" if isinstance(value, bool) else repr(value)
+    return ValidationError(f"{where}: {field}: expected -1 or +1, got {got}")
 
 
 def _concepts_error(where: str, concepts: object, names: tuple[str, ...]) -> Exception:
@@ -287,89 +275,52 @@ def _check_columns(
 ) -> tuple:
     """The one validation pass over a dataset's raw columns.
 
-    Valid data costs one whole-column shortcut per column. If any
-    shortcut fails, ``_raise_first_error`` finds the row to report.
+    Each field's rule runs once over its whole column; if it fails,
+    bisection with the same rule finds the field's first bad row. Fields
+    go in the order a row is checked (id, duplicate id, prediction,
+    concepts object, each concept value in schema order, weight, ground
+    truth), each over the rows before the earliest failure so far, so
+    the error is the one a row-by-row check would raise first.
     ``bad_concepts`` maps each row whose concepts value is not an object
-    with exactly the schema's keys to that value; such a row's entries
-    in ``columns`` are placeholders. ``where(i)`` names row i in
-    messages.
-
-    Returns ids, predictions, the concept columns (already tuples),
-    weights and ground truth, each as a tuple.
+    with exactly the schema's keys to that value; its entries in
+    ``columns`` are placeholders. ``where(i)`` names row i. Returns ids,
+    predictions, concept columns, weights and ground truth as tuples.
     """
     if len(set(names)) != len(names):
         raise SchemaError("duplicate concept names in schema")
-    if not ids:
+    n = len(ids)
+    if not n:
         raise ValidationError("dataset has no examples")
-    if not (
-        _all_ids(ids)
-        and len(set(ids)) == len(ids)
-        and _MISSING not in predictions
-        and _all_signs(predictions)
-        and not bad_concepts
-        and all(map(_all_units, columns))
-        and _all_weights(weights)
-        and _all_signs_or_none(ground_truth)
-    ):
-        _raise_first_error(
-            names, ids, predictions, columns, weights, ground_truth, where, bad_concepts
-        )
+    first_bad_object = min(bad_concepts, default=n)
 
-    return tuple(ids), tuple(predictions), columns, tuple(weights), tuple(ground_truth)
-
-
-def _raise_first_error(names, ids, predictions, columns, weights, ground_truth, where,
-                       bad_concepts) -> None:
-    """Raise for the first invalid row in input order, if there is one.
-
-    Within a row the fields are checked in the order id, duplicate id,
-    prediction, concepts object, each concept value in schema order,
-    weight and ground truth. Each check reads only the rows before the
-    earliest failure found so far, so the error is the one a row-by-row
-    check would raise first. A whole-column shortcut can fail on valid
-    data (a weight sum that overflows, a float subclass), so this may
-    find nothing.
-    """
-    seen: set[object] = set()
-
-    def unseen(value: object) -> bool:
-        if value in seen:
-            return False
-        seen.add(value)
-        return True
-
-    def concept_error(name, column):
-        return lambda i: ValidationError(
-            f"{where(i)}: concept {name!r} value {column[i]!r} outside [-1, +1]"
-        )
-
-    # (values, check on one value, error for row i), in the order a row is checked.
-    checks = [
-        (ids, _is_id, lambda i: ValidationError(f"{where(i)}: missing or empty 'id'")),
-        (ids, unseen, lambda i: ValidationError(
+    # (column, its rule, the error for row i), in the order a row is checked.
+    fields = [
+        (ids, _ids, lambda i: ValidationError(f"{where(i)}: missing or empty 'id'")),
+        (ids, lambda values: len(set(values)) == len(values), lambda i: ValidationError(
             f"{where(i)}: duplicate id {ids[i]!r} (first seen on {where(ids.index(ids[i]))})"
         )),
-        (predictions, lambda value: value is not _MISSING,
-         lambda i: ValidationError(f"{where(i)}: missing 'prediction'")),
-        (predictions, _is_sign, _sign_error(where, "prediction", predictions)),
-        (range(len(ids)), lambda i: i not in bad_concepts,
+        (predictions, _signs, lambda i: _sign_error(where(i), "prediction", predictions[i])),
+        (range(n), lambda rows: len(rows) <= first_bad_object,
          lambda i: _concepts_error(where(i), bad_concepts[i], names)),
-        *((column, _is_unit, concept_error(name, column))
-          for name, column in zip(names, columns)),
-        (weights, _is_weight,
+        *((column, _units, lambda i, name=name, column=column: ValidationError(
+            f"{where(i)}: concept {name!r} value {column[i]!r} outside [-1, +1]"
+        )) for name, column in zip(names, columns)),
+        (weights, _weights,
          lambda i: ValidationError(f"{where(i)}: weight must be a finite number >= 0")),
-        (ground_truth, _is_sign_or_none, _sign_error(where, "ground_truth", ground_truth)),
+        (ground_truth, _signs_or_none,
+         lambda i: _sign_error(where(i), "ground_truth", ground_truth[i])),
     ]
-    limit = len(ids)
+    limit = n
     error: Exception | None = None
-    for values, value_ok, describe in checks:
-        index = next(
-            (i for i, value in enumerate(values[:limit]) if not value_ok(value)), None
-        )
-        if index is not None:
-            limit, error = index, describe(index)
+    for values, rule, describe in fields:
+        head = values if limit == n else values[:limit]
+        if not rule(head):
+            limit = _first_failure(rule, head)
+            error = describe(limit)
     if error is not None:
         raise error
+
+    return tuple(ids), tuple(predictions), columns, tuple(weights), tuple(ground_truth)
 
 
 def _split_lines(text: str, block: int = 1 << 20):
@@ -451,6 +402,11 @@ def load_dataset(
     if not rows:
         raise ParseError("no examples found in input")
     assert names is not None
+    for name in names:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError(f"concept name {name!r} holds a lone surrogate") from None
 
     uniform = 1.0 / len(rows)
     weights = [uniform if w is None else w for w in weights]

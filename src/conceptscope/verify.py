@@ -13,6 +13,19 @@ Three suites are provided:
 
 All suites are deterministic given their seed and emit structured
 failure records for offline inspection.
+
+The paper names three axioms for the symmetric measure: linearity,
+recursivity and similarity. ``axioms`` checks the first two. The
+similarity statement the code relies on is this: for a binary concept
+c in {-1,+1}, the symmetric measure is the weighted agreement between c
+and h,
+
+    phi = sum_x p(x) h(x) c(x) = 1 - 2 * (weight of the rows with c != h),
+
+so c = h gives 1, c = -h gives -1, and flipping one agreeing row of
+weight w lowers phi by exactly 2w. The test suite checks it with ``==``
+against a ``fractions.Fraction`` brute force on dyadic weights, where
+every float sum is exact; ``axioms`` does not run it.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 from conceptscope.errors import (
     DomainError,
@@ -90,6 +90,25 @@ def metrics_at_k(records: Sequence[VoteRecord], k: int) -> VoteMetrics:
     )
 
 
+def _numbered_rows(reader: Iterator[list[str]]) -> Iterator[tuple[int, list[str]]]:
+    """(row number, fields) per CSV row, the header being row 1.
+
+    A row the csv module cannot read (a field over its size limit, a bare
+    carriage return) raises ParseError naming the row. The size limit is
+    process-wide, so it is left as it is.
+    """
+    rownum = 1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(f"row {rownum}: {exc}") from None
+        yield rownum, row
+        rownum += 1
+
+
 def load_votes_csv(source: bytes | BinaryIO) -> list[VoteRecord]:
     """Parse the vote CSV contract; errors carry data row numbers."""
     data = source if isinstance(source, bytes) else source.read()
@@ -97,17 +116,16 @@ def load_votes_csv(source: bytes | BinaryIO) -> list[VoteRecord]:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"votes CSV is not valid UTF-8: {exc}") from None
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("votes CSV is empty") from None
+    rows = _numbered_rows(csv.reader(io.StringIO(text)))
+    _, header = next(rows, (1, None))
+    if header is None:
+        raise ParseError("votes CSV is empty")
     if [h.strip() for h in header] != _CSV_HEADER:
         raise ParseError(
             f"votes CSV header must be {','.join(_CSV_HEADER)!r}, got {','.join(header)!r}"
         )
     records: list[VoteRecord] = []
-    for rownum, row in enumerate(reader, start=2):
+    for rownum, row in rows:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(_CSV_HEADER):

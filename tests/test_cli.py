@@ -543,6 +543,50 @@ def test_votes_with_no_present_record_exits_3(runner, tmp_path):
     assert "error: recall is undefined" in result.stderr
 
 
+VOTES_HEADER = "example_id,concept,yes_count,total_votes,true_label\n"
+# A quoted field one character over the csv module's default size limit.
+OVERSIZED_FIELD = '"' + "x" * 131073 + '"'
+
+
+@pytest.mark.parametrize(
+    "text, row",
+    [(OVERSIZED_FIELD + "\n", 1),
+     (VOTES_HEADER + "x1,wing,7,11,present\n" + OVERSIZED_FIELD + ",wing,7,11,present\n", 3)],
+    ids=["header", "data-row"],
+)
+def test_votes_oversized_field_exits_2(runner, tmp_path, text, row):
+    votes = tmp_path / "votes.csv"
+    votes.write_text(text)
+    result = invoke_input_error(runner, ["votes", str(votes)])
+    assert result.stderr.startswith(f"error: row {row}: field larger than field limit")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+def test_measure_lone_surrogate_concept_name_exits_2(runner, tmp_path, fmt):
+    dataset = tmp_path / "d.jsonl"
+    dataset.write_text('{"id": "a", "prediction": 1, "concepts": {"\\ud800": 0.5}}\n')
+    result = invoke_input_error(runner, ["measure", "-d", f"A={dataset}", "-f", fmt])
+    assert "error: concept name '\\ud800' holds a lone surrogate" in result.stderr
+
+
+def _env_with_src():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_measure_non_utf8_label_exits_2(fixtures):
+    # Python decodes argv bytes that are not UTF-8 to lone surrogates.
+    process = subprocess.run(
+        [sys.executable, "-m", "conceptscope.cli", "measure", "-d",
+         b"\xff=" + bytes(fixtures["lr"])],
+        capture_output=True, env=_env_with_src(),
+    )
+    assert process.returncode == 2
+    assert process.stdout == b""
+    assert process.stderr == b"error: dataset label '\\udcff' is not valid UTF-8\n"
+
+
 # Runs each command in one fresh interpreter and reports, after each,
 # whether any scipy module has been imported.
 _SCIPY_PROBE = """
@@ -574,12 +618,9 @@ def test_only_theorem2_imports_scipy(fixtures, tmp_path):
         ("theorem1", ["verify", "--suite", "theorem1", "--trials", "5"]),
         ("theorem2", ["verify", "--suite", "theorem2", "--trials", "5", "--dim", "4"]),
     ]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     process = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
-        capture_output=True, check=True, env=env,
+        capture_output=True, check=True, env=_env_with_src(),
     )
     seen = json.loads(process.stdout.decode().splitlines()[-1])
     assert seen == {

@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conceptscope import dataset as dataset_module
 from conceptscope.dataset import (
     ConceptDataset,
     _split_lines,
@@ -13,7 +14,8 @@ from conceptscope.dataset import (
     to_jsonl,
     with_ground_truth_predictions,
 )
-from conceptscope.errors import ParseError, SchemaError, ValidationError
+from conceptscope.errors import ConceptScopeError, ParseError, SchemaError, ValidationError
+import row_validator
 
 
 def _line(**kwargs):
@@ -289,27 +291,107 @@ def test_split_lines_matches_str_split(text, block):
     assert list(_split_lines(text, block)) == text.split("\n")
 
 
-# Values of every kind a JSON file or a caller can put in a column.
-any_value_st = st.one_of(
-    st.sampled_from([-1, 0, 1, -1.0, -0.5, 0.0, 0.5, 1.0, 2, "x"]),
-    st.sampled_from([float("nan"), float("inf"), -float("inf"), True, False, None, "",
-                     "0.5", 10**400, -(10**400)]),
-    st.floats(),
-    st.integers(-(10**400), 10**400),
+# The oracle for the one validation path: ``ConceptDataset(...)`` and
+# ``load_dataset`` must raise the row-by-row reference's error, or
+# accept exactly when it does. A dataset is drawn valid, then up to
+# three of its cells are replaced by values from the BAD pools.
+NAN, INF = float("nan"), float("inf")
+HUGE = 10**400
+DROP = object()  # delete the key from the JSONL line
+SIGNS = [1, -1, 1.0, -1.0, np.float64(1.0), np.float64(-1.0)]
+BAD_SIGNS = [0, 2, 0.5, True, False, NAN, INF, -INF, HUGE, "1", "", [1], {}, np.int64(1)]
+UNITS = st.one_of(
+    st.sampled_from([-1, 0, 1, -0.0, 0.25, np.float64(-0.5)]),
+    st.floats(-1.0, 1.0),
 )
-SHORTCUTS = {
-    "ids": ("_all_ids", "_is_id"),
-    "signs": ("_all_signs", "_is_sign"),
-    "signs or none": ("_all_signs_or_none", "_is_sign_or_none"),
-    "units": ("_all_units", "_is_unit"),
-    "weights": ("_all_weights", "_is_weight"),
+BAD_UNITS = [1.5, -2, NAN, INF, -INF, HUGE, -HUGE, True, None, "0.5", "", [1], {}, np.int64(0)]
+WEIGHTS = st.one_of(
+    st.sampled_from([0, 1, 0.0, 0.5, 1e308, sys.float_info.max, 10**300, np.float64(0.25),
+                     np.float64(sys.float_info.max)]),
+    st.floats(0.0, 2.0),
+)
+# The int just above the largest float rounds to it when numpy compares.
+BAD_WEIGHTS = [-0.5, -1, NAN, INF, -INF, HUGE, int(sys.float_info.max) + 1, True, "0.5", [1], {},
+               np.int64(1)]
+BAD_FIELD_VALUES = {
+    "id": ["", None, 1, True, [1], {}, DROP],
+    "prediction": BAD_SIGNS + [None, DROP],
+    "weight": BAD_WEIGHTS + [None, DROP],
+    "ground_truth": BAD_SIGNS + [DROP],
+    "concepts": [None, [1], "x", {}, {"s": 0.5, "x": 0.5}, DROP],
 }
 
 
-@pytest.mark.parametrize("names", SHORTCUTS.values(), ids=SHORTCUTS.keys())
-@given(values=st.lists(any_value_st, max_size=6))
-@settings(max_examples=300)
-def test_column_shortcut_passes_only_valid_values(names, values):
-    column_ok, value_ok = (getattr(dataset_module, name) for name in names)
-    if column_ok(values):
-        assert all(map(value_ok, values))
+@st.composite
+def raw_datasets(draw, jsonl):
+    names = draw(st.permutations(["s", "t", "u"]))[: draw(st.integers(0, 3))]
+    n = draw(st.integers(1 if jsonl else 0, 12))
+    uniform = draw(st.booleans())
+    rows = [
+        {"id": f"x{i}", "prediction": draw(st.sampled_from(SIGNS)),
+         "concepts": {name: draw(UNITS) for name in names},
+         "weight": 1.0 / n if uniform else draw(WEIGHTS),
+         "ground_truth": draw(st.sampled_from(SIGNS + [None]))}
+        for i in range(n)
+    ]
+    fields = ["id", "duplicate id", "prediction", "weight", "ground_truth"]
+    fields += [f"concepts.{name}" for name in names] + (["concepts"] if jsonl else [])
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        row = rows[draw(st.integers(0, n - 1))]
+        field = draw(st.sampled_from(fields))
+        if field == "duplicate id":
+            row["id"] = f"x{draw(st.integers(0, n - 1))}"
+        elif field.startswith("concepts."):
+            if isinstance(row["concepts"], dict):
+                row["concepts"][field[9:]] = draw(st.sampled_from(BAD_UNITS))
+        else:
+            choices = [v for v in BAD_FIELD_VALUES[field] if jsonl or v is not DROP]
+            row[field] = draw(st.sampled_from(choices))
+    return names, rows
+
+
+def _outcome(call):
+    # Summing np.float64 weights can overflow, and numpy warns when it does.
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            call()
+    except ConceptScopeError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@given(raw=raw_datasets(jsonl=False))
+@settings(max_examples=500, deadline=None)
+def test_constructor_matches_row_reference(raw):
+    names, rows = raw
+    columns = {key: [row[key] for row in rows]
+               for key in ("id", "prediction", "weight", "ground_truth")}
+    concepts = {name: [row["concepts"][name] for row in rows] for name in names}
+    args = (columns["id"], columns["prediction"], concepts, columns["weight"],
+            columns["ground_truth"])
+    assert _outcome(lambda: ConceptDataset(*args)) == _outcome(
+        lambda: row_validator.check_constructor(*args))
+
+
+@given(raw=raw_datasets(jsonl=True), data=st.data())
+@settings(max_examples=500, deadline=None)
+def test_load_dataset_matches_row_reference(raw, data):
+    _, rows = raw
+    lines = []
+    for row in rows:
+        lines += data.draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=2))
+        obj = {key: value for key, value in row.items() if value is not DROP}
+        lines.append(json.dumps(obj, default=int))
+    text = "\n".join(lines) + data.draw(st.sampled_from(["", "\n"]))
+    assert _outcome(lambda: load_dataset(text.encode())) == _outcome(
+        lambda: row_validator.check_jsonl(text))
+
+
+def test_rules_are_exact_next_to_numpy_floats():
+    # numpy compares an np.float64 with an int through a float, which
+    # overflows or rounds; the int must still be found and reported.
+    with pytest.raises(ValidationError, match=r"^example 1: concept 's' value 1000"):
+        ConceptDataset(["a", "b"], [1, 1], {"s": [np.float64(0.5), HUGE]}, [0.5, 0.5])
+    largest = sys.float_info.max
+    with pytest.raises(ValidationError, match=r"^example 1: weight must be"):
+        ConceptDataset(["a", "b"], [1, 1], {}, [np.float64(largest), int(largest) + 1])

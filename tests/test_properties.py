@@ -1,6 +1,7 @@
 """Property tests for the measure identities and oracle equalities."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -56,6 +57,37 @@ def all_measures(dataset, theta):
     except UndefinedMeasureError:
         out["concept_conditioned"] = None
     return out
+
+
+@given(st.lists(st.tuples(st.integers(0, 64), st.sampled_from([-1, 1]), st.booleans()),
+                min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_similarity_axiom_on_dyadic_weights(rows):
+    # Weights are multiples of 2**-10 summing to 1, so every sum below is exact.
+    masses = [mass for mass, _, _ in rows[1:]]
+    masses.insert(0, 1024 - sum(masses))
+    weights = [mass / 1024 for mass in masses]
+    predictions = [prediction for _, prediction, _ in rows]
+    agrees = [agree for _, _, agree in rows]
+
+    def phi(concept):
+        dataset = ConceptDataset([f"x{i}" for i in range(len(rows))], predictions,
+                                 {"c": concept}, weights)
+        return symmetric_measure(dataset, "c").value
+
+    def brute(concept):
+        disagreeing = sum((Fraction(mass, 1024) for mass, h, c in zip(masses, predictions, concept)
+                           if c != h), Fraction(0))
+        return 1 - 2 * disagreeing
+
+    concept = [float(h if agree else -h) for h, agree in zip(predictions, agrees)]
+    assert phi(concept) == brute(concept)
+    assert phi([float(h) for h in predictions]) == 1.0
+    assert phi([float(-h) for h in predictions]) == -1.0
+    for i, agree in enumerate(agrees):
+        if agree:
+            flipped = concept[:i] + [-concept[i]] + concept[i + 1:]
+            assert phi(flipped) == phi(concept) - 2 * weights[i] == brute(flipped)
 
 
 @given(
