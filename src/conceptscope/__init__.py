@@ -53,12 +53,9 @@ from conceptscope.prompts import (
     fit_lambda,
 )
 from conceptscope.synthetic import (
-    ContaminationInstance,
     SyntheticSpec,
     Theorem2Trial,
-    generate_contamination_instance,
     generate_dataset,
-    generate_hierarchy_world,
     make_rng,
     run_theorem2_batch,
     sample_spherical_cap,
@@ -85,7 +82,6 @@ __all__ = [
     "CompletenessScore",
     "ConceptDataset",
     "ConceptScopeError",
-    "ContaminationInstance",
     "DomainError",
     "EditPlan",
     "EvalReport",
@@ -111,9 +107,7 @@ __all__ = [
     "edit_prompt",
     "evaluate",
     "fit_lambda",
-    "generate_contamination_instance",
     "generate_dataset",
-    "generate_hierarchy_world",
     "hoeffding_radius",
     "hoeffding_sample_size",
     "label_at_k",

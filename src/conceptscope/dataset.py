@@ -146,7 +146,8 @@ def _fill(
     """Set the fields of a dataset whose columns have passed ``_check_columns``."""
     if weight_total is None:
         weight_total = kahan_sum(weights)
-        if abs(weight_total - 1.0) > WEIGHT_SUM_TOLERANCE:
+        # Written so that a NaN total fails too.
+        if not abs(weight_total - 1.0) <= WEIGHT_SUM_TOLERANCE:
             raise ValidationError(
                 f"weights sum to {weight_total!r}; expected 1 within {WEIGHT_SUM_TOLERANCE}"
             )
@@ -425,6 +426,8 @@ def load_dataset(
     columns = [c if _types(c) <= {float} else tuple(map(float, c)) for c in columns]
     raw_weights = list(map(float, raw_weights))
     total = kahan_sum(raw_weights)
+    if not math.isfinite(total):
+        raise ValidationError("weight total overflows a float; scale the weights down")
     if total <= 0.0:
         raise ValidationError("total weight must be positive")
     dataset = ConceptDataset.__new__(ConceptDataset)

@@ -173,7 +173,8 @@ def run_axioms_suite(trials: int, seed: int) -> SuiteReport:
     checks = ("recursivity", "linearity", "decomposition")
     lines = []
     for check in checks:
-        bad = sum(1 for f in failures if f["check"] == check)
+        # A trial adds one record per failing measure; count trials.
+        bad = len({f["trial"] for f in failures if f["check"] == check})
         status = "PASS" if bad == 0 else "FAIL"
         lines.append(
             f"axioms/{check}: {status} ({trials - bad}/{trials} within {IDENTITY_TOLERANCE:g})"

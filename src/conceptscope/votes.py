@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator, Sequence
 
@@ -25,6 +26,8 @@ PRESENT = "present"
 ABSENT = "absent"
 
 _CSV_HEADER = ["example_id", "concept", "yes_count", "total_votes", "true_label"]
+# What int() also reads, such as "1_1" or non-ASCII digits, is refused.
+_COUNT = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -132,6 +135,8 @@ def load_votes_csv(source: bytes | BinaryIO) -> list[VoteRecord]:
             raise ParseError(f"row {rownum}: expected {len(_CSV_HEADER)} fields, got {len(row)}")
         example_id, concept, yes_raw, total_raw, true_label = (f.strip() for f in row)
         try:
+            if not (_COUNT.fullmatch(yes_raw) and _COUNT.fullmatch(total_raw)):
+                raise ValueError
             yes_count = int(yes_raw)
             total_votes = int(total_raw)
         except ValueError:

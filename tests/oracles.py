@@ -1,12 +1,15 @@
 """Independent brute-force oracles used to check package results.
 
 Everything here is written with plain loops and math.fsum so it shares
-no code path with the package's Kahan reductions.
+no code path with the package's Kahan reductions. The cap sampler
+rejects uniform directions instead of inverting the cap's CDF.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def _rows(dataset, concept):
@@ -76,3 +79,19 @@ def naive_macro_f1(pairs):
             2 * precision * recall / (precision + recall) if precision + recall else 0.0
         )
     return math.fsum(scores) / len(labels)
+
+
+def rejection_cap_sample(seed, axis, theta, n):
+    """n uniform points of the cap {g : axis.g >= theta}.
+
+    Draws uniform unit vectors (normalized Gaussians) and keeps the cap
+    hits, in draw order.
+    """
+    rng = np.random.default_rng(seed)
+    kept, count = [], 0
+    while count < n:
+        z = rng.standard_normal((65536, len(axis)))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        kept.append(z[z @ axis >= theta])
+        count += len(kept[-1])
+    return np.concatenate(kept)[:n]

@@ -11,6 +11,7 @@ the ones raised here. Nothing here is shared with
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 from conceptscope.errors import ParseError, SchemaError, ValidationError
@@ -83,7 +84,7 @@ def _kahan(values):
 
 def _check_sum(weights):
     total = _kahan(weights)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValidationError(f"weights sum to {total!r}; expected 1 within 1e-09")
 
 
@@ -122,6 +123,8 @@ def check_jsonl(text):
     check_rows(rows, names, lambda i: f"line {linenos[i]}")
     weights = [float(row[3]) for row in rows]
     total = _kahan(weights)
+    if not math.isfinite(total):
+        raise ValidationError("weight total overflows a float; scale the weights down")
     if total <= 0.0:
         raise ValidationError("total weight must be positive")
     _check_sum([weight / total for weight in weights])

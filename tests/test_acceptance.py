@@ -29,9 +29,7 @@ from conceptscope.prompts import (
 )
 from conceptscope.synthetic import (
     SyntheticSpec,
-    generate_contamination_instance,
     generate_dataset,
-    generate_hierarchy_world,
     make_rng,
     random_unit_vector,
     run_theorem2_batch,
@@ -40,6 +38,7 @@ from conceptscope.synthetic import (
 from conceptscope.verify import run_axioms_suite, run_theorem1_suite
 from conceptscope.votes import VoteRecord, metrics_at_k
 from oracles import naive_vote_metrics
+from worlds import generate_contamination_instance, generate_hierarchy_world
 
 SEED = 20240901
 

@@ -458,6 +458,18 @@ def test_measure_huge_integer_weight_exits_2(runner, fixtures, tmp_path):
     assert "error: line 9: weight" in result.stderr
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_overflowing_weight_total_exits_2(runner, tmp_path, n):
+    path = tmp_path / "overflow.jsonl"
+    path.write_text("".join(
+        json.dumps({"id": f"x{i}", "prediction": 1, "concepts": {"s": 1.0}, "weight": 1e308})
+        + "\n" for i in range(n)
+    ))
+    for args in (["measure", "-d", f"A={path}"], ["completeness", str(path), "s"]):
+        result = invoke_input_error(runner, args)
+        assert "error: weight total overflows" in result.stderr
+
+
 def test_edit_huge_integer_lambda_exits_2(runner, fixtures, tmp_path):
     path = tmp_path / "plan.json"
     path.write_text('{"class_name": "a", "concept_names": ["w"], "lambda": ' + "9" * 5000 + "}")

@@ -112,6 +112,17 @@ def test_all_zero_weights_rejected():
         load_dataset(data)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_overflowing_weight_total_rejected(n):
+    # Kahan-summing three 1e308 weights gives NaN, two give inf.
+    lines = [_line(id=f"x{i}", prediction=1, concepts={"s": 1.0}, weight=1e308)
+             for i in range(n)]
+    with pytest.raises(ValidationError, match="weight total overflows"):
+        load_dataset(b"".join(lines))
+    with pytest.raises(ValidationError, match="weights sum to"):
+        ConceptDataset([f"x{i}" for i in range(n)], [1] * n, {"s": [1.0] * n}, [1e308] * n)
+
+
 def test_ground_truth_parsed_and_optional():
     data = _line(id="a", prediction=1, concepts={"s": 1.0}, ground_truth=-1) + _line(
         id="b", prediction=1, concepts={"s": 1.0}

@@ -14,8 +14,8 @@ from conceptscope.prompts import (
     evaluate,
     fit_lambda,
 )
-from conceptscope.synthetic import generate_contamination_instance
 from oracles import naive_macro_f1
+from worlds import generate_contamination_instance
 
 
 def unit(*components):

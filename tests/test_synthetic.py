@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
-from conceptscope.dataset import to_jsonl
+from conceptscope import verify
+from conceptscope.dataset import ConceptDataset, to_jsonl
 from conceptscope.errors import (
     DomainError,
     InfeasiblePlantError,
-    SamplingError,
     ValidationError,
 )
 from conceptscope.measures import (
@@ -22,17 +23,16 @@ from conceptscope.synthetic import (
     SyntheticSpec,
     cap_probability,
     derive_seed,
-    generate_contamination_instance,
     generate_dataset,
-    generate_hierarchy_world,
     make_rng,
     run_theorem2_batch,
     sample_spherical_cap,
     split_example,
     theorem2_trial,
 )
-from conceptscope.verify import run_theorem2_suite
-from oracles import naive_symmetric
+from conceptscope.verify import run_axioms_suite, run_theorem2_suite
+from oracles import naive_symmetric, rejection_cap_sample
+from worlds import generate_contamination_instance, generate_hierarchy_world
 
 # Pin generator output: identical spec must give identical bytes.
 GOLDEN_HASHES = {
@@ -51,7 +51,7 @@ GOLDEN_HASHES = {
 # seed=0) over THEOREM2_CASES: (lhs_gap as float.hex(), n_used,
 # bound_holds) per trial, JSON-encoded.
 THEOREM2_CASES = ((0.2, 2), (0.2, 8), (0.2, 64), (0.9, 2))
-THEOREM2_RECORDS_SHA256 = "032b107b636a8da8b8b65bbe648fc91a350d5d9be353b5f46c9ff059ab4d4fad"
+THEOREM2_RECORDS_SHA256 = "700d4365627141ba1e46d6e15e99c3b4cdd44f7c9f738c6aa744ae023a5e936c"
 
 
 def test_planted_full_agreement():
@@ -207,27 +207,33 @@ def test_cap_samples_lie_on_cap():
     for dim in (2, 8, 64):
         axis = rng.standard_normal(dim)
         axis /= np.linalg.norm(axis)
-        for method in ("exact", "auto"):
-            points = sample_spherical_cap(make_rng(22, dim), axis, 0.9, 200, method=method)
-            norms = np.linalg.norm(points, axis=1)
-            assert np.max(np.abs(norms - 1.0)) < 1e-9
-            assert np.min(points @ axis) >= 0.9 - 1e-12
+        points = sample_spherical_cap(make_rng(22, dim), axis, 0.9, 200)
+        norms = np.linalg.norm(points, axis=1)
+        assert np.max(np.abs(norms - 1.0)) < 1e-9
+        assert np.min(points @ axis) >= 0.9 - 1e-12
 
 
 def test_cap_rejection_and_exact_agree_on_big_cap():
+    # The sampler against the rejection reference, on caps from most of
+    # the sphere down to a cap of mass 1e-3: axis.g and one coordinate
+    # orthogonal to the axis must have the same law.
+    rng = make_rng(23)
+    for dim in (2, 3, 8):
+        axis = rng.standard_normal(dim)
+        axis /= np.linalg.norm(axis)
+        across = rng.standard_normal(dim)
+        across -= (across @ axis) * axis
+        across /= np.linalg.norm(across)
+        for theta in (-0.5, 0.0, 0.5, 0.875):
+            exact = sample_spherical_cap(make_rng(24, dim), axis, theta, 4000)
+            reference = rejection_cap_sample(dim, axis, theta, 4000)
+            for direction in (axis, across):
+                assert ks_2samp(exact @ direction, reference @ direction).pvalue > 1e-3
     # dim 3 makes the marginal of axis.g uniform, so the conditional
     # mean over the half sphere is exactly 0.5.
     axis = np.array([0.0, 0.0, 1.0])
-    exact = sample_spherical_cap(make_rng(23), axis, 0.0, 4000, method="exact")
-    rejected = sample_spherical_cap(make_rng(24), axis, 0.0, 4000, method="rejection")
+    exact = sample_spherical_cap(make_rng(23), axis, 0.0, 4000)
     assert float(np.mean(exact @ axis)) == pytest.approx(0.5, abs=0.03)
-    assert float(np.mean(rejected @ axis)) == pytest.approx(0.5, abs=0.03)
-
-
-def test_cap_rejection_budget_failure():
-    axis = np.array([1.0, 0.0])
-    with pytest.raises(SamplingError, match="acceptance rate"):
-        sample_spherical_cap(make_rng(25), axis, 0.999999, 50, method="rejection", max_draws=4096)
 
 
 def test_cap_argument_validation():
@@ -271,10 +277,6 @@ def test_theorem2_gap_with_forced_aligned_concept():
 
 
 def test_theorem2_records_are_pinned():
-    # (0.9, 2) is a big cap, so it takes the rejection sampler; the
-    # other cases take the exact sampler.
-    assert cap_probability(2, 1.0 - 0.9**2 / 8.0) >= 0.05
-    assert all(cap_probability(dim, 1.0 - 0.2**2 / 8.0) < 0.05 for dim in (2, 8, 64))
     records = [
         [record.lhs_gap.hex(), record.n_used, record.bound_holds]
         for epsilon, dim in THEOREM2_CASES
@@ -295,6 +297,21 @@ def test_theorem2_batch_derives_distinct_seeds():
 def test_theorem2_suite_records_are_the_batch():
     args = (0.3, 0.2, 4, 6, 11)
     assert run_theorem2_suite(*args)[1] == run_theorem2_batch(*args)
+
+
+def test_axioms_suite_counts_failing_trials(monkeypatch):
+    # A split that also flips row 0's prediction breaks recursivity in
+    # every trial, for up to three measures each; the line counts trials.
+    def flipping_split(dataset, example_id, fraction):
+        split = split_example(dataset, example_id, fraction)
+        predictions = (-split.predictions[0],) + split.predictions[1:]
+        concepts = {name: split.column(name) for name in split.concept_names}
+        return ConceptDataset(split.ids, predictions, concepts, split.weights)
+
+    monkeypatch.setattr(verify, "split_example", flipping_split)
+    report = run_axioms_suite(20, 0)
+    assert report.lines[0] == "axioms/recursivity: FAIL (0/20 within 1e-12)"
+    assert len(report.failures) > 20
 
 
 def test_hierarchy_world_is_deterministic_golden():

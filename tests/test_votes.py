@@ -121,9 +121,14 @@ def test_csv_bad_header():
 
 
 def test_csv_bad_counts_name_row():
-    bad = CSV + b"x2,wing,lots,11,present\n"
-    with pytest.raises(ParseError, match="row 4"):
-        load_votes_csv(bad)
+    # int() alone would read "1_1" as 11 and the Arabic-Indic digit as 3.
+    for count in ("lots", "1_1", "\u0663", "1.0", ""):
+        bad = CSV + f"x2,wing,{count},11,present\n".encode()
+        with pytest.raises(ParseError, match="row 4: vote counts must be integers"):
+            load_votes_csv(bad)
+    with pytest.raises(ValidationError, match="row 4: yes_count must be >= 0"):
+        load_votes_csv(CSV + b"x2,wing,-1,11,present\n")
+    assert load_votes_csv(CSV + b"x2,wing,+3,11,present\n")[-1].yes_count == 3
 
 
 def test_csv_invariant_violation_names_row():
