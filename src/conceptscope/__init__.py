@@ -43,32 +43,41 @@ from conceptscope.measures import (
     hoeffding_sample_size,
     symmetric_measure,
 )
-from conceptscope.prompts import (
-    DEFAULT_LAMBDA_GRID,
-    EditPlan,
-    EvalReport,
-    classify,
-    edit_prompt,
-    evaluate,
-    fit_lambda,
-)
-from conceptscope.synthetic import (
-    SyntheticSpec,
-    Theorem2Trial,
-    generate_dataset,
-    make_rng,
-    run_theorem2_batch,
-    sample_spherical_cap,
-    split_example,
-    theorem2_trial,
-)
-from conceptscope.tcav import (
-    LinearConceptModel,
-    class_conditioned_from_embeddings,
-    tcav_continuous,
-    tcav_discrete,
-)
 from conceptscope.votes import VoteMetrics, VoteRecord, label_at_k, metrics_at_k
+
+# Names from the numpy-backed modules, each imported from its submodule
+# on first access (PEP 562), so that ``import conceptscope`` and the
+# commands that need no numpy do not load it.
+_LAZY = {
+    **dict.fromkeys(
+        ("DEFAULT_LAMBDA_GRID", "EditPlan", "EvalReport", "classify", "edit_prompt",
+         "evaluate", "fit_lambda"),
+        "prompts",
+    ),
+    **dict.fromkeys(
+        ("SyntheticSpec", "Theorem2Trial", "generate_dataset", "make_rng",
+         "run_theorem2_batch", "sample_spherical_cap", "split_example", "theorem2_trial"),
+        "synthetic",
+    ),
+    **dict.fromkeys(
+        ("LinearConceptModel", "class_conditioned_from_embeddings", "tcav_continuous",
+         "tcav_discrete"),
+        "tcav",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

@@ -17,21 +17,13 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
 from conceptscope import report as report_mod
 from conceptscope.completeness import completeness_brute_force, completeness_closed_form
 from conceptscope.dataset import load_dataset
-from conceptscope.embeddings import (
-    VectorEntry,
-    dump_vector_file,
-    load_vector_file,
-    parse_dim,
-    parse_vector,
-    unit_normalize,
-)
 from conceptscope.errors import (
     JSON_ERRORS,
     ConceptScopeError,
@@ -46,16 +38,14 @@ from conceptscope.measures import (
     SYMMETRIC,
     hoeffding_sample_size,
 )
-from conceptscope.prompts import EditPlan, classify, edit_prompt, evaluate
-from conceptscope.tcav import (
-    LinearConceptModel,
-    class_conditioned_from_embeddings,
-    decision_margins,
-    tcav_continuous,
-    tcav_discrete,
-)
-from conceptscope.verify import run_axioms_suite, run_theorem1_suite, run_theorem2_suite
 from conceptscope.votes import load_votes_csv, metrics_at_k
+
+# numpy and the modules built on it (embeddings, prompts, tcav, verify)
+# are imported by the commands that use them, so that measure,
+# completeness, votes, plan and --help start without numpy.
+if TYPE_CHECKING:
+    from conceptscope.prompts import EditPlan
+    from conceptscope.tcav import LinearConceptModel
 
 _MEASURE_CHOICES = {
     "symmetric": SYMMETRIC,
@@ -225,6 +215,9 @@ def completeness_cmd(dataset_path, concept, oracle, output):
 
 
 def _load_model(path: str) -> LinearConceptModel:
+    from conceptscope.embeddings import parse_dim, parse_vector
+    from conceptscope.tcav import LinearConceptModel
+
     data = _read_file(path)
     try:
         obj = json.loads(data.decode("utf-8"))
@@ -252,6 +245,16 @@ def _load_model(path: str) -> LinearConceptModel:
 @_cli_errors
 def tcav_cmd(model_path, embeddings_path, output):
     """Concept scores of a linear head over an embedding file."""
+    import numpy as np
+
+    from conceptscope.embeddings import load_vector_file
+    from conceptscope.tcav import (
+        class_conditioned_from_embeddings,
+        decision_margins,
+        tcav_continuous,
+        tcav_discrete,
+    )
+
     model = _load_model(model_path)
     vector_file = load_vector_file(_read_file(embeddings_path))
     if vector_file.dim != model.dim:
@@ -281,6 +284,8 @@ def plan_cmd(epsilon, delta):
 
 
 def _load_plans(path: str) -> list[EditPlan]:
+    from conceptscope.prompts import EditPlan
+
     data = _read_file(path)
     try:
         obj = json.loads(data.decode("utf-8"))
@@ -320,6 +325,16 @@ def _load_plans(path: str) -> list[EditPlan]:
 def edit_cmd(prompts_path, concepts_path, plan_path, images_path, out_prompts,
              renormalize, output):
     """Apply edit PLAN to PROMPTS and evaluate on labeled IMAGES."""
+    import numpy as np
+
+    from conceptscope.embeddings import (
+        VectorEntry,
+        dump_vector_file,
+        load_vector_file,
+        unit_normalize,
+    )
+    from conceptscope.prompts import classify, edit_prompt, evaluate
+
     prompt_file = load_vector_file(_read_file(prompts_path))
     concept_file = load_vector_file(_read_file(concepts_path))
     if prompt_file.dim != concept_file.dim:
@@ -414,6 +429,8 @@ def votes_cmd(votes_path, ks, output):
 @_cli_errors
 def verify_cmd(suite, trials, seed, epsilon, delta, dim, records_path):
     """Run a verification suite; exit 0 only if every check passes."""
+    from conceptscope.verify import run_axioms_suite, run_theorem1_suite, run_theorem2_suite
+
     if suite == "axioms":
         report = run_axioms_suite(trials or 1000, seed)
     elif suite == "theorem1":

@@ -14,7 +14,6 @@ import io
 import json
 from dataclasses import dataclass
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from conceptscope.dataset import ConceptDataset, with_ground_truth_predictions
 from conceptscope.errors import DomainError, SchemaError, UndefinedMeasureError
@@ -185,6 +184,11 @@ _MARGIN_TOP = 48.0
 _MARGIN_BOTTOM = 104.0
 
 
+def _escape(text: str) -> str:
+    """``xml.sax.saxutils.escape``, whose import chain loads ``urllib.request``."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def render_svg(cells: Sequence[MeasureCell], *, title: str) -> bytes:
     """Self-contained grouped bar chart, concepts on the x axis.
 
@@ -219,7 +223,7 @@ def render_svg(cells: Sequence[MeasureCell], *, title: str) -> bytes:
         ".title{font-size:14px;font-weight:bold}.grid{stroke:#ccc;stroke-width:1}"
         ".axis{stroke:#222;stroke-width:1}</style>"
     )
-    out.append(f'<text x="{_MARGIN_LEFT:.2f}" y="20" class="title">{escape(title)}</text>')
+    out.append(f'<text x="{_MARGIN_LEFT:.2f}" y="20" class="title">{_escape(title)}</text>')
 
     for tick in (-1.0, -0.5, 0.0, 0.5, 1.0):
         y = y_of(tick)
@@ -250,7 +254,7 @@ def render_svg(cells: Sequence[MeasureCell], *, title: str) -> bytes:
         label_y = _MARGIN_TOP + _PLOT_HEIGHT + 14.0
         out.append(
             f'<text x="{label_x:.2f}" y="{label_y:.2f}" text-anchor="end"'
-            f' transform="rotate(-40 {label_x:.2f} {label_y:.2f})">{escape(concept)}</text>'
+            f' transform="rotate(-40 {label_x:.2f} {label_y:.2f})">{_escape(concept)}</text>'
         )
 
     legend_x = _MARGIN_LEFT
@@ -260,7 +264,7 @@ def render_svg(cells: Sequence[MeasureCell], *, title: str) -> bytes:
         out.append(
             f'<rect x="{legend_x:.2f}" y="{legend_y - 9:.2f}" width="10" height="10" fill="{color}"/>'
         )
-        out.append(f'<text x="{legend_x + 14:.2f}" y="{legend_y:.2f}">{escape(label)}</text>')
+        out.append(f'<text x="{legend_x + 14:.2f}" y="{legend_y:.2f}">{_escape(label)}</text>')
         legend_x += 24.0 + 7.0 * len(label)
 
     out.append("</svg>")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 from conceptscope.dataset import to_jsonl
@@ -119,3 +120,10 @@ def write_fixtures(directory: Path) -> dict[str, Path]:
     paths["votes"] = directory / "votes.csv"
     paths["votes"].write_text(VOTES_CSV)
     return paths
+
+
+def env_with_src() -> dict[str, str]:
+    """The environment with this tree's ``src`` first on PYTHONPATH, for subprocesses."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from cli_fixtures import write_fixtures
+from cli_fixtures import env_with_src, write_fixtures
 from conceptscope.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -581,46 +580,66 @@ def test_measure_lone_surrogate_concept_name_exits_2(runner, tmp_path, fmt):
     assert "error: concept name '\\ud800' holds a lone surrogate" in result.stderr
 
 
-def _env_with_src():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-
-
 def test_measure_non_utf8_label_exits_2(fixtures):
     # Python decodes argv bytes that are not UTF-8 to lone surrogates.
     process = subprocess.run(
         [sys.executable, "-m", "conceptscope.cli", "measure", "-d",
          b"\xff=" + bytes(fixtures["lr"])],
-        capture_output=True, env=_env_with_src(),
+        capture_output=True, env=env_with_src(),
     )
     assert process.returncode == 2
     assert process.stdout == b""
     assert process.stderr == b"error: dataset label '\\udcff' is not valid UTF-8\n"
 
 
-# Runs each command in one fresh interpreter and reports, after each,
-# whether any scipy module has been imported.
-_SCIPY_PROBE = """
+# Module families that a command must not load unless it uses them:
+# numpy, scipy, and the chain that ``xml.sax.saxutils`` pulls in.
+_HEAVY = {
+    "numpy": ("numpy",),
+    "scipy": ("scipy",),
+    "urllib": ("urllib.request", "http.client", "ssl", "email"),
+}
+
+# Runs each command in one fresh interpreter and reports, after the
+# import and after each command, its exit code and which families of
+# _HEAVY are loaded.
+_IMPORT_PROBE = """
 import json, sys
+heavy = json.loads(sys.argv[2])
+
+def loaded():
+    return sorted(family for family, roots in heavy.items()
+                  if any(m == r or m.startswith(r + ".") for m in sys.modules for r in roots))
+
 from conceptscope.cli import main
-seen = {}
+seen = {"import": [0, loaded()]}
 for name, args in json.loads(sys.argv[1]):
     try:
-        main.main(args=args, standalone_mode=False)
-        code = 0
+        code = main.main(args=args, standalone_mode=False) or 0
     except SystemExit as exc:
         code = exc.code
-    seen[name] = [code, any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)]
+    seen[name] = [code, loaded()]
 print(json.dumps(seen))
 """
 
 
 def test_only_theorem2_imports_scipy(fixtures, tmp_path):
-    commands = [
+    # The commands that need no numpy run first, so nothing else has
+    # loaded it yet; then tcav, edit and the suites each load numpy, and
+    # theorem2 alone adds scipy.
+    lean = [
+        ("help", ["--help"]),
         ("plan", ["plan", "--epsilon", "0.2", "--delta", "0.1"]),
         ("measure", ["measure", "-d", f"LR={fixtures['lr']}", "-o", str(tmp_path / "m.csv")]),
+        ("measure-json", ["measure", "-d", f"LR={fixtures['lr']}", "-f", "json",
+                          "-o", str(tmp_path / "m.json")]),
+        ("measure-svg", ["measure", "-d", f"LR={fixtures['lr']}", "-f", "svg",
+                         "-o", str(tmp_path / "m.svg")]),
+        ("completeness", ["completeness", str(fixtures["lr"]), "stripes", "--oracle",
+                          "-o", str(tmp_path / "c.json")]),
         ("votes", ["votes", str(fixtures["votes"]), "-o", str(tmp_path / "v.txt")]),
+    ]
+    numeric = [
         ("tcav", ["tcav", str(fixtures["model"]), str(fixtures["embeddings"]),
                   "-o", str(tmp_path / "t.json")]),
         ("edit", ["edit", str(fixtures["prompts"]), str(fixtures["concepts"]),
@@ -631,10 +650,32 @@ def test_only_theorem2_imports_scipy(fixtures, tmp_path):
         ("theorem2", ["verify", "--suite", "theorem2", "--trials", "5", "--dim", "4"]),
     ]
     process = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
-        capture_output=True, check=True, env=_env_with_src(),
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(lean + numeric), json.dumps(_HEAVY)],
+        capture_output=True, check=True, env=env_with_src(),
     )
     seen = json.loads(process.stdout.decode().splitlines()[-1])
-    assert seen == {
-        name: [0, name == "theorem2"] for name, _ in commands
+    lean_names = ["import"] + [name for name, _ in lean]
+    assert {name: seen[name] for name in lean_names} == dict.fromkeys(lean_names, [0, []]), (
+        process.stderr.decode())
+    assert {name: [seen[name][0], "numpy" in seen[name][1], "scipy" in seen[name][1]]
+            for name, _ in numeric} == {
+        name: [0, True, name == "theorem2"] for name, _ in numeric
     }, process.stderr.decode()
+
+
+def test_help_in_a_fresh_process_imports_no_heavy_module():
+    # What the benchmark's setup_s times: ``python -m conceptscope --help``.
+    # -X importtime names every module the process imports, on stderr.
+    process = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "conceptscope", "--help"],
+        capture_output=True, env=env_with_src(),
+    )
+    assert process.returncode == 0, process.stderr.decode()
+    assert process.stdout.startswith(b"Usage:")
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in process.stderr.decode().splitlines()
+                if line.startswith("import time:") and line.count("|") == 2}
+    assert "conceptscope.cli" in imported
+    heavy = sorted(m for m in imported for roots in _HEAVY.values() for r in roots
+                   if m == r or m.startswith(r + "."))
+    assert heavy == []
