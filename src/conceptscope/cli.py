@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -109,10 +110,18 @@ def _finite_number(value: object, what: str) -> float:
     default=1,
     show_default=True,
     expose_value=False,
-    help="Accepted for compatibility; has no effect (all work runs on one thread).",
+    help="Accepted for compatibility; has no effect.",
 )
 def main() -> None:
     """Concept-importance measures, verification suites and prompt editing."""
+    # OpenBLAS sizes its worker pool to the CPU count when the library loads,
+    # numpy has no API to change it later and threadpoolctl is not a
+    # dependency. The one BLAS call that could split, theorem2's gemv, is
+    # 116 x 8 at the defaults, so idle workers only burn CPU. This runs before
+    # any command imports numpy; a user's setting wins, and importing the
+    # package leaves the environment alone.
+    if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 
 def _parse_dataset_spec(spec: str) -> tuple[str, str]:

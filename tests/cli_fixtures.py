@@ -122,6 +122,11 @@ def write_fixtures(directory: Path) -> dict[str, Path]:
     return paths
 
 
+# The variables that set OpenBLAS's thread count. The CLI sets the first
+# unless the user has set one of them.
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def env_with_src() -> dict[str, str]:
     """The environment with this tree's ``src`` first on PYTHONPATH, for subprocesses."""
     src = str(Path(__file__).resolve().parents[1] / "src")

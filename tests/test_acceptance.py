@@ -5,13 +5,14 @@ and asserts the criterion at its stated tolerance. Everything is
 seeded, so a pass here is reproducible bit-for-bit.
 """
 
+import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 
-from cli_fixtures import write_fixtures
+from cli_fixtures import BLAS_VARS, write_fixtures
 from conceptscope.dataset import ConceptDataset
 from conceptscope.measures import (
     class_conditioned_measure,
@@ -229,11 +230,16 @@ def test_vote_metrics_against_recount_oracle():
     )
 
 
-def _run_cli(args, threads):
+def _run_cli(args, threads, blas_threads):
+    # blas_threads None leaves OpenBLAS's thread count to the CLI.
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     process = subprocess.run(
         [sys.executable, "-m", "conceptscope", "--threads", str(threads), *args],
         capture_output=True,
         check=False,
+        env=env,
     )
     assert process.returncode == 0, (args, process.stderr.decode())
     return process.stdout
@@ -247,6 +253,7 @@ def test_cli_determinism_across_runs_and_threads(tmp_path):
     def command_set(tag):
         prompts_out = out_dir / f"prompts_{tag}.json"
         records_out = out_dir / f"records_{tag}.jsonl"
+        records64_out = out_dir / f"records64_{tag}.jsonl"
         return {
             "measure-csv": (
                 ["measure", "-d", f"LR={fixtures['lr']}", "-m", "class-conditioned",
@@ -279,12 +286,18 @@ def test_cli_determinism_across_runs_and_threads(tmp_path):
                  "--records", str(records_out)],
                 [records_out],
             ),
+            # n x dim = 1843 x 64: large enough for OpenBLAS to split the gemv.
+            "verify-theorem2-dim64": (
+                ["verify", "--suite", "theorem2", "--epsilon", "0.05", "--dim", "64",
+                 "--trials", "3", "--records", str(records64_out)],
+                [records64_out],
+            ),
         }
 
     outputs = {}
-    for tag, threads in (("a", 1), ("b", 1), ("c", 8)):
+    for tag, threads, blas_threads in (("a", 1, "1"), ("b", 1, "2"), ("c", 8, None)):
         for name, (args, files) in command_set(tag).items():
-            stdout = _run_cli(args, threads)
+            stdout = _run_cli(args, threads, blas_threads)
             outputs.setdefault(name, []).append(
                 (stdout, tuple(path.read_bytes() for path in files))
             )
@@ -296,6 +309,7 @@ def test_cli_determinism_across_runs_and_threads(tmp_path):
     report(
         "cli-determinism",
         not unstable,
-        f"{len(stable)}/{len(outputs)} commands byte-identical over reruns and"
-        f" threads 1 vs 8{'; unstable: ' + ', '.join(unstable) if unstable else ''}",
+        f"{len(stable)}/{len(outputs)} commands byte-identical over reruns,"
+        f" --threads 1 vs 8 and OpenBLAS threads 1 vs 2"
+        f"{'; unstable: ' + ', '.join(unstable) if unstable else ''}",
     )

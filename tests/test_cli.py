@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from cli_fixtures import env_with_src, write_fixtures
+from cli_fixtures import BLAS_VARS, env_with_src, write_fixtures
 from conceptscope.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -601,32 +601,51 @@ _HEAVY = {
 }
 
 # Runs each command in one fresh interpreter and reports, after the
-# import and after each command, its exit code and which families of
-# _HEAVY are loaded.
+# import and after each command, its exit code, which families of
+# _HEAVY are loaded, the process's thread count (None where
+# /proc/self/task does not exist) and which of BLAS_VARS are set.
 _IMPORT_PROBE = """
-import json, sys
+import json, os, sys
 heavy = json.loads(sys.argv[2])
+blas_vars = json.loads(sys.argv[3])
 
-def loaded():
-    return sorted(family for family, roots in heavy.items()
-                  if any(m == r or m.startswith(r + ".") for m in sys.modules for r in roots))
+def state(code):
+    loaded = sorted(family for family, roots in heavy.items()
+                    if any(m == r or m.startswith(r + ".") for m in sys.modules for r in roots))
+    tasks = "/proc/self/task"
+    threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+    return [code, loaded, threads, {k: os.environ[k] for k in blas_vars if k in os.environ}]
 
 from conceptscope.cli import main
-seen = {"import": [0, loaded()]}
+seen = {"import": state(0)}
 for name, args in json.loads(sys.argv[1]):
     try:
         code = main.main(args=args, standalone_mode=False) or 0
     except SystemExit as exc:
         code = exc.code
-    seen[name] = [code, loaded()]
+    seen[name] = state(code)
 print(json.dumps(seen))
 """
+
+
+def _run_import_probe(commands, **env):
+    # An in-process CliRunner test may already have set a BLAS variable in
+    # this process, and env_with_src() copies os.environ.
+    child_env = {k: v for k, v in env_with_src().items() if k not in BLAS_VARS}
+    process = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands), json.dumps(_HEAVY),
+         json.dumps(BLAS_VARS)],
+        capture_output=True, check=True, env={**child_env, **env},
+    )
+    return json.loads(process.stdout.decode().splitlines()[-1]), process.stderr.decode()
 
 
 def test_only_theorem2_imports_scipy(fixtures, tmp_path):
     # The commands that need no numpy run first, so nothing else has
     # loaded it yet; then tcav, edit and the suites each load numpy, and
-    # theorem2 alone adds scipy.
+    # theorem2 alone adds scipy. Every command leaves one thread: the CLI
+    # sets OPENBLAS_NUM_THREADS=1 before numpy loads, while the import
+    # leaves the environment alone.
     lean = [
         ("help", ["--help"]),
         ("plan", ["plan", "--epsilon", "0.2", "--delta", "0.1"]),
@@ -649,18 +668,26 @@ def test_only_theorem2_imports_scipy(fixtures, tmp_path):
         ("theorem1", ["verify", "--suite", "theorem1", "--trials", "5"]),
         ("theorem2", ["verify", "--suite", "theorem2", "--trials", "5", "--dim", "4"]),
     ]
-    process = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(lean + numeric), json.dumps(_HEAVY)],
-        capture_output=True, check=True, env=env_with_src(),
-    )
-    seen = json.loads(process.stdout.decode().splitlines()[-1])
+    seen, stderr = _run_import_probe(lean + numeric)
     lean_names = ["import"] + [name for name, _ in lean]
-    assert {name: seen[name] for name in lean_names} == dict.fromkeys(lean_names, [0, []]), (
-        process.stderr.decode())
+    assert {name: seen[name][:2] for name in lean_names} == dict.fromkeys(lean_names, [0, []]), (
+        stderr)
     assert {name: [seen[name][0], "numpy" in seen[name][1], "scipy" in seen[name][1]]
             for name, _ in numeric} == {
         name: [0, True, name == "theorem2"] for name, _ in numeric
-    }, process.stderr.decode()
+    }, stderr
+    assert seen["import"][3] == {}
+    assert {name: seen[name][3] for name, _ in numeric} == dict.fromkeys(
+        (name for name, _ in numeric), {"OPENBLAS_NUM_THREADS": "1"})
+    threads = {name: state[2] for name, state in seen.items() if state[2] is not None}
+    assert threads == dict.fromkeys(threads, 1)
+
+    # A thread count the user chose is honoured: the CLI adds no variable
+    # of its own and leaves theirs as it found it.
+    seen, stderr = _run_import_probe(numeric[2:], OMP_NUM_THREADS="2")
+    assert {name: [state[0], state[3]] for name, state in seen.items()} == {
+        name: [0, {"OMP_NUM_THREADS": "2"}] for name in ["import"] + [n for n, _ in numeric[2:]]
+    }, stderr
 
 
 def test_help_in_a_fresh_process_imports_no_heavy_module():
