@@ -24,7 +24,7 @@ import click
 
 from conceptscope import report as report_mod
 from conceptscope.completeness import completeness_brute_force, completeness_closed_form
-from conceptscope.dataset import load_dataset
+from conceptscope.dataset import check_schema, load_dataset
 from conceptscope.errors import (
     JSON_ERRORS,
     ConceptScopeError,
@@ -162,7 +162,8 @@ def measure_cmd(dataset_specs, measure_name, theta, delta, include_ground_truth,
                 fmt, output, positive_only, strict, schema):
     """Per-concept measure table over one or more datasets."""
     kind = _MEASURE_CHOICES[measure_name]
-    schema_names = [s.strip() for s in schema.split(",")] if schema else None
+    report_mod.check_measure_parameters(kind, theta, delta)
+    schema_names = check_schema(s.strip() for s in schema.split(",")) if schema else None
     datasets = []
     for spec in dataset_specs:
         label, path = _parse_dataset_spec(spec)

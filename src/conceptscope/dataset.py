@@ -16,9 +16,11 @@ all in input order: ``ids``, ``predictions`` (+1/-1), ``weights``,
 read with ``column(name)``. There is no row type; code that wants row
 ``i`` reads index ``i`` of each column. A dataset is built either by
 the constructor, from in-memory columns, or by ``load_dataset``, which
-parses each line once straight into columns, as ints and floats. Both
-validate with ``_check_columns``: one rule per field, run once over the
-whole column and exact, so valid data always passes. When a rule fails,
+parses each line once straight into columns, as ints and floats; a large
+input is cut into parts parsed side by side in forked workers, which
+changes neither the result nor the error. Both validate with
+``_check_columns``: one rule per field, run once over the whole column
+and exact, so valid data always passes. When a rule fails,
 bisection with that rule finds the first bad row, and the message names
 the row and field a row-by-row check would.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import FrozenInstanceError
 from itertools import compress, repeat
@@ -42,6 +45,9 @@ from conceptscope.errors import (
 from conceptscope.numerics import kahan_sum
 
 WEIGHT_SUM_TOLERANCE = 1e-9
+# Fewest characters per part when load_dataset splits its parse; a forked
+# part starts to save time at about a quarter of this.
+MIN_PART = 1 << 20
 
 
 class ConceptDataset:
@@ -182,7 +188,7 @@ def _concept_reader(names: tuple[str, ...]) -> tuple[Callable[[dict], tuple], se
 # The validation pass
 # ---------------------------------------------------------------------------
 
-_MISSING = object()  # a JSONL line without "prediction"
+_MISSING = ...  # a JSONL line without "prediction"; no JSON value, and unpickled as itself
 
 
 def _types(values: Sequence[object]) -> set[type]:
@@ -287,8 +293,6 @@ def _check_columns(
     ``columns`` are placeholders. ``where(i)`` names row i. Returns ids,
     predictions, concept columns, weights and ground truth as tuples.
     """
-    if len(set(names)) != len(names):
-        raise SchemaError("duplicate concept names in schema")
     n = len(ids)
     if not n:
         raise ValidationError("dataset has no examples")
@@ -340,6 +344,112 @@ def _split_lines(text: str, block: int = 1 << 20):
         start = end + 1
 
 
+def _parse_lines(text: str, start: int, end: int, names: tuple[str, ...]) -> tuple:
+    """Line numbers, ids, predictions, weights, truths and concept rows as lists,
+    and ``bad_concepts``, of the JSONL lines in ``text[start:end]``, where ``start``
+    begins a line. Raises ParseError at the first line that is not an object."""
+    read, keys = _concept_reader(names)
+    linenos: list[int] = []
+    ids: list[object] = []
+    predictions: list[object] = []
+    weights: list[object] = []
+    truths: list[object] = []
+    rows: list[tuple] = []
+    bad_concepts: dict[int, object] = {}
+    loads = json.loads
+    for lineno, line in enumerate(_split_lines(text[start:end]), text.count("\n", 0, start) + 1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            obj = loads(stripped)
+        except JSON_ERRORS as exc:
+            message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+            raise ParseError(f"line {lineno}: invalid JSON ({message})") from None
+        if not isinstance(obj, dict):
+            raise ParseError(f"line {lineno}: expected a JSON object")
+        concepts = obj.get("concepts")
+        if isinstance(concepts, dict) and concepts.keys() == keys:
+            rows.append(read(concepts))
+        else:
+            bad_concepts[len(rows)] = concepts
+            rows.append((0.0,) * len(names))
+        linenos.append(lineno)
+        ids.append(obj.get("id"))
+        predictions.append(obj.get("prediction", _MISSING))
+        weights.append(obj.get("weight"))
+        truths.append(obj.get("ground_truth"))
+    return linenos, ids, predictions, weights, truths, rows, bad_concepts
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 off Linux or while a second thread
+    runs, as a forked child would hold copies of that thread's locks."""
+    try:
+        if len(os.listdir("/proc/self/task")) == 1:
+            return len(os.sched_getaffinity(0))
+    except (OSError, AttributeError):
+        pass
+    return 1
+
+
+def _parse_parts(text: str, names: tuple[str, ...]) -> list[tuple]:
+    """``_parse_lines`` on ``text`` cut at newlines into up to one part per usable CPU.
+
+    Forked workers pipe back the columns of parts 2..k, or nothing on any
+    error or when the fork fails; such a part is parsed here, in order, so a
+    single pass's error is raised. Every worker is reaped before this ends.
+    """
+    k = min(len(text) // MIN_PART, _usable_cpus())
+    if k <= 1:
+        return [_parse_lines(text, 0, len(text), names)]
+    import gc
+    import pickle
+    import signal
+
+    ends = [text.find("\n", len(text) * i // k) + 1 or len(text) for i in range(1, k)]
+    spans = list(zip([0, *ends], [*ends, len(text)]))
+    parent, workers = os.getpid(), []
+    try:
+        for start, end in spans[1:]:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the pipe stays empty
+                pid = None
+            if pid == 0:
+                gc.disable()  # a collection would write to, and so copy, the parent's pages
+                part = _parse_lines(text, start, end, names)
+                with os.fdopen(write_end, "wb") as out:
+                    pickle.dump(part, out, pickle.HIGHEST_PROTOCOL)
+                os._exit(0)
+            workers.append((pid, os.fdopen(read_end, "rb")))
+            os.close(write_end)
+        parts = [_parse_lines(text, *spans[0], names)]
+        for (_, pipe), span in zip(workers, spans[1:]):
+            try:
+                parts.append(pickle.load(pipe))
+            except (EOFError, pickle.UnpicklingError):
+                parts.append(_parse_lines(text, *span, names))
+        return parts
+    finally:
+        if os.getpid() != parent:  # a worker that raised or was interrupted
+            os._exit(1)
+        for pid, pipe in workers:
+            pipe.close()
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def check_schema(schema: Sequence[str]) -> tuple[str, ...]:
+    """``schema`` as a tuple of concept names; SchemaError if a name repeats."""
+    names = tuple(schema)
+    if len(set(names)) != len(names):
+        raise SchemaError("duplicate concept names in schema")
+    return names
+
+
 def load_dataset(
     source: bytes | BinaryIO,
     *,
@@ -355,6 +465,8 @@ def load_dataset(
 
     Missing weights default to uniform 1/n; the weight column is then
     renormalized to total 1 and the raw total is kept on the dataset.
+    From ``2 * MIN_PART`` characters on, parts of the input are parsed in
+    forked workers, one per usable CPU, with the result and error of one pass.
     """
     data = source if isinstance(source, bytes) else source.read()
     if data.startswith(b"\xef\xbb\xbf"):
@@ -364,45 +476,23 @@ def load_dataset(
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not valid UTF-8: {exc}") from None
 
-    names: tuple[str, ...] | None = tuple(schema) if schema else None
-    if names is not None:
-        read, keys = _concept_reader(names)
-    linenos: list[int] = []
-    ids: list[object] = []
-    predictions: list[object] = []
-    weights: list[object] = []
-    truths: list[object] = []
-    rows: list[tuple] = []
-    bad_concepts: dict[int, object] = {}
-    loads = json.loads
-    for lineno, line in enumerate(_split_lines(text), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
+    if schema:
+        names = check_schema(schema)
+    else:  # the first line's concept keys; a bad first line fails its parse below
         try:
-            obj = loads(stripped)
-        except JSON_ERRORS as exc:
-            message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
-            raise ParseError(f"line {lineno}: invalid JSON ({message})") from None
-        if not isinstance(obj, dict):
-            raise ParseError(f"line {lineno}: expected a JSON object")
-        concepts = obj.get("concepts")
-        if names is None:
-            names = tuple(concepts) if isinstance(concepts, dict) else ()
-            read, keys = _concept_reader(names)
-        if isinstance(concepts, dict) and concepts.keys() == keys:
-            rows.append(read(concepts))
-        else:
-            bad_concepts[len(rows)] = concepts
-            rows.append((0.0,) * len(names))
-        linenos.append(lineno)
-        ids.append(obj.get("id"))
-        predictions.append(obj.get("prediction", _MISSING))
-        weights.append(obj.get("weight"))
-        truths.append(obj.get("ground_truth"))
+            first = json.loads(next(filter(None, map(str.strip, _split_lines(text))), ""))
+        except JSON_ERRORS:
+            first = None
+        concepts = first.get("concepts") if isinstance(first, dict) else None
+        names = tuple(concepts) if isinstance(concepts, dict) else ()
+    parts = _parse_parts(text, names)
+    linenos, ids, predictions, weights, truths, rows, bad_concepts = parts[0]
+    for part in parts[1:]:
+        bad_concepts.update((len(rows) + i, value) for i, value in part[6].items())
+        for column, more in zip((linenos, ids, predictions, weights, truths, rows), part):
+            column += more
     if not rows:
         raise ParseError("no examples found in input")
-    assert names is not None
     for name in names:
         try:
             name.encode("utf-8")

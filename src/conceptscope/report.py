@@ -24,6 +24,7 @@ from conceptscope.measures import (
     SYMMETRIC,
     class_conditioned_measure,
     concept_conditioned_measure,
+    hoeffding_radius,
     symmetric_measure,
 )
 
@@ -55,6 +56,18 @@ def _one_measure(
     raise DomainError(f"unknown measure kind {kind!r}")
 
 
+def check_measure_parameters(kind: str, theta: float | None, delta: float | None) -> None:
+    """Raise DomainError for a measure kind, theta or delta that no table can use."""
+    if kind not in MEASURE_KINDS:
+        raise DomainError(f"unknown measure kind {kind!r}")
+    if (theta is None) and kind == CONCEPT_CONDITIONED:
+        raise DomainError("theta is required for the concept-conditioned measure")
+    if (theta is not None) and kind != CONCEPT_CONDITIONED:
+        raise DomainError("theta is only valid for the concept-conditioned measure")
+    if delta is not None:
+        hoeffding_radius(1, delta)  # its checks on delta do not depend on the count
+
+
 def compute_measure_table(
     datasets: Sequence[tuple[str, ConceptDataset]],
     kind: str,
@@ -71,12 +84,7 @@ def compute_measure_table(
     """
     if not datasets:
         raise DomainError("at least one dataset is required")
-    if kind not in MEASURE_KINDS:
-        raise DomainError(f"unknown measure kind {kind!r}")
-    if (theta is None) and kind == CONCEPT_CONDITIONED:
-        raise DomainError("theta is required for the concept-conditioned measure")
-    if (theta is not None) and kind != CONCEPT_CONDITIONED:
-        raise DomainError("theta is only valid for the concept-conditioned measure")
+    check_measure_parameters(kind, theta, delta)
     labels = [label for label, _ in datasets]
     if include_ground_truth:
         labels += [label + GROUND_TRUTH_SUFFIX for label in labels]

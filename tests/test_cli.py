@@ -1,4 +1,6 @@
 import json
+import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from cli_fixtures import BLAS_VARS, env_with_src, write_fixtures
+from conceptscope import dataset as dataset_mod
 from conceptscope.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -120,6 +123,24 @@ def test_measure_validation_exits_2(runner, fixtures, tmp_path):
     bad.write_bytes(b'{"id": "a", "prediction": 3, "concepts": {"s": 1.0}}\n')
     result = invoke(runner, ["measure", "-d", f"B={bad}"], expect=2)
     assert "line 1" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["-m", "concept-conditioned"], "theta is required"),
+        (["--theta", "0.5"], "theta is only valid"),
+        (["--delta", "1.5"], "delta must lie in (0, 1)"),
+        (["--delta", "0"], "delta must lie in (0, 1)"),
+        (["--delta", "1e-320"], "too small for a finite radius"),
+        (["--schema", "a,a"], "duplicate concept names in schema"),
+    ],
+)
+def test_measure_parameter_error_comes_before_reading_files(runner, tmp_path, args, message):
+    missing = tmp_path / "missing.jsonl"
+    result = invoke(runner, ["measure", "-d", f"X={missing}", *args], expect=2)
+    assert message in result.stderr
+    assert "cannot read" not in result.stderr
 
 
 def test_measure_schema_mismatch_reports_diff(runner, fixtures, tmp_path):
@@ -706,3 +727,39 @@ def test_help_in_a_fresh_process_imports_no_heavy_module():
     heavy = sorted(m for m in imported for roots in _HEAVY.values() for r in roots
                    if m == r or m.startswith(r + "."))
     assert heavy == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs and sched_setaffinity")
+def test_split_parse_is_quiet_and_prints_what_one_cpu_prints(tmp_path):
+    # A file above the split threshold, so that the CLI process, which runs
+    # one thread, forks a worker; pinning it to one CPU leaves one part.
+    rng = random.Random(0)
+    lines = []
+    while sum(map(len, lines)) < 2 * dataset_mod.MIN_PART:
+        prediction = rng.choice((-1, 1))
+        lines.append(json.dumps({
+            "id": f"x{len(lines)}", "prediction": prediction,
+            "concepts": {f"c{j}": rng.uniform(-1.0, 1.0) for j in range(8)},
+            "weight": rng.uniform(0.05, 1.0), "ground_truth": rng.choice((prediction, 1)),
+        }) + "\n")
+    path = tmp_path / "large.jsonl"
+    path.write_text("".join(lines))
+    one_cpu = {min(os.sched_getaffinity(0))}
+
+    def run(args, pinned):
+        return subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", *args], capture_output=True,
+            env=env_with_src(), check=True,
+            preexec_fn=(lambda: os.sched_setaffinity(0, one_cpu)) if pinned else None,
+        )
+
+    probe = ["-c", "from conceptscope.dataset import _usable_cpus; print(_usable_cpus())"]
+    assert run(probe, False).stdout == f"{len(os.sched_getaffinity(0))}\n".encode()
+    assert run(probe, True).stdout == b"1\n"
+    measure = ["-m", "conceptscope", "measure", "-d", f"L={path}", "-m", "class-conditioned",
+               "--delta", "0.05", "--ground-truth"]
+    split, single = run(measure, False), run(measure, True)
+    assert (split.stderr, single.stderr) == (b"", b"")
+    assert split.stdout == single.stdout
+    assert split.stdout.count(b"\n") == 1 + 8 * 2

@@ -6,6 +6,11 @@ or negative number; a deleted key; a truncated file; a BOM) and runs
 ``measure`` and ``completeness`` on it in process. Malformed input must
 exit 2 with a message (0 or 3 when the damage leaves a valid file),
 never 1 with a traceback.
+
+The same mutations, with whole bad lines, blank and CRLF lines and
+cross-part duplicate ids added, also check that ``load_dataset`` split
+into 2 or 3 forked parts gives exactly what one pass gives: the equal
+dataset or the identical error.
 """
 
 import json
@@ -16,7 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cli_fixtures import write_fixtures
+from conceptscope import dataset as dataset_mod
 from conceptscope.cli import main
+from conceptscope.errors import ConceptScopeError
 
 PLACEHOLDER = "@@fuzz@@"
 
@@ -83,3 +90,55 @@ def test_mutated_dataset_exits_cleanly(lr_lines, tmp_path, data):
         assert "Traceback" not in result.output
         if result.exit_code == 2:
             assert "error:" in result.stderr
+
+
+# Whole lines planted into the later half of a file: an object without
+# "prediction", invalid JSON, JSON that is not an object, and an object
+# whose concepts value is not an object.
+FAULTS = [
+    '{"id": "p", "concepts": {"stripes": 1.0, "spots": 1.0, "c0": 1.0}}',
+    '{"id": "p", ', "[1, 2]", '{"id": "p", "prediction": 1, "concepts": []}',
+]
+BLANKS = ["", "   ", "\r", "\t"]
+
+
+@st.composite
+def split_inputs(draw, lines):
+    lines = list(lines)
+    if draw(st.booleans()):  # an id of the first part repeated in a later one
+        later = draw(st.integers(len(lines) // 2, len(lines) - 1))
+        lines[later] = _replace(lines[later], "id", json.dumps(json.loads(lines[0])["id"]))
+    if draw(st.booleans()):  # so that a planted line is often the only fault
+        rows = [line.encode() for line in lines] + [b""]
+    else:
+        rows = draw(mutated_files(lines)).split(b"\n")
+    for line in draw(st.lists(st.sampled_from(FAULTS), max_size=1)):
+        rows.insert(draw(st.integers(len(rows) // 2, len(rows))), line.encode())
+    for line in draw(st.lists(st.sampled_from(BLANKS), max_size=3)):
+        rows.insert(draw(st.integers(0, len(rows))), line.encode())
+    if draw(st.integers(0, 4)) == 4:  # fewer lines than parts
+        rows = rows[: draw(st.integers(1, 2))]
+    separator = draw(st.sampled_from([b"\n", b"\r\n"]))
+    schema = draw(st.sampled_from([None, ["stripes", "spots", "c0"], ["c0", "spots", "stripes"]]))
+    return separator.join(rows), schema
+
+
+def _load(data, schema, parts):
+    """``load_dataset`` cut into ``parts`` parts, or the class and text of its error."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset_mod, "MIN_PART", 1)
+        patch.setattr(dataset_mod, "_usable_cpus", lambda: parts)
+        try:
+            return dataset_mod.load_dataset(data, schema=schema)
+        except ConceptScopeError as exc:
+            return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_split_load_equals_one_pass(lr_lines, data):
+    text, schema = data.draw(split_inputs(lr_lines))
+    serial = _load(text, schema, 1)
+    assert _load(text, schema, 2) == serial
+    assert _load(text, schema, 3) == serial

@@ -1,12 +1,17 @@
 import dataclasses
 import json
+import os
+import pickle
+import signal
 import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conceptscope import dataset as dataset_mod
 from conceptscope.dataset import (
     ConceptDataset,
     _split_lines,
@@ -406,3 +411,90 @@ def test_rules_are_exact_next_to_numpy_floats():
     largest = sys.float_info.max
     with pytest.raises(ValidationError, match=r"^example 1: weight must be"):
         ConceptDataset(["a", "b"], [1, 1], {}, [np.float64(largest), int(largest) + 1])
+
+
+# A split load forks one worker per part after the first. Whatever
+# happens to a part, every worker is reaped and every pipe closed.
+SPLIT_DATA = b"".join(
+    _line(id=f"r{i}", prediction=1 - 2 * (i % 2), concepts={"s": i / 10}, weight=i + 1)
+    for i in range(9)
+)
+
+
+@pytest.fixture()
+def three_parts(monkeypatch):
+    """Loads in this test cut into three parts; the list of forks made."""
+    monkeypatch.setattr(dataset_mod, "MIN_PART", 1)
+    monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 3)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def _assert_nothing_left(fds):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+def test_split_load_reaps_its_workers(three_parts):
+    fds = _open_fds()
+    assert load_dataset(SPLIT_DATA) == ConceptDataset(
+        ids=[f"r{i}" for i in range(9)], predictions=[1 - 2 * (i % 2) for i in range(9)],
+        concepts={"s": [i / 10 for i in range(9)]}, weights=[(i + 1) / 45 for i in range(9)],
+        original_weight_total=45.0,
+    )
+    assert len(three_parts) == 2
+    _assert_nothing_left(fds)
+
+
+@pytest.mark.parametrize("error", [ParseError, KeyboardInterrupt])
+def test_split_load_reaps_its_workers_when_the_first_part_raises(
+        three_parts, monkeypatch, error):
+    """The workers are stopped, not waited for: here they would take 10 s."""
+    fds = _open_fds()
+    parse = dataset_mod._parse_lines
+
+    def first_part_fails(text, start, end, names):
+        if start:
+            time.sleep(10)
+        elif error is KeyboardInterrupt:
+            raise KeyboardInterrupt
+        return parse(text, start, end, names)
+
+    monkeypatch.setattr(dataset_mod, "_parse_lines", first_part_fails)
+    started = time.monotonic()
+    with pytest.raises(error, match="line 1: invalid JSON" if error is ParseError else None):
+        load_dataset(b"not json\n" + SPLIT_DATA if error is ParseError else SPLIT_DATA)
+    assert time.monotonic() - started < 5
+    assert len(three_parts) == 2
+    _assert_nothing_left(fds)
+
+
+@pytest.mark.parametrize("sent", [0.0, 0.5, None])
+def test_split_load_parses_a_lost_workers_part_itself(three_parts, monkeypatch, sent):
+    """A worker killed before it sends or midway, or one that cannot be
+    forked (``sent`` None), leaves its part to the parent."""
+    fds = _open_fds()
+    expected = load_dataset(SPLIT_DATA)
+
+    def killed(obj, out, protocol):
+        data = pickle.dumps(obj, protocol)
+        out.write(data[: int(len(data) * sent)])
+        out.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    if sent is None:
+        monkeypatch.setattr(os, "fork", no_fork)
+    else:
+        monkeypatch.setattr(pickle, "dump", killed)
+    assert load_dataset(SPLIT_DATA) == expected
+    assert len(three_parts) == 2 + 2 * (sent is not None)
+    _assert_nothing_left(fds)
