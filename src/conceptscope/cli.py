@@ -81,10 +81,27 @@ def _write_file(path: str, data: bytes) -> None:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write_output(data: bytes, output: str) -> None:
-    if output == "-":
+def _write_stdout(data: bytes) -> None:
+    try:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
+    except OSError as exc:
+        # Python flushes stdout again at exit; point it at the null device so
+        # that the bytes still buffered cannot fail a second time.
+        try:
+            null = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(null, sys.stdout.fileno())
+            finally:
+                os.close(null)
+        except (OSError, ValueError):  # stdout is not a file descriptor
+            pass
+        raise ValidationError(f"cannot write stdout: {exc.strerror or exc}") from None
+
+
+def _write_output(data: bytes, output: str) -> None:
+    if output == "-":
+        _write_stdout(data)
     else:
         _write_file(output, data)
 
@@ -290,7 +307,7 @@ def tcav_cmd(model_path, embeddings_path, output):
 @_cli_errors
 def plan_cmd(epsilon, delta):
     """Print the sample count needed for radius EPSILON at confidence DELTA."""
-    click.echo(str(hoeffding_sample_size(epsilon, delta)))
+    _write_stdout(f"{hoeffding_sample_size(epsilon, delta)}\n".encode())
 
 
 def _load_plans(path: str) -> list[EditPlan]:
@@ -464,10 +481,8 @@ def verify_cmd(suite, trials, seed, epsilon, delta, dim, records_path):
                 for i, r in enumerate(trial_records)
             ]
             _write_file(records_path, ("\n".join(lines) + "\n").encode("utf-8"))
-    for line in report.lines:
-        click.echo(line)
-    for failure in report.failures:
-        click.echo(json.dumps(failure, sort_keys=True))
+    lines = [*report.lines, *(json.dumps(failure, sort_keys=True) for failure in report.failures)]
+    _write_stdout("".join(f"{line}\n" for line in lines).encode("utf-8"))
     if not report.passed:
         sys.exit(1)
 

@@ -17,12 +17,12 @@ read with ``column(name)``. There is no row type; code that wants row
 ``i`` reads index ``i`` of each column. A dataset is built either by
 the constructor, from in-memory columns, or by ``load_dataset``, which
 parses each line once straight into columns, as ints and floats; a large
-input is cut into parts parsed side by side in forked workers, which
-changes neither the result nor the error. Both validate with
-``_check_columns``: one rule per field, run once over the whole column
-and exact, so valid data always passes. When a rule fails,
-bisection with that rule finds the first bad row, and the message names
-the row and field a row-by-row check would.
+input is cut into parts that forked workers parse, check and normalize
+side by side, which changes neither the result nor the error. Both
+validate with one exact rule per field, run once over a whole column (or
+a part's, which passes exactly when the column does), so valid data always
+passes. When a rule fails, ``_check_columns`` bisects with it to the
+first bad row, and names the row and field a row-by-row check would.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ import math
 import os
 import sys
 from dataclasses import FrozenInstanceError
-from itertools import compress, repeat
+from itertools import accumulate, chain, compress, repeat
+from json.scanner import make_scanner
 from operator import itemgetter, mul
 from typing import BinaryIO, Callable, Mapping, Sequence
 
@@ -46,7 +47,7 @@ from conceptscope.numerics import kahan_sum
 
 WEIGHT_SUM_TOLERANCE = 1e-9
 # Fewest characters per part when load_dataset splits its parse; a forked
-# part starts to save time at about a quarter of this.
+# part (parse, checks, normalization) saves time from a quarter of this on.
 MIN_PART = 1 << 20
 
 
@@ -344,10 +345,23 @@ def _split_lines(text: str, block: int = 1 << 20):
         start = end + 1
 
 
+def _normalize(predictions: Sequence, truths: Sequence, columns: list[Sequence]) -> tuple:
+    """The file's numbers as the format's types: +1/-1 as ints (a JSON 1.0
+    is accepted), concept values as floats (a JSON 1 is too); all tuples."""
+    if not _types(predictions) <= {int}:
+        predictions = map(int, predictions)
+    if not _types(truths) <= {int, type(None)}:
+        truths = (None if v is None else int(v) for v in truths)
+    columns = [c if _types(c) <= {float} else tuple(map(float, c)) for c in columns]
+    return tuple(predictions), tuple(truths), columns
+
+
 def _parse_lines(text: str, start: int, end: int, names: tuple[str, ...]) -> tuple:
-    """Line numbers, ids, predictions, weights, truths and concept rows as lists,
-    and ``bad_concepts``, of the JSONL lines in ``text[start:end]``, where ``start``
-    begins a line. Raises ParseError at the first line that is not an object."""
+    """One part of a load: the JSONL lines in ``text[start:end]``, where ``start``
+    begins a line, as whether they pass every field rule that needs no other
+    part, then their line numbers, ids, predictions, weights, truths and concept
+    columns as tuples, and ``bad_concepts``. Numbers that pass are normalized.
+    Raises ParseError at the first line that is not an object."""
     read, keys = _concept_reader(names)
     linenos: list[int] = []
     ids: list[object] = []
@@ -356,13 +370,18 @@ def _parse_lines(text: str, start: int, end: int, names: tuple[str, ...]) -> tup
     truths: list[object] = []
     rows: list[tuple] = []
     bad_concepts: dict[int, object] = {}
-    loads = json.loads
+    scan = make_scanner(json.JSONDecoder())
     for lineno, line in enumerate(_split_lines(text[start:end]), text.count("\n", 0, start) + 1):
         stripped = line.strip()
         if not stripped:
             continue
         try:
-            obj = loads(stripped)
+            try:
+                obj, stop = scan(stripped, 0)
+            except StopIteration:
+                stop = -1
+            if stop != len(stripped):  # not one JSON value: json.loads words the error
+                obj = json.loads(stripped)
         except JSON_ERRORS as exc:
             message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
             raise ParseError(f"line {lineno}: invalid JSON ({message})") from None
@@ -379,7 +398,18 @@ def _parse_lines(text: str, start: int, end: int, names: tuple[str, ...]) -> tup
         predictions.append(obj.get("prediction", _MISSING))
         weights.append(obj.get("weight"))
         truths.append(obj.get("ground_truth"))
-    return linenos, ids, predictions, weights, truths, rows, bad_concepts
+    columns = list(zip(*rows)) or [()] * len(names)
+    ok = (not bad_concepts and _ids(ids) and _signs(predictions)
+          and all(map(_units, columns)) and _signs_or_none(truths))
+    if ok:
+        predictions, truths, columns = _normalize(predictions, truths, columns)
+    return (ok, tuple(linenos), tuple(ids), tuple(predictions), tuple(weights), tuple(truths),
+            columns, bad_concepts)
+
+
+def _join(parts: Sequence[tuple]) -> tuple:
+    """The parts' tuples end to end, as one tuple."""
+    return parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
 
 
 def _usable_cpus() -> int:
@@ -396,9 +426,9 @@ def _usable_cpus() -> int:
 def _parse_parts(text: str, names: tuple[str, ...]) -> list[tuple]:
     """``_parse_lines`` on ``text`` cut at newlines into up to one part per usable CPU.
 
-    Forked workers pipe back the columns of parts 2..k, or nothing on any
-    error or when the fork fails; such a part is parsed here, in order, so a
-    single pass's error is raised. Every worker is reaped before this ends.
+    Forked workers pipe back the checked columns of parts 2..k, or nothing on
+    any error or when the fork fails; such a part is parsed here, in order, so
+    a single pass's error is raised. Every worker is reaped before this ends.
     """
     k = min(len(text) // MIN_PART, _usable_cpus())
     if k <= 1:
@@ -465,8 +495,9 @@ def load_dataset(
 
     Missing weights default to uniform 1/n; the weight column is then
     renormalized to total 1 and the raw total is kept on the dataset.
-    From ``2 * MIN_PART`` characters on, parts of the input are parsed in
-    forked workers, one per usable CPU, with the result and error of one pass.
+    From ``2 * MIN_PART`` characters on, forked workers parse, check and
+    normalize parts of the input, one per usable CPU; only the rules that
+    span parts run here, and the result and error are those of one pass.
     """
     data = source if isinstance(source, bytes) else source.read()
     if data.startswith(b"\xef\xbb\xbf"):
@@ -485,13 +516,11 @@ def load_dataset(
             first = None
         concepts = first.get("concepts") if isinstance(first, dict) else None
         names = tuple(concepts) if isinstance(concepts, dict) else ()
-    parts = _parse_parts(text, names)
-    linenos, ids, predictions, weights, truths, rows, bad_concepts = parts[0]
-    for part in parts[1:]:
-        bad_concepts.update((len(rows) + i, value) for i, value in part[6].items())
-        for column, more in zip((linenos, ids, predictions, weights, truths, rows), part):
-            column += more
-    if not rows:
+    oks, linenos, ids, predictions, weights, truths, columns, bad_concepts = zip(
+        *_parse_parts(text, names))
+    ids, predictions, weights, truths = map(_join, (ids, predictions, weights, truths))
+    n = len(ids)
+    if not n:
         raise ParseError("no examples found in input")
     for name in names:
         try:
@@ -499,22 +528,18 @@ def load_dataset(
         except UnicodeEncodeError:
             raise SchemaError(f"concept name {name!r} holds a lone surrogate") from None
 
-    uniform = 1.0 / len(rows)
+    columns = [_join(column) for column in zip(*columns)]
+    uniform = 1.0 / n
     weights = [uniform if w is None else w for w in weights]
-    columns = list(zip(*rows))
-    del rows
-    ids, predictions, columns, raw_weights, truths = _check_columns(
-        names, ids, predictions, columns, weights, truths,
-        lambda i: f"line {linenos[i]}", bad_concepts,
-    )
-    # The file's numbers as the format's types: +1/-1 as ints (a JSON 1.0
-    # is accepted), concept values and weights as floats (a JSON 1 is too).
-    if not _types(predictions) <= {int}:
-        predictions = tuple(map(int, predictions))
-    if not _types(truths) <= {int, type(None)}:
-        truths = tuple(None if v is None else int(v) for v in truths)
-    columns = [c if _types(c) <= {float} else tuple(map(float, c)) for c in columns]
-    raw_weights = list(map(float, raw_weights))
+    if not (all(oks) and len(set(ids)) == n and _weights(weights)):
+        # A rule fails: the one-pass check finds the first bad line.
+        starts = accumulate(map(len, linenos), initial=0)
+        bad = {start + i: v for start, part in zip(starts, bad_concepts) for i, v in part.items()}
+        linenos = _join(linenos)
+        ids, predictions, columns, weights, truths = _check_columns(
+            names, ids, predictions, columns, weights, truths, lambda i: f"line {linenos[i]}", bad)
+        predictions, truths, columns = _normalize(predictions, truths, columns)
+    raw_weights = list(map(float, weights))
     total = kahan_sum(raw_weights)
     if not math.isfinite(total):
         raise ValidationError("weight total overflows a float; scale the weights down")

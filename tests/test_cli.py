@@ -534,6 +534,28 @@ def test_unwritable_output_path_exits_2(runner, fixtures, tmp_path, site):
     assert f"error: cannot write {target}" in result.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["measure", "completeness", "plan", "votes", "verify"])
+def test_full_stdout_exits_2(fixtures, command):
+    """Buffered stdout, as a user's shell gives it: Python flushes it again
+    at exit, which must neither fail a second time nor change the exit code."""
+    args = {
+        "measure": ["measure", "-d", f"LR={fixtures['lr']}"],
+        "completeness": ["completeness", str(fixtures["lr"]), "stripes"],
+        "plan": ["plan", "--epsilon", "0.2", "--delta", "0.1"],
+        "votes": ["votes", str(fixtures["votes"])],
+        "verify": ["verify", "--suite", "axioms", "--trials", "2"],
+    }[command]
+    env = env_with_src()
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "wb") as full:
+        process = subprocess.run([sys.executable, "-m", "conceptscope", *args], stdout=full,
+                                 stderr=subprocess.PIPE, env=env)
+    assert process.returncode == 2, process.stderr.decode()
+    assert process.stderr.startswith(b"error: cannot write stdout: ")
+    assert b"Traceback" not in process.stderr
+
+
 @pytest.mark.parametrize("second, extra", [("LR", []), ("LR:ground_truth", ["--ground-truth"])])
 def test_measure_repeated_series_label_exits_2(runner, fixtures, second, extra):
     result = invoke_input_error(

@@ -10,7 +10,7 @@ never 1 with a traceback.
 The same mutations, with whole bad lines, blank and CRLF lines and
 cross-part duplicate ids added, also check that ``load_dataset`` split
 into 2 or 3 forked parts gives exactly what one pass gives: the equal
-dataset or the identical error.
+dataset, with the same type for every value, or the identical error.
 """
 
 import json
@@ -124,14 +124,19 @@ def split_inputs(draw, lines):
 
 
 def _load(data, schema, parts):
-    """``load_dataset`` cut into ``parts`` parts, or the class and text of its error."""
+    """``load_dataset`` cut into ``parts`` parts, with the type of every value
+    of every field (``==`` holds between 1 and 1.0), or the class and text
+    of its error."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dataset_mod, "MIN_PART", 1)
         patch.setattr(dataset_mod, "_usable_cpus", lambda: parts)
         try:
-            return dataset_mod.load_dataset(data, schema=schema)
+            dataset = dataset_mod.load_dataset(data, schema=schema)
         except ConceptScopeError as exc:
             return type(exc), str(exc)
+    fields = [dataset.ids, dataset.predictions, dataset.weights, dataset.ground_truth,
+              *map(dataset.column, dataset.concept_names), [dataset.original_weight_total]]
+    return dataset, [list(map(type, values)) for values in fields]
 
 
 @settings(max_examples=60, deadline=None,
@@ -142,3 +147,36 @@ def test_split_load_equals_one_pass(lr_lines, data):
     serial = _load(text, schema, 1)
     assert _load(text, schema, 2) == serial
     assert _load(text, schema, 3) == serial
+
+
+def _lines(count, weighted=True, **last):
+    """``count`` valid lines, with weights or without; keys in ``last``
+    replace fields of the last line."""
+    rows = [{"id": f"r{i}", "prediction": 1 - 2 * (i % 2), "concepts": {"s": i / 10, "t": -0.5},
+             "ground_truth": 1} for i in range(count)]
+    if weighted:
+        for i, row in enumerate(rows):
+            row["weight"] = 0.5 + i
+    rows[-1].update(last)
+    return "".join(json.dumps(row) + "\n" for row in rows).encode()
+
+
+# Each input but the last needs normalizing in its last line only, so in
+# its last part only; the last has no weights in any part.
+@pytest.mark.parametrize("data", [
+    _lines(9, prediction=1.0),
+    _lines(9, ground_truth=-1.0),
+    _lines(9, concepts={"s": 1, "t": 0}),
+    _lines(9, weight=3),
+    _lines(9, weighted=False),
+], ids=["prediction", "ground_truth", "concepts", "weight", "no-weights"])
+@pytest.mark.parametrize("parts", [2, 3])
+def test_split_load_normalizes_every_part(data, parts):
+    serial = _load(data, None, 1)
+    assert _load(data, None, parts) == serial
+    dataset, types = serial
+    assert types == [[str] * 9, [int] * 9, [float] * 9, [int] * 9, [float] * 9, [float] * 9,
+                     [float]]
+    if b'"weight"' not in data:  # uniform over the whole file, not over a part
+        assert dataset.weights == (dataset.weights[0],) * 9
+        assert dataset.weights[0] == pytest.approx(1 / 9)

@@ -267,6 +267,20 @@ def test_huge_integer_literal_is_a_parse_error():
         load_dataset(data)
 
 
+@pytest.mark.parametrize("line", [
+    "\ufeff{}", '{"id": "b"} {"id": "c"}', '{"id": "b",}', '{"id": "b"', "{oops", "nul",
+    '"x" 1', "]", '{"id": ' + "9" * 5000 + "}",
+])
+def test_invalid_json_is_worded_as_json_loads_words_it(line):
+    try:
+        json.loads(line)
+    except ValueError as exc:
+        expected = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+    with pytest.raises(ParseError) as raised:
+        load_dataset(_line(**_valid("a")) + f" {line}\t\n".encode())
+    assert str(raised.value) == f"line 2: invalid JSON ({expected})"
+
+
 def test_loaded_columns_hold_the_format_types():
     data = (
         _line(id="a", prediction=1.0, concepts={"s": 1, "t": -0.5}, weight=3, ground_truth=-1)
@@ -471,6 +485,26 @@ def test_split_load_reaps_its_workers_when_the_first_part_raises(
     with pytest.raises(error, match="line 1: invalid JSON" if error is ParseError else None):
         load_dataset(b"not json\n" + SPLIT_DATA if error is ParseError else SPLIT_DATA)
     assert time.monotonic() - started < 5
+    assert len(three_parts) == 2
+    _assert_nothing_left(fds)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (_line(id="r8", prediction=-1, concepts={"s": 1.5}, weight=9),
+     "line 9: concept 's' value 1.5 outside [-1, +1]"),
+    (_line(id="r7", prediction=-1, concepts={"s": 0.8}, weight=9),
+     "line 9: duplicate id 'r7' (first seen on line 8)"),
+    (_line(id="r0", prediction=-1, concepts={"s": 0.8}, weight=9),
+     "line 9: duplicate id 'r0' (first seen on line 1)"),
+], ids=["concept-in-last-part", "id-within-last-part", "id-across-parts"])
+def test_split_load_reaps_its_workers_when_a_part_breaks_a_rule(three_parts, bad, message):
+    """The last line breaks a rule: the last part parses, fails its rules
+    or repeats an id of another, and the error is the one-pass error."""
+    fds = _open_fds()
+    data = SPLIT_DATA[: SPLIT_DATA.rindex(b"\n", 0, -1) + 1] + bad
+    with pytest.raises(ValidationError) as raised:
+        load_dataset(data)
+    assert str(raised.value) == message
     assert len(three_parts) == 2
     _assert_nothing_left(fds)
 
