@@ -120,7 +120,29 @@ def _finite_number(value: object, what: str) -> float:
     raise ValidationError(f"{what} must be a finite number, got {value!r}")
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    """click's help callback, writing through ``_write_stdout`` so that help on
+    a stdout that fails exits 2 as every command's output does."""
+    if value and not ctx.resilient_parsing:
+        _cli_errors(_write_stdout)(f"{ctx.get_help()}\n".encode("utf-8"))
+        ctx.exit()
+
+
+class _Command(click.Command):
+    """A command whose ``--help`` is written by ``_show_help``."""
+
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Group(_Command, click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group, context_settings={"help_option_names": ["-h", "--help"]})
 @click.option(
     "--threads",
     type=click.IntRange(min=1),
@@ -456,6 +478,8 @@ def votes_cmd(votes_path, ks, output):
 @_cli_errors
 def verify_cmd(suite, trials, seed, epsilon, delta, dim, records_path):
     """Run a verification suite; exit 0 only if every check passes."""
+    if records_path and suite != "theorem2":
+        raise DomainError(f"--records applies only to --suite theorem2, not --suite {suite}")
     from conceptscope.verify import run_axioms_suite, run_theorem1_suite, run_theorem2_suite
 
     if suite == "axioms":

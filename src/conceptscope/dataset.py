@@ -17,8 +17,8 @@ read with ``column(name)``. There is no row type; code that wants row
 ``i`` reads index ``i`` of each column. A dataset is built either by
 the constructor, from in-memory columns, or by ``load_dataset``, which
 parses each line once straight into columns, as ints and floats; a large
-input is cut into parts that forked workers parse, check and normalize
-side by side, which changes neither the result nor the error. Both
+input is cut into parts that ``fanout.fork_map`` parses, checks and
+normalizes on every usable CPU, which changes neither result nor error. Both
 validate with one exact rule per field, run once over a whole column (or
 a part's, which passes exactly when the column does), so valid data always
 passes. When a rule fails, ``_check_columns`` bisects with it to the
@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from dataclasses import FrozenInstanceError
 from itertools import accumulate, chain, compress, repeat
 from json.scanner import make_scanner
 from operator import itemgetter, mul
-from typing import BinaryIO, Callable, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Mapping, Sequence
 
+from conceptscope import fanout
 from conceptscope.errors import (
     JSON_ERRORS,
     ParseError,
@@ -214,8 +214,8 @@ def _members(allowed: frozenset, *extra: type) -> Callable[[Sequence[object]], b
 
 
 def _within(low: float, high: float) -> Callable[[Sequence[object]], bool]:
-    def rule(values: Sequence[object]) -> bool:
-        types = _types(values)
+    def rule(values: Sequence[object], types: set[type] | None = None) -> bool:
+        types = _types(values) if types is None else types
         if not types <= {int, float}:
             if not _numbers(types):
                 return False
@@ -345,14 +345,15 @@ def _split_lines(text: str, block: int = 1 << 20):
         start = end + 1
 
 
-def _normalize(predictions: Sequence, truths: Sequence, columns: list[Sequence]) -> tuple:
-    """The file's numbers as the format's types: +1/-1 as ints (a JSON 1.0
-    is accepted), concept values as floats (a JSON 1 is too); all tuples."""
+def _normalize(predictions: Sequence, truths: Sequence, columns: list[Sequence],
+               types: Iterable[set[type]]) -> tuple:
+    """The file's numbers as the format's types: +1/-1 as ints (a JSON 1.0 is
+    accepted), concept values, of the ``types`` given, as floats; all tuples."""
     if not _types(predictions) <= {int}:
         predictions = map(int, predictions)
     if not _types(truths) <= {int, type(None)}:
         truths = (None if v is None else int(v) for v in truths)
-    columns = [c if _types(c) <= {float} else tuple(map(float, c)) for c in columns]
+    columns = [c if t <= {float} else tuple(map(float, c)) for c, t in zip(columns, types)]
     return tuple(predictions), tuple(truths), columns
 
 
@@ -399,10 +400,11 @@ def _parse_lines(text: str, start: int, end: int, names: tuple[str, ...]) -> tup
         weights.append(obj.get("weight"))
         truths.append(obj.get("ground_truth"))
     columns = list(zip(*rows)) or [()] * len(names)
+    types = list(map(_types, columns))
     ok = (not bad_concepts and _ids(ids) and _signs(predictions)
-          and all(map(_units, columns)) and _signs_or_none(truths))
+          and all(map(_units, columns, types)) and _signs_or_none(truths))
     if ok:
-        predictions, truths, columns = _normalize(predictions, truths, columns)
+        predictions, truths, columns = _normalize(predictions, truths, columns, types)
     return (ok, tuple(linenos), tuple(ids), tuple(predictions), tuple(weights), tuple(truths),
             columns, bad_concepts)
 
@@ -412,64 +414,13 @@ def _join(parts: Sequence[tuple]) -> tuple:
     return parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 off Linux or while a second thread
-    runs, as a forked child would hold copies of that thread's locks."""
-    try:
-        if len(os.listdir("/proc/self/task")) == 1:
-            return len(os.sched_getaffinity(0))
-    except (OSError, AttributeError):
-        pass
-    return 1
-
-
 def _parse_parts(text: str, names: tuple[str, ...]) -> list[tuple]:
-    """``_parse_lines`` on ``text`` cut at newlines into up to one part per usable CPU.
-
-    Forked workers pipe back the checked columns of parts 2..k, or nothing on
-    any error or when the fork fails; such a part is parsed here, in order, so
-    a single pass's error is raised. Every worker is reaped before this ends.
-    """
-    k = min(len(text) // MIN_PART, _usable_cpus())
-    if k <= 1:
-        return [_parse_lines(text, 0, len(text), names)]
-    import gc
-    import pickle
-    import signal
-
+    """``_parse_lines`` on ``text`` cut at newlines into up to one part per usable
+    CPU, the parts after the first parsed in forked workers (``fork_map``)."""
+    k = max(1, min(len(text) // MIN_PART, fanout.usable_cpus()))
     ends = [text.find("\n", len(text) * i // k) + 1 or len(text) for i in range(1, k)]
-    spans = list(zip([0, *ends], [*ends, len(text)]))
-    parent, workers = os.getpid(), []
-    try:
-        for start, end in spans[1:]:
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the pipe stays empty
-                pid = None
-            if pid == 0:
-                gc.disable()  # a collection would write to, and so copy, the parent's pages
-                part = _parse_lines(text, start, end, names)
-                with os.fdopen(write_end, "wb") as out:
-                    pickle.dump(part, out, pickle.HIGHEST_PROTOCOL)
-                os._exit(0)
-            workers.append((pid, os.fdopen(read_end, "rb")))
-            os.close(write_end)
-        parts = [_parse_lines(text, *spans[0], names)]
-        for (_, pipe), span in zip(workers, spans[1:]):
-            try:
-                parts.append(pickle.load(pipe))
-            except (EOFError, pickle.UnpicklingError):
-                parts.append(_parse_lines(text, *span, names))
-        return parts
-    finally:
-        if os.getpid() != parent:  # a worker that raised or was interrupted
-            os._exit(1)
-        for pid, pipe in workers:
-            pipe.close()
-            if pid:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    return fanout.fork_map(lambda start, end: _parse_lines(text, start, end, names),
+                           list(zip([0, *ends], [*ends, len(text)])))
 
 
 def check_schema(schema: Sequence[str]) -> tuple[str, ...]:
@@ -538,7 +489,8 @@ def load_dataset(
         linenos = _join(linenos)
         ids, predictions, columns, weights, truths = _check_columns(
             names, ids, predictions, columns, weights, truths, lambda i: f"line {linenos[i]}", bad)
-        predictions, truths, columns = _normalize(predictions, truths, columns)
+        predictions, truths, columns = _normalize(predictions, truths, columns,
+                                                  map(_types, columns))
     raw_weights = list(map(float, weights))
     total = kahan_sum(raw_weights)
     if not math.isfinite(total):

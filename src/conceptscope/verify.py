@@ -12,7 +12,9 @@ Three suites are provided:
   three-sigma allowance on the Monte Carlo failure rate.
 
 All suites are deterministic given their seed and emit structured
-failure records for offline inspection.
+failure records for offline inspection. Their trials run on every usable
+CPU (``synthetic.run_trials``); each derives its own seed, so the output
+does not depend on how many CPUs ran it.
 
 The paper names three axioms for the symmetric measure: linearity,
 recursivity and similarity. ``axioms`` checks the first two. The
@@ -51,6 +53,7 @@ from conceptscope.synthetic import (
     generate_dataset,
     make_rng,
     run_theorem2_batch,
+    run_trials,
     split_example,
 )
 
@@ -169,7 +172,7 @@ def run_axioms_suite(trials: int, seed: int) -> SuiteReport:
             failures.append({"check": "decomposition", "trial": index, "gap": gap})
         return failures
 
-    failures = [f for index in range(trials) for f in one_trial(index)]
+    failures = [f for trial in run_trials(one_trial, trials) for f in trial]
     checks = ("recursivity", "linearity", "decomposition")
     lines = []
     for check in checks:
@@ -213,7 +216,7 @@ def run_theorem1_suite(trials: int, seed: int) -> SuiteReport:
             )
         return failures
 
-    failures = [f for index in range(trials) for f in one_trial(index)]
+    failures = [f for trial in run_trials(one_trial, trials) for f in trial]
     bad = len({f["trial"] for f in failures})
     status = "PASS" if not failures else "FAIL"
     lines = [

@@ -11,6 +11,8 @@ import math
 import os
 from pathlib import Path
 
+import pytest
+
 from conceptscope.dataset import to_jsonl
 from conceptscope.synthetic import SyntheticSpec, generate_dataset
 
@@ -132,3 +134,14 @@ def env_with_src() -> dict[str, str]:
     src = str(Path(__file__).resolve().parents[1] / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def open_fds() -> int | None:
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def assert_nothing_left(fds: int | None) -> None:
+    """No child process is left unreaped, and ``fds`` descriptors are open."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds

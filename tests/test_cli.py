@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from cli_fixtures import BLAS_VARS, env_with_src, write_fixtures
 from conceptscope import dataset as dataset_mod
 from conceptscope.cli import main
+from conceptscope.synthetic import MIN_TRIALS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -374,6 +375,16 @@ def test_verify_negative_seed_exits_2(runner):
     assert "--seed" in result.stderr
 
 
+@pytest.mark.parametrize("suite", ["axioms", "theorem1"])
+def test_verify_records_without_theorem2_exits_2(runner, tmp_path, suite):
+    records = tmp_path / "trials.jsonl"
+    result = invoke_input_error(
+        runner, ["verify", "--suite", suite, "--trials", "3", "--records", str(records)])
+    assert "--suite theorem2" in result.stderr
+    assert result.stdout == ""
+    assert not records.exists()
+
+
 def test_tcav_non_numeric_theta_exits_2(runner, fixtures, tmp_path):
     model = json.loads(fixtures["model"].read_text())
     model["theta_h"] = "abc"
@@ -535,7 +546,8 @@ def test_unwritable_output_path_exits_2(runner, fixtures, tmp_path, site):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("command", ["measure", "completeness", "plan", "votes", "verify"])
+@pytest.mark.parametrize("command", ["measure", "completeness", "plan", "votes", "verify",
+                                     "help", "measure-help"])
 def test_full_stdout_exits_2(fixtures, command):
     """Buffered stdout, as a user's shell gives it: Python flushes it again
     at exit, which must neither fail a second time nor change the exit code."""
@@ -545,6 +557,8 @@ def test_full_stdout_exits_2(fixtures, command):
         "plan": ["plan", "--epsilon", "0.2", "--delta", "0.1"],
         "votes": ["votes", str(fixtures["votes"])],
         "verify": ["verify", "--suite", "axioms", "--trials", "2"],
+        "help": ["--help"],
+        "measure-help": ["measure", "--help"],
     }[command]
     env = env_with_src()
     env.pop("PYTHONUNBUFFERED", None)
@@ -751,8 +765,24 @@ def test_help_in_a_fresh_process_imports_no_heavy_module():
     assert heavy == []
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs two usable CPUs and sched_setaffinity")
+def _run_strict(args, pinned):
+    """Python on ``args`` with warnings as errors, on every usable CPU or pinned
+    to one; without the BLAS variables, so that the CLI runs one thread."""
+    one_cpu = {min(os.sched_getaffinity(0))}
+    env = {k: v for k, v in env_with_src().items() if k not in BLAS_VARS}
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", *args], capture_output=True,
+        env=env, check=True,
+        preexec_fn=(lambda: os.sched_setaffinity(0, one_cpu)) if pinned else None,
+    )
+
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two usable CPUs and sched_setaffinity")
+
+
+@needs_two_cpus
 def test_split_parse_is_quiet_and_prints_what_one_cpu_prints(tmp_path):
     # A file above the split threshold, so that the CLI process, which runs
     # one thread, forks a worker; pinning it to one CPU leaves one part.
@@ -767,21 +797,41 @@ def test_split_parse_is_quiet_and_prints_what_one_cpu_prints(tmp_path):
         }) + "\n")
     path = tmp_path / "large.jsonl"
     path.write_text("".join(lines))
-    one_cpu = {min(os.sched_getaffinity(0))}
-
-    def run(args, pinned):
-        return subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error", *args], capture_output=True,
-            env=env_with_src(), check=True,
-            preexec_fn=(lambda: os.sched_setaffinity(0, one_cpu)) if pinned else None,
-        )
-
-    probe = ["-c", "from conceptscope.dataset import _usable_cpus; print(_usable_cpus())"]
-    assert run(probe, False).stdout == f"{len(os.sched_getaffinity(0))}\n".encode()
-    assert run(probe, True).stdout == b"1\n"
+    probe = ["-c", "from conceptscope.fanout import usable_cpus; print(usable_cpus())"]
+    assert _run_strict(probe, False).stdout == f"{len(os.sched_getaffinity(0))}\n".encode()
+    assert _run_strict(probe, True).stdout == b"1\n"
     measure = ["-m", "conceptscope", "measure", "-d", f"L={path}", "-m", "class-conditioned",
                "--delta", "0.05", "--ground-truth"]
-    split, single = run(measure, False), run(measure, True)
+    split, single = _run_strict(measure, False), _run_strict(measure, True)
     assert (split.stderr, single.stderr) == (b"", b"")
     assert split.stdout == single.stdout
     assert split.stdout.count(b"\n") == 1 + 8 * 2
+
+
+# The CLI with its forks counted from the parent's audit events, on stderr.
+_COUNT_FORKS = (
+    "import atexit, sys; forks = []; "
+    "sys.addaudithook(lambda event, args: event == 'os.fork' and forks.append(1)); "
+    "atexit.register(lambda: print(len(forks), file=sys.stderr)); "
+    "from conceptscope.cli import main; main()"
+)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("suite, extra", [
+    ("axioms", []), ("theorem1", []), ("theorem2", ["--dim", "4"]),
+])
+def test_split_verify_is_quiet_and_prints_what_one_cpu_prints(tmp_path, suite, extra):
+    trials = 3 * MIN_TRIALS
+    args = ["verify", "--suite", suite, "--trials", str(trials), "--seed", "3", *extra]
+    outputs = []
+    for pinned in (False, True):
+        records = tmp_path / f"records-{pinned}.jsonl"
+        result = _run_strict(["-m", "conceptscope", *args, *(
+            ["--records", str(records)] if suite == "theorem2" else [])], pinned)
+        assert result.stderr == b""
+        outputs.append((result.stdout, records.read_bytes() if suite == "theorem2" else None))
+    assert outputs[0] == outputs[1]
+    assert b": PASS (" in outputs[0][0]
+    spans = min(len(os.sched_getaffinity(0)), 3)
+    assert _run_strict(["-c", _COUNT_FORKS, *args], False).stderr == f"{spans - 1}\n".encode()

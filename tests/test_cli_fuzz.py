@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from cli_fixtures import write_fixtures
 from conceptscope import dataset as dataset_mod
+from conceptscope import fanout
 from conceptscope.cli import main
 from conceptscope.errors import ConceptScopeError
 
@@ -129,7 +130,7 @@ def _load(data, schema, parts):
     of its error."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dataset_mod, "MIN_PART", 1)
-        patch.setattr(dataset_mod, "_usable_cpus", lambda: parts)
+        patch.setattr(fanout, "usable_cpus", lambda: parts)
         try:
             dataset = dataset_mod.load_dataset(data, schema=schema)
         except ConceptScopeError as exc:

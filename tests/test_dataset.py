@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_fixtures import assert_nothing_left, open_fds
 from conceptscope import dataset as dataset_mod
+from conceptscope import fanout
 from conceptscope.dataset import (
     ConceptDataset,
     _split_lines,
@@ -439,38 +441,28 @@ SPLIT_DATA = b"".join(
 def three_parts(monkeypatch):
     """Loads in this test cut into three parts; the list of forks made."""
     monkeypatch.setattr(dataset_mod, "MIN_PART", 1)
-    monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: 3)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     return forks
 
 
-def _open_fds():
-    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-
-
-def _assert_nothing_left(fds):
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert _open_fds() == fds
-
-
 def test_split_load_reaps_its_workers(three_parts):
-    fds = _open_fds()
+    fds = open_fds()
     assert load_dataset(SPLIT_DATA) == ConceptDataset(
         ids=[f"r{i}" for i in range(9)], predictions=[1 - 2 * (i % 2) for i in range(9)],
         concepts={"s": [i / 10 for i in range(9)]}, weights=[(i + 1) / 45 for i in range(9)],
         original_weight_total=45.0,
     )
     assert len(three_parts) == 2
-    _assert_nothing_left(fds)
+    assert_nothing_left(fds)
 
 
 @pytest.mark.parametrize("error", [ParseError, KeyboardInterrupt])
 def test_split_load_reaps_its_workers_when_the_first_part_raises(
         three_parts, monkeypatch, error):
     """The workers are stopped, not waited for: here they would take 10 s."""
-    fds = _open_fds()
+    fds = open_fds()
     parse = dataset_mod._parse_lines
 
     def first_part_fails(text, start, end, names):
@@ -486,7 +478,7 @@ def test_split_load_reaps_its_workers_when_the_first_part_raises(
         load_dataset(b"not json\n" + SPLIT_DATA if error is ParseError else SPLIT_DATA)
     assert time.monotonic() - started < 5
     assert len(three_parts) == 2
-    _assert_nothing_left(fds)
+    assert_nothing_left(fds)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -500,20 +492,20 @@ def test_split_load_reaps_its_workers_when_the_first_part_raises(
 def test_split_load_reaps_its_workers_when_a_part_breaks_a_rule(three_parts, bad, message):
     """The last line breaks a rule: the last part parses, fails its rules
     or repeats an id of another, and the error is the one-pass error."""
-    fds = _open_fds()
+    fds = open_fds()
     data = SPLIT_DATA[: SPLIT_DATA.rindex(b"\n", 0, -1) + 1] + bad
     with pytest.raises(ValidationError) as raised:
         load_dataset(data)
     assert str(raised.value) == message
     assert len(three_parts) == 2
-    _assert_nothing_left(fds)
+    assert_nothing_left(fds)
 
 
 @pytest.mark.parametrize("sent", [0.0, 0.5, None])
 def test_split_load_parses_a_lost_workers_part_itself(three_parts, monkeypatch, sent):
     """A worker killed before it sends or midway, or one that cannot be
     forked (``sent`` None), leaves its part to the parent."""
-    fds = _open_fds()
+    fds = open_fds()
     expected = load_dataset(SPLIT_DATA)
 
     def killed(obj, out, protocol):
@@ -531,4 +523,4 @@ def test_split_load_parses_a_lost_workers_part_itself(three_parts, monkeypatch, 
         monkeypatch.setattr(pickle, "dump", killed)
     assert load_dataset(SPLIT_DATA) == expected
     assert len(three_parts) == 2 + 2 * (sent is not None)
-    _assert_nothing_left(fds)
+    assert_nothing_left(fds)
