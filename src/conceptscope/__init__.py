@@ -56,7 +56,7 @@ _LAZY = {
     ),
     **dict.fromkeys(
         ("SyntheticSpec", "Theorem2Trial", "generate_dataset", "make_rng",
-         "run_theorem2_batch", "sample_spherical_cap", "split_example", "theorem2_trial"),
+         "sample_spherical_cap", "split_example", "theorem2_trial"),
         "synthetic",
     ),
     **dict.fromkeys(
@@ -123,7 +123,6 @@ __all__ = [
     "load_dataset",
     "make_rng",
     "metrics_at_k",
-    "run_theorem2_batch",
     "sample_spherical_cap",
     "split_example",
     "symmetric_measure",

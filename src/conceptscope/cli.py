@@ -487,24 +487,10 @@ def verify_cmd(suite, trials, seed, epsilon, delta, dim, records_path):
     elif suite == "theorem1":
         report = run_theorem1_suite(trials or 1000, seed)
     else:
-        report, trial_records = run_theorem2_suite(epsilon, delta, dim, trials or 500, seed)
+        report, records = run_theorem2_suite(epsilon, delta, dim, trials or 500, seed)
         if records_path:
-            lines = [
-                json.dumps(
-                    {
-                        "trial": i,
-                        "dim": dim,
-                        "epsilon": epsilon,
-                        "delta": delta,
-                        "lhs_gap": r.lhs_gap,
-                        "n_used": r.n_used,
-                        "bound_holds": r.bound_holds,
-                    },
-                    sort_keys=True,
-                )
-                for i, r in enumerate(trial_records)
-            ]
-            _write_file(records_path, ("\n".join(lines) + "\n").encode("utf-8"))
+            _write_file(records_path, "".join(
+                json.dumps(record, sort_keys=True) + "\n" for record in records).encode("utf-8"))
     lines = [*report.lines, *(json.dumps(failure, sort_keys=True) for failure in report.failures)]
     _write_stdout("".join(f"{line}\n" for line in lines).encode("utf-8"))
     if not report.passed:

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from conceptscope import fanout
 from conceptscope.dataset import ConceptDataset
 from conceptscope.embeddings import check_unit_vectors
 from conceptscope.errors import (
@@ -292,10 +290,6 @@ def sample_spherical_cap(
 # Largest n x dim a theorem2 trial may sample: 2**24 float64s, 128 MiB
 # per (n, dim) array.
 THEOREM2_FLOAT_BUDGET = 2**24
-# Fewest trials per span when run_trials forks. A forked span costs about
-# 3 ms more than its trials (fork, pickle, reap); theorem1's, the cheapest at
-# 0.08 ms each, break even on two CPUs at about 130 trials (2 vCPU x86-64).
-MIN_TRIALS = 64
 
 
 @dataclass(frozen=True)
@@ -343,25 +337,3 @@ def theorem2_trial(epsilon: float, delta: float, dim: int, seed: int) -> Theorem
     score = tcav_continuous(model, members)
     gap = abs(lhs - score)
     return Theorem2Trial(lhs_gap=gap, n_used=len(members), bound_holds=gap < epsilon)
-
-
-def run_theorem2_batch(
-    epsilon: float, delta: float, dim: int, trials: int, seed: int
-) -> list[Theorem2Trial]:
-    """Independent trials on per-index derived seeds."""
-    return run_trials(
-        lambda index: theorem2_trial(epsilon, delta, dim, derive_seed(seed, index)), trials)
-
-
-def run_trials(trial: Callable[[int], object], trials: int) -> list:
-    """``[trial(i) for i in range(trials)]``. Trial 0 runs here first, so that bad
-    parameters raise and one-off imports load before any fork; trials 1..n-1 go
-    to ``fork_map`` in up to one contiguous span per usable CPU."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    first = trial(0)
-    k = max(1, min(fanout.usable_cpus(), trials // MIN_TRIALS))
-    cuts = [1 + (trials - 1) * i // k for i in range(k + 1)]
-    spans = fanout.fork_map(lambda start, end: [trial(i) for i in range(start, end)],
-                            list(zip(cuts, cuts[1:])))
-    return [first, *chain.from_iterable(spans)]

@@ -13,8 +13,10 @@ Three suites are provided:
 
 All suites are deterministic given their seed and emit structured
 failure records for offline inspection. Their trials run on every usable
-CPU (``synthetic.run_trials``); each derives its own seed, so the output
-does not depend on how many CPUs ran it.
+CPU (``run_trials``); each derives its own seed, so the output does not
+depend on how many CPUs ran it. Each summary line counts the trials that
+fail its checks; theorem1's one line, ``theorem1/equality``, also counts
+the trials whose completeness falls outside [0.5, 1] (``range``).
 
 The paper names three axioms for the symmetric measure: linearity,
 recursivity and similarity. ``axioms`` checks the first two. The
@@ -34,10 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Callable
 
+from conceptscope import fanout
 from conceptscope.completeness import completeness_brute_force, completeness_closed_form
 from conceptscope.dataset import ConceptDataset
-from conceptscope.errors import UndefinedMeasureError
+from conceptscope.errors import DomainError, UndefinedMeasureError
 from conceptscope.measures import (
     class_conditioned_measure,
     concept_conditioned_measure,
@@ -52,12 +57,15 @@ from conceptscope.synthetic import (
     derive_seed,
     generate_dataset,
     make_rng,
-    run_theorem2_batch,
-    run_trials,
     split_example,
+    theorem2_trial,
 )
 
 IDENTITY_TOLERANCE = 1e-12
+# Fewest trials per span when run_trials forks. A forked span costs about
+# 3 ms more than its trials (fork, pickle, reap); theorem1's, the cheapest at
+# 0.08 ms each, break even on two CPUs at about 130 trials (2 vCPU x86-64).
+MIN_TRIALS = 64
 
 
 @dataclass
@@ -120,6 +128,36 @@ def _decomposition_gap(dataset: ConceptDataset, concept: str) -> float | None:
     return abs(symmetric_measure(dataset, concept).value - expected)
 
 
+def run_trials(trial: Callable[[int], object], trials: int) -> list:
+    """``[trial(i) for i in range(trials)]``. Trial 0 runs here first, so that bad
+    parameters raise and one-off imports load before any fork; trials 1..n-1 go
+    to ``fork_map`` in up to one contiguous span per usable CPU."""
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+    first = trial(0)
+    k = max(1, min(fanout.usable_cpus(), trials // MIN_TRIALS))
+    cuts = [1 + (trials - 1) * i // k for i in range(k + 1)]
+    spans = fanout.fork_map(lambda start, end: [trial(i) for i in range(start, end)],
+                            list(zip(cuts, cuts[1:])))
+    return [first, *chain.from_iterable(spans)]
+
+
+def _suite(suite: str, trial: Callable[[int], list[dict]], trials: int,
+           lines: dict[str, tuple[str, ...]]) -> SuiteReport:
+    """Run ``trial`` (index -> failure records) ``trials`` times; ``lines`` maps
+    each summary line to the checks whose failing trials it counts. A trial adds
+    one record per failing measure, so trials, not records, are counted."""
+    failures = [f for records in run_trials(trial, trials) for f in records]
+    report = []
+    for line, checks in lines.items():
+        bad = len({f["trial"] for f in failures if f["check"] in checks})
+        status = "PASS" if bad == 0 else "FAIL"
+        report.append(
+            f"{suite}/{line}: {status} ({trials - bad}/{trials} within {IDENTITY_TOLERANCE:g})"
+        )
+    return SuiteReport(suite, not failures, report, failures)
+
+
 def run_axioms_suite(trials: int, seed: int) -> SuiteReport:
     """Recursivity, weight linearity and the decomposition identity."""
 
@@ -144,45 +182,31 @@ def run_axioms_suite(trials: int, seed: int) -> SuiteReport:
         fraction = int(rng.integers(1, 1024)) / 1024.0
         target = dataset.ids[int(rng.integers(n))]
         before = _all_measures(dataset, concept, theta)
-        after = _all_measures(split_example(dataset, target, fraction), concept, theta)
-        for name in before:
-            left, right = before[name], after[name]
-            if (left is None) != (right is None):
-                failures.append(
-                    {"check": "recursivity", "trial": index, "measure": name,
-                     "detail": "definedness changed across split"}
-                )
-            elif left is not None and abs(left - right) > IDENTITY_TOLERANCE:
-                failures.append(
-                    {"check": "recursivity", "trial": index, "measure": name,
-                     "gap": abs(left - right), "fraction": fraction}
-                )
-
-        doubled = _all_measures(_duplicate_and_halve(dataset), concept, theta)
-        for name in before:
-            left, right = before[name], doubled[name]
-            if left is not None and right is not None and abs(left - right) > IDENTITY_TOLERANCE:
-                failures.append(
-                    {"check": "linearity", "trial": index, "measure": name,
-                     "gap": abs(left - right)}
-                )
+        for check, change, variant in (
+            ("recursivity", "split", split_example(dataset, target, fraction)),
+            ("linearity", "duplicate-and-halve", _duplicate_and_halve(dataset)),
+        ):
+            after = _all_measures(variant, concept, theta)
+            for name, left in before.items():
+                right = after[name]
+                if (left is None) != (right is None):
+                    failures.append(
+                        {"check": check, "trial": index, "measure": name,
+                         "detail": f"definedness changed across {change}"}
+                    )
+                elif left is not None and abs(left - right) > IDENTITY_TOLERANCE:
+                    failures.append(
+                        {"check": check, "trial": index, "measure": name,
+                         "gap": abs(left - right)}
+                    )
 
         gap = _decomposition_gap(dataset, concept)
         if gap is not None and gap > IDENTITY_TOLERANCE:
             failures.append({"check": "decomposition", "trial": index, "gap": gap})
         return failures
 
-    failures = [f for trial in run_trials(one_trial, trials) for f in trial]
     checks = ("recursivity", "linearity", "decomposition")
-    lines = []
-    for check in checks:
-        # A trial adds one record per failing measure; count trials.
-        bad = len({f["trial"] for f in failures if f["check"] == check})
-        status = "PASS" if bad == 0 else "FAIL"
-        lines.append(
-            f"axioms/{check}: {status} ({trials - bad}/{trials} within {IDENTITY_TOLERANCE:g})"
-        )
-    return SuiteReport("axioms", not failures, lines, failures)
+    return _suite("axioms", one_trial, trials, {check: (check,) for check in checks})
 
 
 def run_theorem1_suite(trials: int, seed: int) -> SuiteReport:
@@ -216,30 +240,33 @@ def run_theorem1_suite(trials: int, seed: int) -> SuiteReport:
             )
         return failures
 
-    failures = [f for trial in run_trials(one_trial, trials) for f in trial]
-    bad = len({f["trial"] for f in failures})
-    status = "PASS" if not failures else "FAIL"
-    lines = [
-        f"theorem1/equality: {status} ({trials - bad}/{trials} within {IDENTITY_TOLERANCE:g})"
-    ]
-    return SuiteReport("theorem1", not failures, lines, failures)
+    return _suite("theorem1", one_trial, trials, {"equality": ("equality", "range")})
 
 
-def run_theorem2_suite(epsilon: float, delta: float, dim: int, trials: int, seed: int):
+def run_theorem2_suite(
+    epsilon: float, delta: float, dim: int, trials: int, seed: int
+) -> tuple[SuiteReport, list[dict]]:
     """Monte Carlo check of the concept-score bound.
 
     Passes when the empirical failure rate stays within delta plus
-    three sigma of the binomial sampling noise.
+    three sigma of the binomial sampling noise. Returns the report and
+    one record per trial, as ``verify --records`` writes them.
     """
-    records = run_theorem2_batch(epsilon, delta, dim, trials, seed)
-    held = sum(1 for r in records if r.bound_holds)
+    results = run_trials(
+        lambda index: theorem2_trial(epsilon, delta, dim, derive_seed(seed, index)), trials)
+    records = [
+        {"trial": index, "dim": dim, "epsilon": epsilon, "delta": delta,
+         "lhs_gap": r.lhs_gap, "n_used": r.n_used, "bound_holds": r.bound_holds}
+        for index, r in enumerate(results)
+    ]
+    held = sum(r["bound_holds"] for r in records)
     failure_rate = 1.0 - held / trials
     slack = 3.0 * math.sqrt(delta * (1.0 - delta) / trials)
     passed = failure_rate <= delta + slack
     failures = [
-        {"check": "bound", "trial": i, "lhs_gap": r.lhs_gap, "n_used": r.n_used}
-        for i, r in enumerate(records)
-        if not r.bound_holds
+        {"check": "bound", "trial": r["trial"], "lhs_gap": r["lhs_gap"], "n_used": r["n_used"]}
+        for r in records
+        if not r["bound_holds"]
     ]
     status = "PASS" if passed else "FAIL"
     lines = [

@@ -5,14 +5,13 @@ and asserts the criterion at its stated tolerance. Everything is
 seeded, so a pass here is reproducible bit-for-bit.
 """
 
-import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 
-from cli_fixtures import BLAS_VARS, write_fixtures
+from cli_fixtures import BLAS_VARS, env_with_src, write_fixtures
 from conceptscope.dataset import ConceptDataset
 from conceptscope.measures import (
     class_conditioned_measure,
@@ -33,10 +32,9 @@ from conceptscope.synthetic import (
     generate_dataset,
     make_rng,
     random_unit_vector,
-    run_theorem2_batch,
     sample_spherical_cap,
 )
-from conceptscope.verify import run_axioms_suite, run_theorem1_suite
+from conceptscope.verify import run_axioms_suite, run_theorem1_suite, run_theorem2_suite
 from conceptscope.votes import VoteRecord, metrics_at_k
 from oracles import naive_vote_metrics
 from worlds import generate_contamination_instance, generate_hierarchy_world
@@ -68,8 +66,8 @@ def test_theorem2_bound_holds_across_dims():
     started = time.monotonic()
     rates = {}
     for dim in (2, 8, 64):
-        records = run_theorem2_batch(epsilon, delta, dim, trials, SEED)
-        rates[dim] = sum(r.bound_holds for r in records) / trials
+        _, records = run_theorem2_suite(epsilon, delta, dim, trials, SEED)
+        rates[dim] = sum(r["bound_holds"] for r in records) / trials
     elapsed = time.monotonic() - started
     ok = all(rate >= 0.9 for rate in rates.values()) and elapsed < 60.0
     detail = ", ".join(f"dim {d}: {r:.3f}" for d, r in sorted(rates.items()))
@@ -232,7 +230,7 @@ def test_vote_metrics_against_recount_oracle():
 
 def _run_cli(args, threads, blas_threads):
     # blas_threads None leaves OpenBLAS's thread count to the CLI.
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env = {k: v for k, v in env_with_src().items() if k not in BLAS_VARS}
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     process = subprocess.run(

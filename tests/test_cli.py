@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -11,7 +12,7 @@ from click.testing import CliRunner
 from cli_fixtures import BLAS_VARS, env_with_src, write_fixtures
 from conceptscope import dataset as dataset_mod
 from conceptscope.cli import main
-from conceptscope.synthetic import MIN_TRIALS
+from conceptscope.verify import MIN_TRIALS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -355,6 +356,55 @@ def test_verify_theorem2_writes_records(runner, tmp_path):
     first = json.loads(lines[0])
     assert set(first) == {"trial", "dim", "epsilon", "delta", "lhs_gap", "n_used", "bound_holds"}
     assert first["bound_holds"] is True
+
+
+# sha256 of the --records file of `verify --suite theorem2 --trials 20 --dim 4
+# --seed 0`: pins the record keys, their order and every value's bytes.
+THEOREM2_RECORDS_FILE_SHA256 = "3c4a007e0f1d8fafe73797b486a44996603dc5da315f6154335e6a0c7b61d60a"
+
+
+def test_verify_theorem2_records_bytes_are_pinned(runner, tmp_path):
+    records = tmp_path / "trials.jsonl"
+    invoke(runner, ["verify", "--suite", "theorem2", "--trials", "20", "--dim", "4",
+                    "--seed", "0", "--records", str(records)])
+    assert hashlib.sha256(records.read_bytes()).hexdigest() == THEOREM2_RECORDS_FILE_SHA256
+
+
+# Summary lines of each suite when every trial of `--trials 5` fails.
+FAILING_SUITES = {
+    "axioms": ["axioms/recursivity: FAIL (0/5 within -1)",
+               "axioms/linearity: FAIL (0/5 within -1)",
+               "axioms/decomposition: FAIL (0/5 within -1)"],
+    "theorem1": ["theorem1/equality: FAIL (0/5 within -1)"],
+    "theorem2": ["theorem2/bound: FAIL (0/5 trials with gap < 0.2;"
+                 " failure rate 1.0000 vs allowed 0.5025, dim 8)"],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(FAILING_SUITES))
+def test_failing_verify_suite_exits_1_with_its_records(runner, monkeypatch, suite):
+    """Exit 1, the summary lines, then one sorted-key JSON failure record per
+    line for every failing trial. Five trials are fewer than 2 * MIN_TRIALS,
+    so nothing forks."""
+    from conceptscope import verify
+    from conceptscope.synthetic import Theorem2Trial
+
+    assert 5 < 2 * MIN_TRIALS
+    if suite == "theorem2":
+        monkeypatch.setattr(verify, "theorem2_trial",
+                            lambda epsilon, delta, dim, seed: Theorem2Trial(0.5, 7, False))
+    else:
+        monkeypatch.setattr(verify, "IDENTITY_TOLERANCE", -1.0)
+    result = invoke(runner, ["verify", "--suite", suite, "--trials", "5"], expect=1)
+    lines = result.stdout.splitlines()
+    summary = FAILING_SUITES[suite]
+    assert lines[:len(summary)] == summary
+    records = [json.loads(line) for line in lines[len(summary):]]
+    assert [json.dumps(record, sort_keys=True) for record in records] == lines[len(summary):]
+    assert {record["trial"] for record in records} == set(range(5))
+    if suite == "theorem2":
+        assert records == [{"check": "bound", "trial": i, "lhs_gap": 0.5, "n_used": 7}
+                           for i in range(5)]
 
 
 def test_verify_thread_count_does_not_change_output(runner):

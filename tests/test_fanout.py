@@ -11,7 +11,7 @@ import time
 import pytest
 
 from cli_fixtures import assert_nothing_left, open_fds
-from conceptscope import fanout, synthetic, verify
+from conceptscope import fanout, verify
 from conceptscope.errors import DomainError
 from conceptscope.fanout import fork_map
 
@@ -114,21 +114,21 @@ def test_usable_cpus_is_one_while_a_second_thread_runs():
 
 def test_run_trials_needs_a_trial():
     with pytest.raises(DomainError, match="trials must be >= 1"):
-        synthetic.run_trials(lambda index: index, 0)
+        verify.run_trials(lambda index: index, 0)
 
 
-@pytest.mark.parametrize("trials", [1, 2, 2 * synthetic.MIN_TRIALS - 1,
-                                    2 * synthetic.MIN_TRIALS, 3 * synthetic.MIN_TRIALS + 5])
+@pytest.mark.parametrize("trials", [1, 2, 2 * verify.MIN_TRIALS - 1,
+                                    2 * verify.MIN_TRIALS, 3 * verify.MIN_TRIALS + 5])
 def test_run_trials_keeps_trial_order(forks, monkeypatch, trials):
     monkeypatch.setattr(fanout, "usable_cpus", lambda: 3)
-    assert synthetic.run_trials(lambda index: index, trials) == list(range(trials))
-    assert len(forks) == max(1, min(3, trials // synthetic.MIN_TRIALS)) - 1
+    assert verify.run_trials(lambda index: index, trials) == list(range(trials))
+    assert len(forks) == max(1, min(3, trials // verify.MIN_TRIALS)) - 1
 
 
 def test_theorem2_parameters_fail_before_any_fork(forks, monkeypatch):
     monkeypatch.setattr(fanout, "usable_cpus", lambda: 3)
     with pytest.raises(DomainError, match="epsilon"):
-        synthetic.run_theorem2_batch(1.5, 0.1, 4, 3 * synthetic.MIN_TRIALS, 0)
+        verify.run_theorem2_suite(1.5, 0.1, 4, 3 * verify.MIN_TRIALS, 0)
     assert forks == []
 
 
@@ -140,7 +140,7 @@ def test_split_suite_reports_what_one_pass_reports(forks, monkeypatch, suite):
     """With a tolerance no gap meets, every trial fails; the failure records
     of three spans are those of one pass, in trial order."""
     monkeypatch.setattr(verify, "IDENTITY_TOLERANCE", -1.0)
-    trials = 3 * synthetic.MIN_TRIALS
+    trials = 3 * verify.MIN_TRIALS
     monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
     serial = suite(trials, 11)
     assert forks == []

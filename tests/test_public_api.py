@@ -25,8 +25,7 @@ EXPORTS = {
     "prompts": ("DEFAULT_LAMBDA_GRID", "EditPlan", "EvalReport", "classify", "edit_prompt",
                 "evaluate", "fit_lambda"),
     "synthetic": ("SyntheticSpec", "Theorem2Trial", "generate_dataset", "make_rng",
-                  "run_theorem2_batch", "sample_spherical_cap", "split_example",
-                  "theorem2_trial"),
+                  "sample_spherical_cap", "split_example", "theorem2_trial"),
     "tcav": ("LinearConceptModel", "class_conditioned_from_embeddings", "tcav_continuous",
              "tcav_discrete"),
     "votes": ("VoteMetrics", "VoteRecord", "label_at_k", "metrics_at_k"),
@@ -35,7 +34,7 @@ EXPORTS = {
 
 def test_all_lists_every_export_once():
     names = [name for group in EXPORTS.values() for name in group]
-    assert len(names) == 50
+    assert len(names) == 49
     assert sorted(conceptscope.__all__) == sorted(names)
     assert len(set(conceptscope.__all__)) == len(conceptscope.__all__)
 

@@ -25,7 +25,6 @@ from conceptscope.synthetic import (
     derive_seed,
     generate_dataset,
     make_rng,
-    run_theorem2_batch,
     sample_spherical_cap,
     split_example,
     theorem2_trial,
@@ -47,9 +46,9 @@ GOLDEN_HASHES = {
     },
 }
 
-# Pin the theorem2 records of run_theorem2_batch(epsilon, 0.1, dim, 20,
-# seed=0) over THEOREM2_CASES: (lhs_gap as float.hex(), n_used,
-# bound_holds) per trial, JSON-encoded.
+# Pin the theorem2 records of theorem2_trial(epsilon, 0.1, dim,
+# derive_seed(0, i)) for i < 20 over THEOREM2_CASES: (lhs_gap as
+# float.hex(), n_used, bound_holds) per trial, JSON-encoded.
 THEOREM2_CASES = ((0.2, 2), (0.2, 8), (0.2, 64), (0.9, 2))
 THEOREM2_RECORDS_SHA256 = "700d4365627141ba1e46d6e15e99c3b4cdd44f7c9f738c6aa744ae023a5e936c"
 
@@ -276,18 +275,22 @@ def test_theorem2_gap_with_forced_aligned_concept():
     assert float(np.max(gaps)) <= epsilon / 2.0 + 1e-12
 
 
+def _theorem2_trials(epsilon, delta, dim, trials, seed):
+    return [theorem2_trial(epsilon, delta, dim, derive_seed(seed, i)) for i in range(trials)]
+
+
 def test_theorem2_records_are_pinned():
     records = [
         [record.lhs_gap.hex(), record.n_used, record.bound_holds]
         for epsilon, dim in THEOREM2_CASES
-        for record in run_theorem2_batch(epsilon, 0.1, dim, 20, seed=0)
+        for record in _theorem2_trials(epsilon, 0.1, dim, 20, seed=0)
     ]
     digest = hashlib.sha256(json.dumps(records).encode("utf-8")).hexdigest()
     assert digest == THEOREM2_RECORDS_SHA256
 
 
 def test_theorem2_batch_derives_distinct_seeds():
-    records = run_theorem2_batch(0.3, 0.2, 4, trials=5, seed=7)
+    records = _theorem2_trials(0.3, 0.2, 4, trials=5, seed=7)
     assert len(records) == 5
     assert len({r.lhs_gap for r in records}) > 1
     assert derive_seed(7, 0) != derive_seed(7, 1)
@@ -295,8 +298,13 @@ def test_theorem2_batch_derives_distinct_seeds():
 
 
 def test_theorem2_suite_records_are_the_batch():
-    args = (0.3, 0.2, 4, 6, 11)
-    assert run_theorem2_suite(*args)[1] == run_theorem2_batch(*args)
+    epsilon, delta, dim = 0.3, 0.2, 4
+    records = run_theorem2_suite(epsilon, delta, dim, 6, 11)[1]
+    assert records == [
+        {"trial": i, "dim": dim, "epsilon": epsilon, "delta": delta,
+         "lhs_gap": r.lhs_gap, "n_used": r.n_used, "bound_holds": r.bound_holds}
+        for i, r in enumerate(_theorem2_trials(epsilon, delta, dim, 6, 11))
+    ]
 
 
 def test_axioms_suite_counts_failing_trials(monkeypatch):
@@ -312,6 +320,35 @@ def test_axioms_suite_counts_failing_trials(monkeypatch):
     report = run_axioms_suite(20, 0)
     assert report.lines[0] == "axioms/recursivity: FAIL (0/20 within 1e-12)"
     assert len(report.failures) > 20
+
+
+def test_axioms_linearity_fails_when_definedness_changes(monkeypatch):
+    # A duplicate-and-halve that also drops the h=+1 rows leaves the
+    # class-conditioned measure undefined wherever it was defined.
+    duplicate_and_halve, mixed = verify._duplicate_and_halve, []
+
+    def dropping_positives(dataset):
+        doubled = duplicate_and_halve(dataset)
+        keep = [i for i, p in enumerate(doubled.predictions) if p == -1]
+        mixed.append(0 < len(keep) < len(doubled))
+        if not mixed[-1]:
+            return doubled
+        total = math.fsum(doubled.weights[i] for i in keep)
+        return ConceptDataset(
+            [doubled.ids[i] for i in keep], [-1] * len(keep),
+            {name: [doubled.column(name)[i] for i in keep] for name in doubled.concept_names},
+            [doubled.weights[i] / total for i in keep])
+
+    monkeypatch.setattr(verify, "_duplicate_and_halve", dropping_positives)
+    report = run_axioms_suite(20, 0)
+    assert len(mixed) == 20 and 0 < sum(mixed) < 20
+    assert report.lines[1] == f"axioms/linearity: FAIL ({20 - sum(mixed)}/20 within 1e-12)"
+    undefined = {f["trial"] for f in report.failures
+                 if f["check"] == "linearity" and f["measure"] == "class_conditioned"}
+    assert undefined == {trial for trial, was_mixed in enumerate(mixed) if was_mixed}
+    assert all(f["detail"] == "definedness changed across duplicate-and-halve"
+               for f in report.failures
+               if f["check"] == "linearity" and f["measure"] == "class_conditioned")
 
 
 def test_hierarchy_world_is_deterministic_golden():
