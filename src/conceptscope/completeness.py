@@ -12,19 +12,21 @@ provided:
   agreement with h.
 
 The two must agree to 1e-12 on every binary dataset. The closed form
-reduces over the dataset's columns; the brute force is a scalar loop
-over rows with its own inline Kahan step and shares no intermediate
-with the closed form, so it serves as the oracle for that identity.
+reduces over the dataset's columns; the brute force sums each
+decoder's agreeing weights row by row and shares no intermediate with
+the closed form, so it serves as the oracle for that identity. Every
+sum is a ``math.fsum``, correctly rounded and so independent of row
+order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import compress
 
 from conceptscope.dataset import ConceptDataset
 from conceptscope.errors import DomainError
-from conceptscope.numerics import kahan_sum
 
 CLOSED_FORM = "closed_form"
 BRUTE_FORCE = "brute_force"
@@ -64,9 +66,9 @@ def _level_terms(
     terms: dict[int, tuple[float, float]] = {}
     for level in _LEVELS:
         mask = [value == float(level) for value in column]
-        weight = kahan_sum(compress(dataset.weights, mask))
+        weight = math.fsum(compress(dataset.weights, mask))
         if weight > 0.0:
-            signed = kahan_sum(compress(dataset.signed_weights, mask))
+            signed = math.fsum(compress(dataset.signed_weights, mask))
             terms[level] = (abs(signed / weight), weight)
     return terms
 
@@ -74,7 +76,7 @@ def _level_terms(
 def completeness_closed_form(dataset: ConceptDataset, concept: str) -> CompletenessScore:
     """Evaluate the closed form over the two concept levels."""
     terms = _level_terms(_binary_column(dataset, concept), dataset)
-    total = kahan_sum(
+    total = math.fsum(
         conditional * probability for conditional, probability in terms.values()
     )
     return CompletenessScore(
@@ -96,15 +98,11 @@ def completeness_brute_force(dataset: ConceptDataset, concept: str) -> Completen
     best: float | None = None
     for out_pos in (1, -1):
         for out_neg in (1, -1):
-            # Kahan sum of the agreeing weights, one row at a time.
-            total = correction = 0.0
-            for prediction, value, weight in zip(dataset.predictions, column, dataset.weights):
-                decoded = out_pos if value == 1.0 else out_neg
-                if prediction == decoded:
-                    adjusted = weight - correction
-                    new_total = total + adjusted
-                    correction = (new_total - total) - adjusted
-                    total = new_total
+            total = math.fsum(
+                weight
+                for prediction, value, weight in zip(dataset.predictions, column, dataset.weights)
+                if prediction == (out_pos if value == 1.0 else out_neg)
+            )
             if best is None or total > best:
                 best = total
     assert best is not None

@@ -43,7 +43,6 @@ from conceptscope.errors import (
     SchemaError,
     ValidationError,
 )
-from conceptscope.numerics import kahan_sum
 
 WEIGHT_SUM_TOLERANCE = 1e-9
 # Fewest characters per part when load_dataset splits its parse; a forked
@@ -71,7 +70,7 @@ class ConceptDataset:
     ground_truth: tuple[int | None, ...]
     # Pre-normalization weight total when loaded from a file.
     original_weight_total: float | None
-    # Kahan sum of ``weights`` in row order.
+    # ``math.fsum`` of ``weights``: correctly rounded, so independent of row order.
     weight_total: float
     # weight * prediction per row, the factor of every h-weighted sum.
     signed_weights: tuple[float, ...]
@@ -126,7 +125,7 @@ class ConceptDataset:
 
     @property
     def positives(self) -> tuple[list[bool], list[float], float, int]:
-        """Rows predicted +1: mask, their weights, Kahan weight total, row count.
+        """Rows predicted +1: mask, their weights, their ``math.fsum`` total, row count.
 
         Computed on first use and kept, since every concept shares it.
         """
@@ -134,7 +133,7 @@ class ConceptDataset:
         if positives is None:
             mask = [prediction == 1 for prediction in self.predictions]
             weights = list(compress(self.weights, mask))
-            positives = mask, weights, kahan_sum(weights), len(weights)
+            positives = mask, weights, math.fsum(weights), len(weights)
             self.__dict__["_positives"] = positives
         return positives
 
@@ -152,9 +151,8 @@ def _fill(
 ) -> None:
     """Set the fields of a dataset whose columns have passed ``_check_columns``."""
     if weight_total is None:
-        weight_total = kahan_sum(weights)
-        # Written so that a NaN total fails too.
-        if not abs(weight_total - 1.0) <= WEIGHT_SUM_TOLERANCE:
+        weight_total = _total(weights)
+        if abs(weight_total - 1.0) > WEIGHT_SUM_TOLERANCE:
             raise ValidationError(
                 f"weights sum to {weight_total!r}; expected 1 within {WEIGHT_SUM_TOLERANCE}"
             )
@@ -170,6 +168,14 @@ def _fill(
         _columns=dict(zip(names, columns)),
         _positives=None,
     )
+
+
+def _total(weights: Iterable[float]) -> float:
+    """``math.fsum(weights)``, or inf where the sum overflows a float."""
+    try:
+        return math.fsum(weights)
+    except OverflowError:
+        return math.inf
 
 
 def _fields(dataset: ConceptDataset) -> tuple:
@@ -492,7 +498,7 @@ def load_dataset(
         predictions, truths, columns = _normalize(predictions, truths, columns,
                                                   map(_types, columns))
     raw_weights = list(map(float, weights))
-    total = kahan_sum(raw_weights)
+    total = _total(raw_weights)
     if not math.isfinite(total):
         raise ValidationError("weight total overflows a float; scale the weights down")
     if total <= 0.0:

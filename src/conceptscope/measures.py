@@ -8,9 +8,10 @@ probability mass p(x), the measures are
     concept-conditioned  E[h(x) | c(x) >= t]   sufficiency of the concept
 
 estimated as weighted means over the dataset's columns. Each sum is a
-fixed-order Kahan sum (``numerics.kahan_sum``) in row order over the
-same IEEE products, (w*h)*c, w*c and w*h, so equal input bytes give
-bit-identical results. The per-dataset factors (w*h per row, the rows
+``math.fsum`` over the IEEE products (w*h)*c, w*c and w*h: correctly
+rounded (Shewchuk 1997), so the result depends only on the weighted
+examples, not on their order, and equal input bytes give bit-identical
+results. The per-dataset factors (w*h per row, the rows
 predicted +1 and their weight total) are computed once per dataset and
 shared by every concept. Empty conditioning sets raise
 UndefinedMeasureError rather than returning NaN.
@@ -33,7 +34,6 @@ from operator import mul
 
 from conceptscope.dataset import ConceptDataset
 from conceptscope.errors import DomainError, UndefinedMeasureError
-from conceptscope.numerics import kahan_sum
 
 SYMMETRIC = "symmetric"
 CLASS_CONDITIONED = "class_conditioned"
@@ -75,7 +75,7 @@ def symmetric_measure(
 ) -> MeasureResult:
     """Weighted mean of h(x)*c(x) over the whole dataset."""
     column = dataset.column(concept)
-    total = kahan_sum(map(mul, dataset.signed_weights, column))
+    total = math.fsum(map(mul, dataset.signed_weights, column))
     return MeasureResult(
         kind=SYMMETRIC,
         concept_name=concept,
@@ -97,7 +97,7 @@ def class_conditioned_measure(
             f"class-conditioned measure of {concept!r} is undefined:"
             " no weight on examples predicted +1"
         )
-    numerator = kahan_sum(map(mul, weights, compress(column, mask)))
+    numerator = math.fsum(map(mul, weights, compress(column, mask)))
     return MeasureResult(
         kind=CLASS_CONDITIONED,
         concept_name=concept,
@@ -127,13 +127,13 @@ def concept_conditioned_measure(
         raise DomainError(f"theta must lie in [-1, +1], got {theta!r}")
     mask = [value >= theta for value in column]
     count = sum(mask)
-    denominator = kahan_sum(compress(dataset.weights, mask))
+    denominator = math.fsum(compress(dataset.weights, mask))
     if count == 0 or denominator <= 0.0:
         raise UndefinedMeasureError(
             f"concept-conditioned measure of {concept!r} at theta={theta!r} is undefined:"
             " no weight on examples with the concept above threshold"
         )
-    numerator = kahan_sum(compress(dataset.signed_weights, mask))
+    numerator = math.fsum(compress(dataset.signed_weights, mask))
     return MeasureResult(
         kind=CONCEPT_CONDITIONED,
         concept_name=concept,

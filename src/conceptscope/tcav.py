@@ -20,13 +20,13 @@ use ``np.vecdot``, which gives each row the bits of a 1-D ``np.dot``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from conceptscope.embeddings import check_unit_vector, check_unit_vectors
 from conceptscope.errors import DomainError, UndefinedMeasureError, ValidationError
-from conceptscope.numerics import kahan_sum
 
 
 @dataclass(frozen=True)
@@ -103,4 +103,4 @@ def class_conditioned_from_embeddings(
         raise UndefinedMeasureError(
             "no examples are predicted positive; the conditional mean is undefined"
         )
-    return kahan_sum(np.vecdot(members, model.v).tolist()) / len(members)
+    return math.fsum(np.vecdot(members, model.v).tolist()) / len(members)

@@ -106,8 +106,9 @@ def _duplicate_and_halve(dataset: ConceptDataset) -> ConceptDataset:
 def _decomposition_gap(dataset: ConceptDataset, concept: str) -> float | None:
     """Check E[hc] = E[c|h=1] Pr(h=1) - E[c|h=-1] Pr(h=-1).
 
-    The h=-1 side is recomputed here with plain fsum so the check does
-    not reuse the package's summation path.
+    The h=-1 side is summed here over its own rows, so the check holds
+    the symmetric measure's one sum against a different partition of the
+    same sum: the h=+1 rows and the h=-1 rows, each summed apart.
     """
     negatives = [
         (weight, value)

@@ -1,15 +1,32 @@
 """Independent brute-force oracles used to check package results.
 
-Everything here is written with plain loops and math.fsum so it shares
-no code path with the package's Kahan reductions. The cap sampler
-rejects uniform directions instead of inverting the cap's CDF.
+The measure and completeness oracles sum the same float products as the
+package ((w*h)*c, w*c, w*h and weights) as exact ``fractions.Fraction``
+values and round the total once, with plain loops. The package's
+``math.fsum`` is correctly rounded, so its sums must equal these bit for
+bit, and tests compare them with ``==``. No summation algorithm is
+shared. The cap sampler rejects uniform directions instead of inverting
+the cap's CDF.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
+
+
+def exact_sum(values):
+    """The float nearest the exact sum of ``values``: one rounding, at the end."""
+    total = Fraction(0)
+    for value in values:
+        total += Fraction(value)
+    return float(total)
+
+
+def _clamp(value):
+    return min(1.0, max(-1.0, value))
 
 
 def _rows(dataset, concept):
@@ -17,26 +34,48 @@ def _rows(dataset, concept):
     return list(zip(dataset.predictions, dataset.column(concept), dataset.weights))
 
 
+def _conditional(members, product):
+    """(mean of ``product`` over the (h, c, w) ``members``, their weight), or None."""
+    total = exact_sum(weight for _, _, weight in members)
+    if not members or total <= 0.0:
+        return None
+    return _clamp(exact_sum(product(*row) for row in members) / total), total
+
+
 def naive_symmetric(dataset, concept):
-    return math.fsum(
-        weight * prediction * value for prediction, value, weight in _rows(dataset, concept)
-    )
+    """(value, effective_count) of the symmetric measure."""
+    rows = _rows(dataset, concept)
+    value = exact_sum(weight * prediction * value for prediction, value, weight in rows)
+    return _clamp(value), exact_sum(weight for _, _, weight in rows)
 
 
 def naive_class_conditioned(dataset, concept):
-    members = [row for row in _rows(dataset, concept) if row[0] == 1]
-    total = math.fsum(weight for _, _, weight in members)
-    if not members or total <= 0.0:
-        return None
-    return math.fsum(weight * value for _, value, weight in members) / total
+    """(value, effective_count), or None where the measure is undefined."""
+    return _conditional(
+        [row for row in _rows(dataset, concept) if row[0] == 1],
+        lambda prediction, value, weight: weight * value,
+    )
 
 
 def naive_concept_conditioned(dataset, concept, theta):
-    members = [row for row in _rows(dataset, concept) if row[1] >= theta]
-    total = math.fsum(weight for _, _, weight in members)
-    if not members or total <= 0.0:
-        return None
-    return math.fsum(weight * prediction for prediction, _, weight in members) / total
+    """(value, effective_count), or None where the measure is undefined."""
+    return _conditional(
+        [row for row in _rows(dataset, concept) if row[1] >= theta],
+        lambda prediction, value, weight: weight * prediction,
+    )
+
+
+def naive_closed_form(dataset, concept):
+    """(value, per_level_terms) of the completeness closed form."""
+    terms = {}
+    for level in (1, -1):
+        members = [row for row in _rows(dataset, concept) if row[1] == level]
+        weight = exact_sum(weight for _, _, weight in members)
+        if weight > 0.0:
+            signed = exact_sum(weight * prediction for prediction, _, weight in members)
+            terms[level] = (abs(signed / weight), weight)
+    total = exact_sum(conditional * probability for conditional, probability in terms.values())
+    return min(1.0, 0.5 + 0.5 * total), terms
 
 
 def naive_completeness(dataset, concept):
@@ -44,14 +83,14 @@ def naive_completeness(dataset, concept):
     best = None
     for out_pos in (1, -1):
         for out_neg in (1, -1):
-            score = math.fsum(
+            score = exact_sum(
                 weight
                 for prediction, value, weight in _rows(dataset, concept)
                 if prediction == (out_pos if value == 1.0 else out_neg)
             )
             if best is None or score > best:
                 best = score
-    return best
+    return min(1.0, best)
 
 
 def naive_vote_metrics(records, k):

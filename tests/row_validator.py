@@ -72,18 +72,15 @@ def check_rows(rows, names, where):
             raise _sign_error(at, "ground_truth", truth)
 
 
-def _kahan(values):
-    total = correction = 0.0
-    for value in values:
-        adjusted = value - correction
-        new_total = total + adjusted
-        correction = (new_total - total) - adjusted
-        total = new_total
-    return total
+def _sum(values):
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 def _check_sum(weights):
-    total = _kahan(weights)
+    total = _sum(weights)
     if not abs(total - 1.0) <= 1e-9:
         raise ValidationError(f"weights sum to {total!r}; expected 1 within 1e-09")
 
@@ -122,7 +119,7 @@ def check_jsonl(text):
             row[3] = 1.0 / len(rows)
     check_rows(rows, names, lambda i: f"line {linenos[i]}")
     weights = [float(row[3]) for row in rows]
-    total = _kahan(weights)
+    total = _sum(weights)
     if not math.isfinite(total):
         raise ValidationError("weight total overflows a float; scale the weights down")
     if total <= 0.0:

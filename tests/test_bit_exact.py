@@ -1,9 +1,10 @@
-"""The columnar reductions reproduce the row-loop Kahan sums bit for bit.
+"""The package's sums equal exact rational sums rounded once, in any row order.
 
 Datasets are written as JSONL with random, non-dyadic weights (some
 missing) and loaded with ``load_dataset``. The reference dataset is
-built from the parsed JSON objects, not from the loader's columns, and
-reduced with the row loops in ``row_kahan``. Every comparison is ``==``.
+built from the parsed JSON objects, not from the loader's columns, with
+its weights normalized by an exact ``Fraction`` total, and measured by
+the oracles in ``oracles.py``. Every comparison is ``==``.
 """
 
 import json
@@ -11,7 +12,6 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import row_kahan
 from conceptscope.completeness import completeness_brute_force, completeness_closed_form
 from conceptscope.dataset import ConceptDataset, load_dataset, with_ground_truth_predictions
 from conceptscope.errors import UndefinedMeasureError
@@ -19,6 +19,14 @@ from conceptscope.measures import (
     class_conditioned_measure,
     concept_conditioned_measure,
     symmetric_measure,
+)
+from oracles import (
+    exact_sum,
+    naive_class_conditioned,
+    naive_closed_form,
+    naive_completeness,
+    naive_concept_conditioned,
+    naive_symmetric,
 )
 
 NAMES = ("a", "b", "c")
@@ -58,13 +66,25 @@ def jsonl_files(draw, binary=False):
     return ("\n".join(lines) + "\n").encode()
 
 
-def reference_rows(data):
-    """Columns from the parsed JSON, weighted by the row-loop normalization."""
-    weights, _ = row_kahan.normalized_weights(data)
-    objs = [json.loads(line) for line in data.decode().splitlines()]
+def parsed(data):
+    return [json.loads(line) for line in data.decode().splitlines()]
+
+
+def normalized_weights(objs):
+    """The weight column ``load_dataset`` must produce from ``objs``, and the raw total."""
+    uniform = 1.0 / len(objs)
+    raw = [uniform if obj.get("weight") is None else float(obj["weight"]) for obj in objs]
+    total = exact_sum(raw)
+    return [w / total for w in raw], total
+
+
+def reference_rows(data, predictions="prediction"):
+    """Columns from the parsed JSON, with ``predictions`` read from that key."""
+    objs = parsed(data)
+    weights, _ = normalized_weights(objs)
     return ConceptDataset(
         [obj["id"] for obj in objs],
-        [obj["prediction"] for obj in objs],
+        [obj[predictions] for obj in objs],
         {name: [float(obj["concepts"][name]) for obj in objs] for name in NAMES},
         weights,
         [obj["ground_truth"] for obj in objs],
@@ -82,31 +102,29 @@ def measured(measure, *args):
 @given(jsonl_files())
 @settings(max_examples=150, deadline=None)
 def test_normalized_weights_are_bit_identical(data):
-    weights, total = row_kahan.normalized_weights(data)
+    weights, total = normalized_weights(parsed(data))
     dataset = load_dataset(data)
     assert dataset.weights == tuple(weights)
     assert dataset.original_weight_total == total
+    assert dataset.weight_total == exact_sum(weights)
 
 
 @given(jsonl_files(), st.floats(-1.0, 1.0, allow_nan=False))
 @settings(max_examples=150, deadline=None)
 def test_measures_are_bit_identical(data, theta):
     dataset = load_dataset(data)
-    rows = reference_rows(data)
-    series = [(dataset, rows), (with_ground_truth_predictions(dataset),
-                                row_kahan.with_ground_truth(rows))]
+    series = [(dataset, reference_rows(data)),
+              (with_ground_truth_predictions(dataset), reference_rows(data, "ground_truth"))]
     for columnar, reference in series:
         for name in NAMES:
-            assert measured(symmetric_measure, columnar, name) == row_kahan.symmetric(
+            assert measured(symmetric_measure, columnar, name) == naive_symmetric(
                 reference, name
             )
-            expected = row_kahan.class_conditioned(reference, name)
             assert measured(class_conditioned_measure, columnar, name) == (
-                expected and expected[:2]
+                naive_class_conditioned(reference, name)
             )
-            expected = row_kahan.concept_conditioned(reference, name, theta)
             assert measured(concept_conditioned_measure, columnar, name, theta) == (
-                expected and expected[:2]
+                naive_concept_conditioned(reference, name, theta)
             )
 
 
@@ -117,9 +135,34 @@ def test_completeness_is_bit_identical(data):
     rows = reference_rows(data)
     for name in NAMES:
         closed = completeness_closed_form(dataset, name)
-        value, terms = row_kahan.completeness(rows, name)
-        assert closed.value == value
-        assert closed.per_level_terms == terms
-        assert completeness_brute_force(dataset, name).value == row_kahan.brute_force(
-            rows, name
-        )
+        assert (closed.value, closed.per_level_terms) == naive_closed_form(rows, name)
+        assert completeness_brute_force(dataset, name).value == naive_completeness(rows, name)
+
+
+def results(dataset, theta, binary):
+    """Every total, measure and (on binary concepts) completeness of both series."""
+    out = [dataset.weight_total, dataset.original_weight_total]
+    for series in (dataset, with_ground_truth_predictions(dataset)):
+        for name in NAMES:
+            out += [
+                measured(symmetric_measure, series, name),
+                measured(class_conditioned_measure, series, name),
+                measured(concept_conditioned_measure, series, name, theta),
+            ]
+            if binary:
+                closed = completeness_closed_form(series, name)
+                brute = completeness_brute_force(series, name)
+                out += [closed.value, closed.per_level_terms, brute.value]
+    return out
+
+
+@given(st.booleans().flatmap(lambda binary: st.tuples(st.just(binary), jsonl_files(binary))),
+       st.floats(-1.0, 1.0, allow_nan=False), st.data())
+@settings(max_examples=150, deadline=None)
+def test_results_do_not_depend_on_row_order(file, theta, draw):
+    binary, data = file
+    lines = data.decode().splitlines()
+    permuted = ("\n".join(draw.draw(st.permutations(lines))) + "\n").encode()
+    assert results(load_dataset(permuted), theta, binary) == results(
+        load_dataset(data), theta, binary
+    )

@@ -8,7 +8,7 @@ from conceptscope.completeness import (
 )
 from conceptscope.dataset import ConceptDataset
 from conceptscope.errors import DomainError, SchemaError
-from oracles import naive_completeness
+from oracles import naive_closed_form, naive_completeness
 
 
 def dataset(rows):
@@ -87,6 +87,8 @@ def test_matches_naive_oracle():
     ds = dataset(
         [(1, 1.0, 0.3), (-1, 1.0, 0.1), (1, -1.0, 0.15), (-1, -1.0, 0.45)]
     )
-    expected = naive_completeness(ds, "s")
-    assert completeness_brute_force(ds, "s").value == pytest.approx(expected, abs=1e-15)
-    assert completeness_closed_form(ds, "s").value == pytest.approx(expected, abs=1e-12)
+    brute = completeness_brute_force(ds, "s")
+    closed = completeness_closed_form(ds, "s")
+    assert brute.value == naive_completeness(ds, "s")
+    assert (closed.value, closed.per_level_terms) == naive_closed_form(ds, "s")
+    assert abs(closed.value - brute.value) <= 1e-12

@@ -121,7 +121,7 @@ def test_all_zero_weights_rejected():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_overflowing_weight_total_rejected(n):
-    # Kahan-summing three 1e308 weights gives NaN, two give inf.
+    # Two or three 1e308 weights overflow the float sum.
     lines = [_line(id=f"x{i}", prediction=1, concepts={"s": 1.0}, weight=1e308)
              for i in range(n)]
     with pytest.raises(ValidationError, match="weight total overflows"):

@@ -40,7 +40,7 @@ def test_symmetric_weighted_example():
     ds = dataset([(1, [0.5], 0.6), (-1, [0.2], 0.4)])
     result = symmetric_measure(ds, "s")
     assert result.value == pytest.approx(0.22, abs=1e-15)
-    assert result.value == pytest.approx(naive_symmetric(ds, "s"), abs=1e-15)
+    assert (result.value, result.effective_count) == naive_symmetric(ds, "s")
     assert result.kind == "symmetric"
     assert result.effective_count == pytest.approx(1.0, abs=1e-12)
 
@@ -69,7 +69,7 @@ def test_class_conditioned_weighted_mean():
     ds = dataset([(1, [0.8], 0.25), (1, [-0.4], 0.25), (-1, [1.0], 0.5)])
     result = class_conditioned_measure(ds, "s")
     assert result.value == pytest.approx(0.2, abs=1e-15)
-    assert result.value == pytest.approx(naive_class_conditioned(ds, "s"), abs=1e-15)
+    assert (result.value, result.effective_count) == naive_class_conditioned(ds, "s")
     assert result.effective_count == pytest.approx(0.5, abs=1e-12)
 
 
@@ -90,7 +90,7 @@ def test_concept_conditioned_filter_and_average():
     ds = dataset([(1, [0.9], 0.5), (-1, [0.7], 0.25), (1, [0.1], 0.25)])
     result = concept_conditioned_measure(ds, "s", 0.5)
     assert result.value == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert result.value == pytest.approx(naive_concept_conditioned(ds, "s", 0.5), abs=1e-15)
+    assert (result.value, result.effective_count) == naive_concept_conditioned(ds, "s", 0.5)
 
 
 def test_concept_conditioned_boundary_tie_included():

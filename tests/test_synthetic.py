@@ -18,7 +18,6 @@ from conceptscope.measures import (
     concept_conditioned_measure,
     symmetric_measure,
 )
-from conceptscope.numerics import kahan_sum
 from conceptscope.synthetic import (
     SyntheticSpec,
     cap_probability,
@@ -73,7 +72,7 @@ def test_planted_half_exact_at_n8():
         SyntheticSpec(n_examples=8, n_concepts=1, seed=3, planted_measures={"stripes": 0.5})
     )
     assert symmetric_measure(ds, "stripes").value == 0.5
-    assert naive_symmetric(ds, "stripes") == pytest.approx(0.5, abs=1e-15)
+    assert naive_symmetric(ds, "stripes")[0] == 0.5
 
 
 def test_planted_within_one_over_n():
@@ -139,16 +138,16 @@ def test_dyadic_weights_sum_exactly_one():
     ds = generate_dataset(
         SyntheticSpec(n_examples=7, n_concepts=1, seed=10, weight_kind="dyadic")
     )
-    assert kahan_sum(ds.weights) == 1.0
+    assert math.fsum(ds.weights) == 1.0
 
 
 def test_split_preserves_total_weight_exactly_on_dyadic():
     ds = generate_dataset(
         SyntheticSpec(n_examples=9, n_concepts=2, seed=11, weight_kind="dyadic")
     )
-    before = kahan_sum(ds.weights)
+    before = math.fsum(ds.weights)
     split = split_example(ds, ds.ids[4], 3 / 16)
-    after = kahan_sum(split.weights)
+    after = math.fsum(split.weights)
     assert before == after
     assert len(split.ids) == len(ds.ids) + 1
 

@@ -13,6 +13,7 @@ from conceptscope.tcav import (
     tcav_continuous,
     tcav_discrete,
 )
+from oracles import exact_sum
 
 
 def unit(*components):
@@ -139,17 +140,9 @@ def row_loop_margins(w_h, theta_h, rows):
 
 
 def row_loop_conditional(w_h, theta_h, v, rows):
-    """The per-row reference: membership, concept value and a Kahan step per row."""
-    total = correction = 0.0
-    count = 0
-    for row in rows:
-        if float(np.dot(w_h, row)) - theta_h > 0.0:
-            adjusted = float(np.dot(row, v)) - correction
-            new_total = total + adjusted
-            correction = (new_total - total) - adjusted
-            total = new_total
-            count += 1
-    return total / count if count else None
+    """The per-row reference: membership, then the members' concept values summed exactly."""
+    values = [float(np.dot(row, v)) for row in rows if float(np.dot(w_h, row)) - theta_h > 0.0]
+    return exact_sum(values) / len(values) if values else None
 
 
 @settings(max_examples=200, deadline=None)
