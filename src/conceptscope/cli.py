@@ -12,6 +12,7 @@ All command output is byte-stable for fixed inputs and seeds.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -21,17 +22,18 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 import click
+from click.core import ParameterSource
 
 from conceptscope import report as report_mod
 from conceptscope.completeness import completeness_brute_force, completeness_closed_form
 from conceptscope.dataset import check_schema, load_dataset
 from conceptscope.errors import (
-    JSON_ERRORS,
     ConceptScopeError,
     DomainError,
     OracleMismatchError,
     ParseError,
     ValidationError,
+    load_json,
 )
 from conceptscope.measures import (
     CLASS_CONDITIONED,
@@ -267,11 +269,7 @@ def _load_model(path: str) -> LinearConceptModel:
     from conceptscope.embeddings import parse_dim, parse_vector
     from conceptscope.tcav import LinearConceptModel
 
-    data = _read_file(path)
-    try:
-        obj = json.loads(data.decode("utf-8"))
-    except JSON_ERRORS as exc:
-        raise ParseError(f"invalid model file {path}: {exc}") from None
+    obj = load_json(_read_file(path), f"model file {path}")
     if not isinstance(obj, dict):
         raise ParseError(f"model file {path} must be a JSON object")
     for key in ("dim", "w_h", "theta_h", "v"):
@@ -283,7 +281,6 @@ def _load_model(path: str) -> LinearConceptModel:
         w_h=parse_vector(obj["w_h"], dim, f"{where} 'w_h'"),
         theta_h=_finite_number(obj["theta_h"], f"{where} 'theta_h'"),
         v=parse_vector(obj["v"], dim, f"{where} 'v'"),
-        dim=dim,
     )
 
 
@@ -294,8 +291,6 @@ def _load_model(path: str) -> LinearConceptModel:
 @_cli_errors
 def tcav_cmd(model_path, embeddings_path, output):
     """Concept scores of a linear head over an embedding file."""
-    import numpy as np
-
     from conceptscope.embeddings import load_vector_file
     from conceptscope.tcav import (
         class_conditioned_from_embeddings,
@@ -305,12 +300,11 @@ def tcav_cmd(model_path, embeddings_path, output):
     )
 
     model = _load_model(model_path)
-    vector_file = load_vector_file(_read_file(embeddings_path))
-    if vector_file.dim != model.dim:
+    embeddings = load_vector_file(_read_file(embeddings_path)).vectors
+    if embeddings.shape[1] != model.dim:
         raise ValidationError(
-            f"embedding dim {vector_file.dim} does not match model dim {model.dim}"
+            f"embedding dim {embeddings.shape[1]} does not match model dim {model.dim}"
         )
-    embeddings = np.stack([entry.values for entry in vector_file.entries])
     members = embeddings[decision_margins(model, embeddings) > 0.0]
     conditional = class_conditioned_from_embeddings(model, embeddings)
     continuous = tcav_continuous(model, members)
@@ -335,11 +329,7 @@ def plan_cmd(epsilon, delta):
 def _load_plans(path: str) -> list[EditPlan]:
     from conceptscope.prompts import EditPlan
 
-    data = _read_file(path)
-    try:
-        obj = json.loads(data.decode("utf-8"))
-    except JSON_ERRORS as exc:
-        raise ParseError(f"invalid plan file {path}: {exc}") from None
+    obj = load_json(_read_file(path), f"plan file {path}")
     raw_plans = obj if isinstance(obj, list) else [obj]
     plans = []
     for index, raw in enumerate(raw_plans):
@@ -349,12 +339,17 @@ def _load_plans(path: str) -> list[EditPlan]:
             class_name, concept_names, lam = raw["class_name"], raw["concept_names"], raw["lambda"]
         except KeyError as exc:
             raise ValidationError(f"plan[{index}] is missing {exc.args[0]!r}") from None
+        if not isinstance(class_name, str):
+            raise ValidationError(f"plan[{index}] 'class_name' must be a string")
         if not isinstance(concept_names, list) or not all(
             isinstance(name, str) for name in concept_names
         ):
             raise ValidationError(f"plan[{index}] 'concept_names' must be a list of strings")
         lam = _finite_number(lam, f"plan[{index}] 'lambda'")
-        plans.append(EditPlan(class_name, tuple(concept_names), lam))
+        try:
+            plans.append(EditPlan(class_name, tuple(concept_names), lam))
+        except ValidationError as exc:
+            raise ValidationError(f"plan[{index}]: {exc}") from None
     if not plans:
         raise ValidationError(f"plan file {path} contains no plans")
     return plans
@@ -376,48 +371,37 @@ def edit_cmd(prompts_path, concepts_path, plan_path, images_path, out_prompts,
     """Apply edit PLAN to PROMPTS and evaluate on labeled IMAGES."""
     import numpy as np
 
-    from conceptscope.embeddings import (
-        VectorEntry,
-        dump_vector_file,
-        load_vector_file,
-        unit_normalize,
-    )
+    from conceptscope.embeddings import dump_vector_file, load_vector_file, unit_normalize
     from conceptscope.prompts import classify, edit_prompt, evaluate
 
     prompt_file = load_vector_file(_read_file(prompts_path))
     concept_file = load_vector_file(_read_file(concepts_path))
-    if prompt_file.dim != concept_file.dim:
-        raise ValidationError(
-            f"prompt dim {prompt_file.dim} does not match concept dim {concept_file.dim}"
-        )
-    names = [e.id for e in prompt_file.entries]
-    prompts = np.stack([e.values for e in prompt_file.entries])
-    concept_row = {e.id: i for i, e in enumerate(concept_file.entries)}
-    concepts = np.stack([e.values for e in concept_file.entries])
+    names, prompts, concepts = prompt_file.ids, prompt_file.vectors, concept_file.vectors
+    dim = prompts.shape[1]
+    if concepts.shape[1] != dim:
+        raise ValidationError(f"prompt dim {dim} does not match concept dim {concepts.shape[1]}")
+    concept_row = {name: i for i, name in enumerate(concept_file.ids)}
     plans = _load_plans(plan_path)
 
     image_file = load_vector_file(_read_file(images_path))
-    if image_file.dim != prompt_file.dim:
-        raise ValidationError(
-            f"image dim {image_file.dim} does not match prompt dim {prompt_file.dim}"
-        )
-    labels = [e.label for e in image_file.entries]
+    images, labels = image_file.vectors, image_file.labels
+    if images.shape[1] != dim:
+        raise ValidationError(f"image dim {images.shape[1]} does not match prompt dim {dim}")
     if None in labels:
-        unlabeled = image_file.entries[labels.index(None)].id
+        unlabeled = image_file.ids[labels.index(None)]
         raise ValidationError(f"image {unlabeled!r} has no 'label'; evaluation needs one")
-    images = np.stack([e.values for e in image_file.entries])
 
     # Each plan edits the original class row; a later plan for the same
     # class replaces an earlier one.
     edited = prompts.copy()
-    for plan in plans:
+    for index, plan in enumerate(plans):
         if plan.class_name not in names:
-            raise ValidationError(f"plan names unknown class {plan.class_name!r}")
+            raise ValidationError(f"plan[{index}] names unknown class {plan.class_name!r}")
         position = names.index(plan.class_name)
         try:
             rows = [concept_row[name] for name in plan.concept_names]
         except KeyError as exc:
-            raise ValidationError(f"plan names unknown concept {exc.args[0]!r}") from None
+            raise ValidationError(f"plan[{index}] names unknown concept {exc.args[0]!r}") from None
         vector = edit_prompt(prompts[position], concepts[rows], plan.lam)
         if renormalize:
             vector = unit_normalize(vector, f"edited prompt {plan.class_name!r}")
@@ -427,16 +411,8 @@ def edit_cmd(prompts_path, concepts_path, plan_path, images_path, out_prompts,
     original_eval = evaluate(name_of_row[classify(images, prompts)], labels)
     edited_eval = evaluate(name_of_row[classify(images, edited)], labels)
     payload = {
-        "original": {
-            "accuracy": original_eval.accuracy,
-            "macro_f1": original_eval.macro_f1,
-            "per_class": original_eval.per_class,
-        },
-        "edited": {
-            "accuracy": edited_eval.accuracy,
-            "macro_f1": edited_eval.macro_f1,
-            "per_class": edited_eval.per_class,
-        },
+        "original": dataclasses.asdict(original_eval),
+        "edited": dataclasses.asdict(edited_eval),
         "plans": [
             {"class_name": p.class_name, "concept_names": list(p.concept_names),
              "lambda": p.lam}
@@ -444,8 +420,7 @@ def edit_cmd(prompts_path, concepts_path, plan_path, images_path, out_prompts,
         ],
     }
     if out_prompts:
-        entries = [VectorEntry(id=name, values=row) for name, row in zip(names, edited)]
-        _write_file(out_prompts, dump_vector_file(prompt_file.dim, entries))
+        _write_file(out_prompts, dump_vector_file(names, edited))
     _emit_json(payload, output)
 
 
@@ -478,8 +453,14 @@ def votes_cmd(votes_path, ks, output):
 @_cli_errors
 def verify_cmd(suite, trials, seed, epsilon, delta, dim, records_path):
     """Run a verification suite; exit 0 only if every check passes."""
-    if records_path and suite != "theorem2":
-        raise DomainError(f"--records applies only to --suite theorem2, not --suite {suite}")
+    if suite != "theorem2":
+        # Options only theorem2 reads; a default is not a given option.
+        ctx = click.get_current_context()
+        for param in ctx.command.params:
+            if (param.name in ("epsilon", "delta", "dim", "records_path")
+                    and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE):
+                raise DomainError(
+                    f"{param.opts[0]} applies only to --suite theorem2, not --suite {suite}")
     from conceptscope.verify import run_axioms_suite, run_theorem1_suite, run_theorem2_suite
 
     if suite == "axioms":

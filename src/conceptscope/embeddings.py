@@ -1,48 +1,42 @@
-"""Shared JSON vector-file format.
+"""Shared JSON vector-file format, and the package's vector checks.
 
     {"dim": D, "vectors": [{"id": "...", "values": [... D floats ...]},
                             ...]}
 
-Loaded vectors are normalized to unit Euclidean norm; zero or
-non-finite vectors are rejected. A vector entry may carry an optional
-"label" string, used by image files in zero-shot evaluation. The
-writer emits raw values without renormalizing, so edited (non-unit)
+``load_vector_file`` returns the ids, the optional "label" strings
+(used by image files in zero-shot evaluation) and one ``(n, D)`` array
+of unit rows in file order; zero or non-finite vectors are rejected.
+A dimension is read from an array's shape, never kept beside it. The
+writer emits raw rows without renormalizing, so edited (non-unit)
 prompts round-trip unchanged.
 
 ``parse_vector`` is the one reader of a JSON vector (vector files and
-model files). ``check_unit_vectors`` is the package's one unit-norm
-check, for a single vector and for the rows of an ``(n, dim)`` array
-alike; it and ``unit_normalize`` take norms as sqrt(vecdot(x, x)).
+model files), and ``as_rows`` the one ``(n, dim)`` shape check.
+``check_unit_vectors`` is the package's one unit-norm check, for a
+single vector and for the rows of an ``(n, dim)`` array alike; it and
+``unit_normalize`` take norms as sqrt(vecdot(x, x)).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import BinaryIO, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from conceptscope.errors import JSON_ERRORS, ParseError, ValidationError
+from conceptscope.errors import ParseError, ValidationError, load_json
 
 UNIT_NORM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
-class VectorEntry:
-    id: str
-    values: np.ndarray
-    label: str | None = None
-
-
-@dataclass(frozen=True)
 class VectorFile:
-    dim: int
-    entries: tuple[VectorEntry, ...]
+    """The entries of a vector file: ``vectors[i]`` is the unit row of ``ids[i]``."""
 
-
-def _read_bytes(source: bytes | BinaryIO) -> bytes:
-    return source if isinstance(source, bytes) else source.read()
+    ids: tuple[str, ...]
+    labels: tuple[str | None, ...]
+    vectors: np.ndarray
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:
@@ -73,6 +67,15 @@ def check_unit_vector(vector: np.ndarray, what: str) -> None:
     if vector.ndim != 1:
         raise ValidationError(f"{what} must be a 1-D vector")
     check_unit_vectors(vector, what)
+
+
+def as_rows(array: np.ndarray, what: str, dim: int | None = None) -> np.ndarray:
+    """``array`` as float64 rows, with ``dim`` columns when one is given."""
+    rows = np.asarray(array, dtype=np.float64)
+    if rows.ndim != 2 or (dim is not None and rows.shape[1] != dim):
+        shape = f"(n, {dim})" if dim is not None else "(n, dim)"
+        raise ValidationError(f"{what} must be an {shape} array, got shape {rows.shape}")
+    return rows
 
 
 def unit_normalize(vector: np.ndarray, what: str) -> np.ndarray:
@@ -108,13 +111,9 @@ def parse_vector(raw: object, dim: int, what: str) -> np.ndarray:
     return unit_normalize(vector, what)
 
 
-def load_vector_file(source: bytes | BinaryIO) -> VectorFile:
-    """Parse and unit-normalize a vector file."""
-    data = _read_bytes(source)
-    try:
-        obj = json.loads(data.decode("utf-8"))
-    except JSON_ERRORS as exc:
-        raise ParseError(f"invalid vector file: {exc}") from None
+def load_vector_file(data: bytes) -> VectorFile:
+    """Parse a vector file; each entry is checked and unit-normalized in file order."""
+    obj = load_json(data, "vector file")
     if not isinstance(obj, dict):
         raise ParseError("vector file must be a JSON object")
 
@@ -123,7 +122,9 @@ def load_vector_file(source: bytes | BinaryIO) -> VectorFile:
     if not isinstance(vectors, list) or not vectors:
         raise ValidationError("'vectors' must be a non-empty list")
 
-    entries: list[VectorEntry] = []
+    ids: list[str] = []
+    labels: list[str | None] = []
+    rows: list[np.ndarray] = []
     seen: set[str] = set()
     for index, item in enumerate(vectors):
         where = f"vectors[{index}]"
@@ -135,25 +136,19 @@ def load_vector_file(source: bytes | BinaryIO) -> VectorFile:
         if vector_id in seen:
             raise ValidationError(f"{where}: duplicate id {vector_id!r}")
         seen.add(vector_id)
-        values = parse_vector(item.get("values"), dim, f"{where}: 'values' of {vector_id!r}")
+        rows.append(parse_vector(item.get("values"), dim, f"{where}: 'values' of {vector_id!r}"))
         label = item.get("label")
         if label is not None and not isinstance(label, str):
             raise ValidationError(f"{where}: 'label' must be a string when present")
-        entries.append(VectorEntry(id=vector_id, values=values, label=label))
-    return VectorFile(dim=dim, entries=tuple(entries))
+        ids.append(vector_id)
+        labels.append(label)
+    return VectorFile(ids=tuple(ids), labels=tuple(labels), vectors=np.stack(rows))
 
 
-def dump_vector_file(dim: int, entries: Sequence[VectorEntry]) -> bytes:
-    """Serialize entries with stable bytes (raw values, no renormalizing)."""
+def dump_vector_file(ids: Sequence[str], vectors: np.ndarray) -> bytes:
+    """Serialize ``(n, dim)`` rows under ``ids`` with stable bytes (raw, not renormalized)."""
     payload = {
-        "dim": dim,
-        "vectors": [
-            {
-                "id": entry.id,
-                "values": [float(v) for v in entry.values],
-                **({"label": entry.label} if entry.label is not None else {}),
-            }
-            for entry in entries
-        ],
+        "dim": vectors.shape[1],
+        "vectors": [{"id": id_, "values": row.tolist()} for id_, row in zip(ids, vectors)],
     }
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")

@@ -6,10 +6,13 @@ command layer and library callers agree on what a failure means.
 
 from __future__ import annotations
 
+import json
+
 # What UTF-8 decoding and ``json.loads`` raise on bad input. ValueError
 # covers invalid UTF-8, invalid JSON and integer literals longer than
 # the int-to-str digit limit; RecursionError covers nesting too deep to
-# parse. Every JSON loader turns these into ParseError.
+# parse. ``load_json``, the reader of whole JSON files, and the JSONL
+# scanner in ``dataset`` turn these into ParseError.
 JSON_ERRORS = (ValueError, RecursionError)
 
 
@@ -57,3 +60,11 @@ class OracleMismatchError(ConceptScopeError):
     """A brute-force oracle disagreed with the closed form it checks."""
 
     exit_code = 1
+
+
+def load_json(data: bytes, what: str) -> object:
+    """``data`` parsed as UTF-8 JSON; bad bytes raise ParseError("invalid {what}: ...")."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except JSON_ERRORS as exc:
+        raise ParseError(f"invalid {what}: {exc}") from None

@@ -1,10 +1,11 @@
 """Zero-shot classification over prompt embeddings, and prompt editing.
 
 Prompts, concepts and images are ``(n, dim)`` float64 arrays, one row
-per vector; class names travel beside them as a tuple. Classification
-scores every image against every prompt in one call and picks each
-image's best prompt row. Editing subtracts a scaled mean of concept
-rows from one class vector:
+per vector, as ``embeddings.load_vector_file`` returns them; class
+names travel beside them as a tuple, and ``embeddings.as_rows`` checks
+each array's shape. Classification scores every image against every
+prompt in one call and picks each image's best prompt row. Editing
+subtracts a scaled mean of concept rows from one class vector:
 
     edited = class_vector - lam * mean(concept_rows)
 
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from conceptscope.embeddings import check_unit_vector, check_unit_vectors
+from conceptscope.embeddings import as_rows, check_unit_vector, check_unit_vectors
 from conceptscope.errors import DomainError, ValidationError
 
 # Default grid for fitting the subtraction scale: 0, 0.02, ..., 0.5.
@@ -51,15 +52,6 @@ class EvalReport:
     per_class: dict[str, float]
 
 
-def _rows(array: np.ndarray, what: str, dim: int | None = None) -> np.ndarray:
-    """``array`` as float64 rows, with ``dim`` columns when one is given."""
-    rows = np.asarray(array, dtype=np.float64)
-    if rows.ndim != 2 or (dim is not None and rows.shape[1] != dim):
-        shape = f"(n, {dim})" if dim is not None else "(n, dim)"
-        raise ValidationError(f"{what} must be an {shape} array, got shape {rows.shape}")
-    return rows
-
-
 def classify(images: np.ndarray, prompts: np.ndarray) -> np.ndarray:
     """Row index of each image's best prompt, by dot product.
 
@@ -71,11 +63,11 @@ def classify(images: np.ndarray, prompts: np.ndarray) -> np.ndarray:
     """
     if not len(prompts):
         raise DomainError("prompts must be non-empty")
-    prompts = _rows(prompts, "prompts")
+    prompts = as_rows(prompts, "prompts")
     bad = np.flatnonzero(~np.isfinite(prompts).all(axis=1))
     if bad.size:
         raise ValidationError(f"prompt {bad[0]} has non-finite components")
-    images = _rows(images, "images", prompts.shape[1])
+    images = as_rows(images, "images", prompts.shape[1])
     return np.argmax(np.vecdot(images[:, None, :], prompts[None, :, :]), axis=1)
 
 
@@ -87,7 +79,7 @@ def edit_prompt(vector: np.ndarray, concept_rows: np.ndarray, lam: float) -> np.
         raise DomainError(f"lambda must be finite, got {lam!r}")
     vector = np.asarray(vector, dtype=np.float64)
     check_unit_vector(vector, "class prompt")
-    concept_rows = _rows(concept_rows, "concept prompts", vector.shape[0])
+    concept_rows = as_rows(concept_rows, "concept prompts", vector.shape[0])
     check_unit_vectors(concept_rows, "concept prompt")
     return vector - float(lam) * np.mean(concept_rows, axis=0)
 
@@ -147,7 +139,7 @@ def fit_lambda(
     names = tuple(names)
     if class_name not in names:
         raise ValidationError(f"no class prompt named {class_name!r}")
-    prompts = _rows(prompts, "prompts")
+    prompts = as_rows(prompts, "prompts")
     if len(prompts) != len(names):
         raise ValidationError(f"{len(names)} class names for {len(prompts)} prompts")
     check_unit_vectors(prompts, "class prompt")

@@ -114,7 +114,7 @@ def _weights(spec: SyntheticSpec, rng: np.random.Generator) -> list[float]:
         return [int(c) / scale for c in counts]
     if spec.weight_kind == WEIGHTS_RANDOM:
         raw = rng.uniform(0.05, 1.0, size=n)
-        total = float(np.sum(raw))
+        total = math.fsum(raw.tolist())
         return [float(w) / total for w in raw]
     raise DomainError(f"unknown weight_kind {spec.weight_kind!r}")
 
@@ -329,7 +329,7 @@ def theorem2_trial(epsilon: float, delta: float, dim: int, seed: int) -> Theorem
     v = random_unit_vector(rng, dim)
     theta_h = 1.0 - epsilon * epsilon / 8.0
     points = sample_spherical_cap(rng, w_h, theta_h, n)
-    model = LinearConceptModel(w_h=w_h, theta_h=theta_h, v=v, dim=dim)
+    model = LinearConceptModel(w_h=w_h, theta_h=theta_h, v=v)
     members = points[decision_margins(model, points) > 0.0]
     if not len(members):
         raise SamplingError("no sampled embedding fell strictly inside the class")

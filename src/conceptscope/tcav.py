@@ -14,8 +14,10 @@ score approximates: the mean concept value over examples the head
 predicts positive.
 
 Embeddings come in as one ``(n, dim)`` float64 array, one unit row g(x)
-per example; errors name an example by its row index. Row dot products
-use ``np.vecdot``, which gives each row the bits of a 1-D ``np.dot``.
+per example, whose shape ``embeddings.as_rows`` checks; errors name an
+example by its row index. A model's ``dim`` is the length of w_h. Row
+dot products use ``np.vecdot``, which gives each row the bits of a 1-D
+``np.dot``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from conceptscope.embeddings import check_unit_vector, check_unit_vectors
+from conceptscope.embeddings import as_rows, check_unit_vector, check_unit_vectors
 from conceptscope.errors import DomainError, UndefinedMeasureError, ValidationError
 
 
@@ -36,18 +38,20 @@ class LinearConceptModel:
     w_h: np.ndarray
     theta_h: float
     v: np.ndarray
-    dim: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "w_h", np.asarray(self.w_h, dtype=np.float64))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=np.float64))
         check_unit_vector(self.w_h, "w_h")
         check_unit_vector(self.v, "v")
-        if self.w_h.shape[0] != self.dim or self.v.shape[0] != self.dim:
+        if self.w_h.shape != self.v.shape:
             raise ValidationError(
-                f"w_h and v must both have dim {self.dim},"
-                f" got {self.w_h.shape[0]} and {self.v.shape[0]}"
+                f"w_h and v must have the same dim, got {self.w_h.shape[0]} and {self.v.shape[0]}"
             )
+
+    @property
+    def dim(self) -> int:
+        return self.w_h.shape[0]
 
 
 def decision_margins(model: LinearConceptModel, embeddings: np.ndarray) -> np.ndarray:
@@ -55,11 +59,7 @@ def decision_margins(model: LinearConceptModel, embeddings: np.ndarray) -> np.nd
 
     ``embeddings`` must be an ``(n, dim)`` array of finite unit rows.
     """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    if embeddings.ndim != 2 or embeddings.shape[1] != model.dim:
-        raise ValidationError(
-            f"embeddings must be an (n, {model.dim}) array, got shape {embeddings.shape}"
-        )
+    embeddings = as_rows(embeddings, "embeddings", model.dim)
     check_unit_vectors(embeddings, "embedding")
     return np.vecdot(embeddings, model.w_h) - model.theta_h
 

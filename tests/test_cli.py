@@ -239,6 +239,12 @@ def test_edit_golden_report(runner, fixtures):
     assert payload["edited"]["macro_f1"] > payload["original"]["macro_f1"]
 
 
+# sha256 of the --out-prompts file of the golden edit command, plain and
+# with --renormalize: pins the writer's bytes, which no golden covers.
+OUT_PROMPTS_SHA256 = "0f13c8fc312688e5f740c329603977db81e5be576fdc064bd0f9c5213ad7427b"
+RENORMALIZED_OUT_PROMPTS_SHA256 = "61d11e78dd333a47dbd82e6858b1a0d37347cd591c14b06a8440bcfc78b2cca4"
+
+
 def test_edit_writes_unnormalized_prompts(runner, fixtures, tmp_path):
     out = tmp_path / "edited.json"
     invoke(
@@ -251,6 +257,7 @@ def test_edit_writes_unnormalized_prompts(runner, fixtures, tmp_path):
     # a = (0.8, 0, 0.6, 0) minus 0.5 * (0, 0, 1, 0); not renormalized.
     assert edited["a"] == pytest.approx([0.8, 0.0, 0.1, 0.0])
     assert edited["b"] == pytest.approx([0.0, 1.0, 0.0, 0.0])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OUT_PROMPTS_SHA256
 
 
 def test_edit_renormalize_bytes_are_pinned(runner, fixtures, tmp_path):
@@ -272,6 +279,19 @@ def test_edit_renormalize_bytes_are_pinned(runner, fixtures, tmp_path):
         ],
     }
     assert out.read_bytes() == (json.dumps(expected, indent=2, sort_keys=True) + "\n").encode()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RENORMALIZED_OUT_PROMPTS_SHA256
+
+
+def test_vector_file_error_names_the_first_faulty_entry(runner, fixtures, tmp_path):
+    embeddings = tmp_path / "embeddings.json"
+    embeddings.write_text(json.dumps({"dim": 4, "vectors": [
+        {"id": "e0", "values": [1.0, 0.0, 0.0, 0.0]},
+        {"id": "e1", "values": [0.0, 0.0, 0.0, 0.0]},
+        {"id": "e2", "values": [1.0, 0.0]},
+    ]}))
+    result = invoke_input_error(runner, ["tcav", str(fixtures["model"]), str(embeddings)])
+    assert result.stderr == (
+        "error: vectors[1]: 'values' of 'e1' has norm 0.0 and cannot be normalized\n")
 
 
 def test_edit_renormalize_zero_prompt_exits_2(runner, fixtures, tmp_path):
@@ -425,12 +445,18 @@ def test_verify_negative_seed_exits_2(runner):
     assert "--seed" in result.stderr
 
 
-@pytest.mark.parametrize("suite", ["axioms", "theorem1"])
-def test_verify_records_without_theorem2_exits_2(runner, tmp_path, suite):
+# Options only theorem2 reads; None stands for a records path.
+@pytest.mark.parametrize("suite, option, value", [
+    pytest.param(suite, option, value, id=suite + suffix)
+    for suite in ("axioms", "theorem1")
+    for option, value, suffix in (("--records", None, ""), ("--epsilon", "7", "-epsilon"),
+                                  ("--delta", "0.1", "-delta"), ("--dim", "1", "-dim"))
+])
+def test_verify_records_without_theorem2_exits_2(runner, tmp_path, suite, option, value):
     records = tmp_path / "trials.jsonl"
     result = invoke_input_error(
-        runner, ["verify", "--suite", suite, "--trials", "3", "--records", str(records)])
-    assert "--suite theorem2" in result.stderr
+        runner, ["verify", "--suite", suite, "--trials", "3", option, value or str(records)])
+    assert result.stderr == f"error: {option} applies only to --suite theorem2, not --suite {suite}\n"
     assert result.stdout == ""
     assert not records.exists()
 
@@ -501,6 +527,26 @@ def test_edit_non_numeric_lambda_exits_2(runner, fixtures, tmp_path):
         runner, fixtures, tmp_path, {"class_name": "a", "concept_names": ["w"], "lambda": "q"}
     )
     assert "error:" in result.stderr and "lambda" in result.stderr
+
+
+@pytest.mark.parametrize("plans, message", [
+    ({"class_name": "a", "concept_names": [], "lambda": 0.5},
+     "plan[0]: an edit plan needs at least one concept"),
+    ([{"class_name": "a", "concept_names": ["w"], "lambda": 0.5},
+      {"class_name": "b", "concept_names": ["w"], "lambda": -1}],
+     "plan[1]: lambda must be finite and >= 0, got -1.0"),
+    ({"class_name": ["a"], "concept_names": ["w"], "lambda": 0.5},
+     "plan[0] 'class_name' must be a string"),
+    ([{"class_name": "a", "concept_names": ["w"], "lambda": 0.5},
+      {"class_name": "zz", "concept_names": ["w"], "lambda": 0.5}],
+     "plan[1] names unknown class 'zz'"),
+    ({"class_name": "a", "concept_names": ["w", "q"], "lambda": 0.5},
+     "plan[0] names unknown concept 'q'"),
+], ids=["no-concepts", "negative-lambda", "list-class-name", "unknown-class",
+        "unknown-concept"])
+def test_edit_plan_errors_name_their_plan(runner, fixtures, tmp_path, plans, message):
+    result = _edit_with_plan(runner, fixtures, tmp_path, plans)
+    assert result.stderr == f"error: {message}\n"
 
 
 def test_edit_string_concept_names_exits_2(runner, fixtures, tmp_path):

@@ -7,13 +7,21 @@ or negative number; a deleted key; a truncated file; a BOM) and runs
 exit 2 with a message (0 or 3 when the damage leaves a valid file),
 never 1 with a traceback.
 
+The JSON inputs of ``tcav`` and ``edit`` (model, embeddings, prompts,
+concepts, plan and images files) take every one of those value
+mutations and deletions at every key and list index of their fixtures,
+with the same rule.
+
 The same mutations, with whole bad lines, blank and CRLF lines and
 cross-part duplicate ids added, also check that ``load_dataset`` split
 into 2 or 3 forked parts gives exactly what one pass gives: the equal
 dataset, with the same type for every value, or the identical error.
 """
 
+import copy
+import functools
 import json
+import operator
 
 import pytest
 from click.testing import CliRunner
@@ -45,16 +53,25 @@ def lr_lines(tmp_path_factory):
     return paths["lr"].read_bytes().decode().splitlines()
 
 
-def _replace(line: str, field: str, raw: str | None) -> str:
-    """``line`` with ``field`` set to the raw JSON text ``raw``, or deleted if None."""
-    obj = json.loads(line)
-    parent = obj["concepts"] if field.startswith("concepts.") else obj
-    key = field.split(".")[-1]
+def _replace_at(obj, path, raw: str | None) -> str:
+    """JSON text of ``obj`` with the value at ``path``, a sequence of keys
+    and list indices, set to the raw JSON text ``raw``, or deleted if None."""
+    obj = copy.deepcopy(obj)
+    parent = functools.reduce(operator.getitem, path[:-1], obj)
+    key = path[-1]
     if raw is None:
-        parent.pop(key, None)
+        if isinstance(parent, dict):
+            parent.pop(key, None)
+        else:
+            del parent[key]
         return json.dumps(obj)
     parent[key] = PLACEHOLDER
     return json.dumps(obj).replace(json.dumps(PLACEHOLDER), raw)
+
+
+def _replace(line: str, field: str, raw: str | None) -> str:
+    """``line`` with ``field`` set to the raw JSON text ``raw``, or deleted if None."""
+    return _replace_at(json.loads(line), field.split("."), raw)
 
 
 @st.composite
@@ -88,6 +105,36 @@ def test_mutated_dataset_exits_cleanly(lr_lines, tmp_path, data):
     ):
         result = runner.invoke(main, args)
         assert result.exit_code in (0, 2, 3), (args, result.output, result.exception)
+        assert "Traceback" not in result.output
+        if result.exit_code == 2:
+            assert "error:" in result.stderr
+
+
+def _paths(obj, prefix=()):
+    """The path of every value inside the JSON value ``obj``."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield (*prefix, key)
+        yield from _paths(value, (*prefix, key))
+
+
+@pytest.mark.parametrize("name", ["model", "embeddings", "prompts", "concepts", "plan", "images"])
+def test_mutated_vector_input_exits_cleanly(tmp_path, name):
+    files = write_fixtures(tmp_path)
+    original = json.loads(files[name].read_text())
+    runner = CliRunner()
+    cases = [(path, raw) for path in _paths(original) for raw in [*BAD_VALUES, None]]
+    for case, (path, raw) in enumerate(cases):
+        # One file per case, so that a failing case's inputs stay for inspection.
+        files[name] = tmp_path / f"{case}-{name}.json"
+        files[name].write_text(_replace_at(original, path, raw))
+        if name in ("model", "embeddings"):
+            args = ["tcav", files["model"], files["embeddings"]]
+        else:
+            args = ["edit", files["prompts"], files["concepts"], files["plan"], files["images"],
+                    "--out-prompts", tmp_path / f"{case}-out.json"]
+        result = runner.invoke(main, [str(arg) for arg in args])
+        assert result.exit_code in (0, 2, 3), (path, raw, result.output, result.exception)
         assert "Traceback" not in result.output
         if result.exit_code == 2:
             assert "error:" in result.stderr

@@ -23,7 +23,7 @@ def unit(*components):
 
 def model(w, v, theta=0.0):
     w = np.asarray(w, dtype=np.float64)
-    return LinearConceptModel(w_h=w, theta_h=theta, v=np.asarray(v, dtype=np.float64), dim=w.shape[0])
+    return LinearConceptModel(w_h=w, theta_h=theta, v=np.asarray(v, dtype=np.float64))
 
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -122,12 +122,12 @@ def test_unit_norm_enforced():
     with pytest.raises(ValidationError, match="embedding 1 must have unit norm, got nan"):
         decision_margins(m, np.array([[1.0, 0.0], [np.nan, 0.0]]))
     with pytest.raises(ValidationError):
-        LinearConceptModel(w_h=np.array([2.0, 0.0]), theta_h=0.0, v=np.array([1.0, 0.0]), dim=2)
+        LinearConceptModel(w_h=np.array([2.0, 0.0]), theta_h=0.0, v=np.array([1.0, 0.0]))
 
 
 def test_dim_mismatch_rejected():
     with pytest.raises(ValidationError):
-        LinearConceptModel(w_h=np.array([1.0, 0.0]), theta_h=0.0, v=np.array([1.0, 0.0, 0.0]), dim=2)
+        LinearConceptModel(w_h=np.array([1.0, 0.0]), theta_h=0.0, v=np.array([1.0, 0.0, 0.0]))
     m = model(E0, E1)
     with pytest.raises(ValidationError):
         decision_margins(m, np.array([[1.0, 0.0]]))
@@ -156,7 +156,7 @@ def test_array_path_matches_row_loop(seed, dim, n):
     w_h = unit(*rng.standard_normal(dim))
     v = unit(*rng.standard_normal(dim))
     theta_h = float(rng.uniform(-1.0, 1.0) * np.max(np.abs(rows @ w_h)))
-    m = LinearConceptModel(w_h=w_h, theta_h=theta_h, v=v, dim=dim)
+    m = LinearConceptModel(w_h=w_h, theta_h=theta_h, v=v)
     assert decision_margins(m, rows).tolist() == row_loop_margins(w_h, theta_h, rows)
     expected = row_loop_conditional(w_h, theta_h, v, rows)
     if expected is None:
