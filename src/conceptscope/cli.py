@@ -419,7 +419,7 @@ def edit_cmd(prompts_path, concepts_path, plan_path, images_path, out_prompts,
             for p in plans
         ],
     }
-    if out_prompts:
+    if out_prompts is not None:
         _write_file(out_prompts, dump_vector_file(names, edited))
     _emit_json(payload, output)
 
@@ -469,7 +469,7 @@ def verify_cmd(suite, trials, seed, epsilon, delta, dim, records_path):
         report = run_theorem1_suite(trials or 1000, seed)
     else:
         report, records = run_theorem2_suite(epsilon, delta, dim, trials or 500, seed)
-        if records_path:
+        if records_path is not None:
             _write_file(records_path, "".join(
                 json.dumps(record, sort_keys=True) + "\n" for record in records).encode("utf-8"))
     lines = [*report.lines, *(json.dumps(failure, sort_keys=True) for failure in report.failures)]

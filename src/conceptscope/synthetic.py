@@ -217,6 +217,63 @@ def split_example(dataset: ConceptDataset, example_id: str, fraction: float) -> 
 # ---------------------------------------------------------------------------
 
 
+def _series(a: float, x_max: float) -> tuple[np.ndarray, float]:
+    """(terms, lead): I_y(a, a) = (4y(1-y))^a lead np.polyval(terms, y/x_max), y <= x_max <= 1/2.
+
+    The terms are those of 2F1(2a, 1; a + 1; y) (DLMF 8.17.8) up to the first <= 1e-17, and
+    lead = 1 / (a B(a, a) 4^a) comes from its recurrence in a (lgammas lose a log(a) ulps).
+    """
+    first = 1.0 - a % 1.0
+    lead = (0.25 if first == 1.0 else 1.0 / math.pi) * math.prod(
+        (first + k + 0.5) / (first + k + 1.0) for k in range(int(a - first)))
+    terms = [1.0]
+    while terms[-1] > 1e-17:
+        terms.append(terms[-1] * (2.0 * a + len(terms) - 1.0) / (a + len(terms)) * x_max)
+    return np.array(terms[::-1]), lead
+
+
+def _cap_mass(a: float, theta: float) -> tuple[float, float, float]:
+    """(I_x(a, a), 1 - I_x(a, a), log I_x(a, a)) at x = (1 - theta)/2, each to about 1e-14."""
+    low = (1.0 - abs(theta)) / 2.0
+    terms, lead = _series(a, low)
+    base, rest = 4.0 * low * (1.0 - low), lead * float(np.polyval(terms, 1.0))
+    mass = base**a * rest
+    if theta >= 0.0:
+        return mass, 1.0 - mass, a * math.log(base) + math.log(rest)
+    return 1.0 - mass, mass, math.log1p(-mass)
+
+
+def _cap_marginal(a: float, theta: float, u: np.ndarray) -> np.ndarray:
+    """The b with I_b(a, a) = q = u I_x(a, a), x = (1 - theta)/2: quantiles of (1 - axis.g)/2.
+
+    Newton's method in log b from the root b0 of the leading term, on f = log I_b -
+    log q = a log(b / b0) + a log1p(-b) + log(series), which near the root rounds by an
+    ulp or two. An unconverged step out of the root's bracket [lo, hi] falls back to the
+    midpoint. q > 1/2 is solved as 1 - b', I_b'(a, a) = 1 - q = (1 - u) + u (1 - I_x);
+    u = 0 counts as 2^-54.
+    """
+    _, outside, log_cap = _cap_mass(a, theta)
+    log_q = np.log(np.where(u > 0.0, u, 2.0**-54)) + log_cap
+    upper = log_q > -math.log(2.0)
+    log_q = np.where(upper, np.log((1.0 - u) + u * outside), log_q)
+    x_max = min((1.0 - theta) / 2.0, 0.5)
+    terms, lead = _series(a, x_max)
+    b0 = np.exp((log_q - math.log(lead)) / a) / 4.0
+    b, lo, hi = np.minimum(b0, x_max), np.zeros_like(b0), np.full_like(b0, x_max)
+    done = np.zeros(b.shape, dtype=bool)
+    for _ in range(100):
+        series = np.polyval(terms, b / x_max)
+        f = a * (np.log(b / b0) + np.log1p(-b)) + np.log(series)
+        lo, hi = np.where(f < 0.0, b, lo), np.where(f > 0.0, b, hi)
+        step = f * (1.0 - b) * series / a
+        new, small = b * np.exp(-step), np.abs(step) <= 1e-14
+        b = np.where(done, b, np.where(small | ((lo < new) & (new < hi)), new, 0.5 * (lo + hi)))
+        done |= small | (hi - lo <= 1e-14 * b)
+        if done.all():
+            return np.where(upper, 1.0 - b, np.minimum(b, x_max))
+    raise SamplingError("the inverse CDF of the cap's Beta marginal did not converge")
+
+
 def cap_probability(dim: int, theta: float) -> float:
     """Probability that a uniform unit vector lands in {g : axis.g >= theta}.
 
@@ -224,16 +281,11 @@ def cap_probability(dim: int, theta: float) -> float:
     Beta((d-1)/2, (d-1)/2) law, so the cap mass is its CDF at
     (1 - theta)/2.
     """
-    # scipy is imported here, not at module level, so that commands that
-    # sample no cap never pay for loading it.
-    from scipy.special import betainc
-
-    if dim < 2:
-        raise DomainError("dim must be >= 2")
+    if not (dim >= 2 and dim % 1 == 0):
+        raise DomainError(f"dim must be an integer >= 2, got {dim!r}")
     if not -1.0 <= theta < 1.0:
         raise DomainError(f"theta must lie in [-1, 1), got {theta!r}")
-    a = (dim - 1) / 2.0
-    return float(betainc(a, a, (1.0 - theta) / 2.0))
+    return _cap_mass((dim - 1) / 2.0, theta)[0]
 
 
 def sample_spherical_cap(
@@ -256,15 +308,9 @@ def sample_spherical_cap(
         raise DomainError(f"theta must lie in [-1, 1), got {theta!r}")
     if n < 1:
         raise DomainError("n must be >= 1")
-    from scipy.special import betaincinv
 
     dim = axis.shape[0]
-    a = (dim - 1) / 2.0
-    p_cap = cap_probability(dim, theta)
-    u = rng.random(n)
-    # Inverse-CDF restriction of the Beta marginal to [0, (1 - theta)/2].
-    b = betaincinv(a, a, u * p_cap)
-    t = 1.0 - 2.0 * b
+    t = 1.0 - 2.0 * _cap_marginal((dim - 1) / 2.0, theta, rng.random(n))
     tangents = rng.standard_normal((n, dim))
     tangents -= np.outer(tangents @ axis, axis)
     norms = np.linalg.norm(tangents, axis=1)

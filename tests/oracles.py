@@ -6,7 +6,8 @@ values and round the total once, with plain loops. The package's
 ``math.fsum`` is correctly rounded, so its sums must equal these bit for
 bit, and tests compare them with ``==``. No summation algorithm is
 shared. The cap sampler rejects uniform directions instead of inverting
-the cap's CDF.
+the cap's CDF, and the cap mass of an odd dim is a binomial tail summed
+as ``Fraction``s instead of a hypergeometric series.
 """
 
 from __future__ import annotations
@@ -134,3 +135,15 @@ def rejection_cap_sample(seed, axis, theta, n):
         kept.append(z[z @ axis >= theta])
         count += len(kept[-1])
     return np.concatenate(kept)[:n]
+
+
+def binomial_cap_mass(dim, x):
+    """I_x(a, a), a = (dim - 1)/2, for odd dim at the rational x, rounded once.
+
+    With a an integer, I_x(a, a) = P[Binomial(2a - 1, x) >= a], a finite
+    sum that is exact in ``Fraction``s.
+    """
+    assert dim % 2 == 1 and dim >= 3
+    a, x = (dim - 1) // 2, Fraction(x)
+    n = 2 * a - 1
+    return float(sum(math.comb(n, k) * x**k * (1 - x) ** (n - k) for k in range(a, n + 1)))

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import betainc, betaincinv
 from scipy.stats import ks_2samp
 
 from conceptscope import verify
@@ -20,6 +22,8 @@ from conceptscope.measures import (
 )
 from conceptscope.synthetic import (
     SyntheticSpec,
+    _cap_marginal,
+    _cap_mass,
     cap_probability,
     derive_seed,
     generate_dataset,
@@ -29,7 +33,7 @@ from conceptscope.synthetic import (
     theorem2_trial,
 )
 from conceptscope.verify import run_axioms_suite, run_theorem2_suite
-from oracles import naive_symmetric, rejection_cap_sample
+from oracles import binomial_cap_mass, naive_symmetric, rejection_cap_sample
 from worlds import generate_contamination_instance, generate_hierarchy_world
 
 # Pin generator output: identical spec must give identical bytes.
@@ -49,7 +53,7 @@ GOLDEN_HASHES = {
 # derive_seed(0, i)) for i < 20 over THEOREM2_CASES: (lhs_gap as
 # float.hex(), n_used, bound_holds) per trial, JSON-encoded.
 THEOREM2_CASES = ((0.2, 2), (0.2, 8), (0.2, 64), (0.9, 2))
-THEOREM2_RECORDS_SHA256 = "700d4365627141ba1e46d6e15e99c3b4cdd44f7c9f738c6aa744ae023a5e936c"
+THEOREM2_RECORDS_SHA256 = "1ac748643dc2e72e134f524fba7f179eca5b6e0170cc862b69038d31e0587ab8"
 
 
 def test_planted_full_agreement():
@@ -198,6 +202,70 @@ def test_split_argument_validation():
 def test_cap_probability_matches_arc_length_in_2d():
     for theta in (0.0, 0.5, 0.995):
         assert cap_probability(2, theta) == pytest.approx(math.acos(theta) / math.pi, abs=1e-12)
+
+
+# Cap edges x = (1 - theta)/2 from 1/160000 to 1/2, then past the
+# hemisphere. For each of these floats 1 - |theta| is exact, so the cap
+# the package computes has its edge exactly at (1 - Fraction(theta))/2.
+CAP_THETAS = [float(1 - 2 * Fraction(1, d)) for d in (160000, 16000, 1600, 160, 16, 4)] + [
+    0.25, 0.0, -0.25, -0.5, -0.875, -0.99975]
+
+
+@pytest.mark.parametrize("dim", [3, 5, 9, 65])
+def test_cap_probability_matches_the_binomial_oracle(dim):
+    for theta in CAP_THETAS:
+        exact = binomial_cap_mass(dim, (1 - Fraction(theta)) / 2)
+        assert cap_probability(dim, theta) == pytest.approx(exact, rel=1e-13, abs=0), theta
+
+
+def test_cap_inverse_round_trips_through_the_cdf():
+    # Inside the cap of theta, the quantile u = mass(theta') / mass(theta)
+    # of a theta' >= theta lies on the edge of the cap of theta'. A u near
+    # 1 holds 1 - u to an ulp of 1 only, so past the hemisphere the one
+    # inner cap taken is the cap itself, at u = 1.
+    for dim in range(2, 129):
+        a = (dim - 1) / 2.0
+        log_masses = np.array([_cap_mass(a, theta)[2] for theta in CAP_THETAS])
+        for i, theta in enumerate(CAP_THETAS):
+            inner = [j for j in range(i + 1) if CAP_THETAS[j] >= 0.0 or j == i]
+            b = _cap_marginal(a, theta, np.exp(log_masses[inner] - log_masses[i]))
+            edges = [(1.0 - CAP_THETAS[j]) / 2.0 for j in inner]
+            assert b == pytest.approx(edges, rel=1e-13, abs=0), (dim, theta)
+
+
+def test_cap_functions_match_scipy():
+    # q = u I_x(a, a) near 1 holds few bits of 1 - q, so a target above 1/2
+    # is inverted through I_b(a, a) = 1 - I_{1-b}(a, a), as the package does.
+    u = np.geomspace(2.0**-53, 1.0, 25)
+    edges = np.concatenate([np.geomspace(6.25e-6, 0.5, 12), 1.0 - np.geomspace(0.25, 6.25e-6, 11)])
+    for dim in range(2, 129):
+        a = (dim - 1) / 2.0
+        for theta in (1.0 - 2.0 * edges).tolist():
+            mass = betainc(a, a, (1.0 - theta) / 2.0)
+            assert cap_probability(dim, theta) == pytest.approx(mass, rel=1e-13, abs=0)
+            outside = (1.0 - u) + u * betainc(a, a, (1.0 + theta) / 2.0)
+            expected = np.where(u * mass > 0.5, 1.0 - betaincinv(a, a, outside),
+                                betaincinv(a, a, u * mass))
+            assert _cap_marginal(a, theta, u) == pytest.approx(expected, rel=1e-13, abs=0), (
+                dim, theta)
+
+
+def test_cap_whose_mass_underflows_still_samples():
+    # The cap's mass, about 1e-513, underflows a float; sampled from it,
+    # every point would sit on the axis. axis.g of an axis e_0 is g[0]
+    # exactly. Near the edge x = (1 - theta)/2 the Beta(a, a) density
+    # falls off as exp(-(x - b)/s), s = x(1 - x)/((a - 1)(1 - 2x)) to
+    # first order in 1/a and x, so E[x - b] = E[(g[0] - theta)/2] is about
+    # s; one standard error of the mean of 116 draws is about 9% of s.
+    assert cap_probability(512, 0.995) == 0.0
+    axis = np.zeros(512)
+    axis[0] = 1.0
+    points = sample_spherical_cap(make_rng(25), axis, 0.995, 116)
+    assert len(np.unique(points, axis=0)) == len(np.unique(points[:, 0])) == 116
+    assert np.all((points[:, 0] >= 0.995) & (points[:, 0] < 1.0))
+    a, x = 255.5, 0.0025
+    scale = x * (1.0 - x) / ((a - 1.0) * (1.0 - 2.0 * x))
+    assert float(np.mean(points[:, 0] - 0.995)) / 2.0 == pytest.approx(scale, rel=0.3)
 
 
 def test_cap_samples_lie_on_cap():
