@@ -1,4 +1,4 @@
-from conceptscope.cli import main
+from conceptscope.cli import run
 
 if __name__ == "__main__":
-    main()
+    run()

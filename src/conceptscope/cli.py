@@ -88,8 +88,8 @@ def _write_stdout(data: bytes) -> None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     except OSError as exc:
-        # Python flushes stdout again at exit; point it at the null device so
-        # that the bytes still buffered cannot fail a second time.
+        # stdout is flushed again before exit (``run``); point it at the null
+        # device so that the bytes still buffered cannot fail a second time.
         try:
             null = os.open(os.devnull, os.O_WRONLY)
             try:
@@ -478,5 +478,25 @@ def verify_cmd(suite, trials, seed, epsilon, delta, dim, records_path):
         sys.exit(1)
 
 
+def run() -> None:
+    """Run ``main`` as a whole process, as ``conceptscope`` and ``python -m
+    conceptscope`` do: flush stdout and stderr, then skip teardown with
+    ``os._exit``. Nothing is left for it: files are closed where written,
+    forked workers reaped, and the package has no ``atexit`` hook or thread."""
+    code = 0
+    try:
+        main()
+    except SystemExit as exc:
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+    except (AttributeError, OSError, TypeError, ValueError):
+        # A missing, closed or failing stream, or a code that is not an int:
+        # Python's own exit handles it, and exits 120 if its flush fails.
+        sys.exit(code)
+
+
 if __name__ == "__main__":
-    main()
+    run()

@@ -22,6 +22,7 @@ from conceptscope.measures import (
     CONCEPT_CONDITIONED,
     MEASURE_KINDS,
     SYMMETRIC,
+    check_theta,
     class_conditioned_measure,
     concept_conditioned_measure,
     hoeffding_radius,
@@ -66,6 +67,8 @@ def check_measure_parameters(kind: str, theta: float | None, delta: float | None
         raise DomainError("theta is only valid for the concept-conditioned measure")
     if delta is not None:
         hoeffding_radius(1, delta)  # its checks on delta do not depend on the count
+    if theta is not None:
+        check_theta(theta)
 
 
 def compute_measure_table(
