@@ -132,13 +132,13 @@ def test_measure_validation_exits_2(runner, fixtures, tmp_path):
     [
         (["-m", "concept-conditioned"], "theta is required"),
         (["--theta", "0.5"], "theta is only valid"),
-        (["-m", "concept-conditioned", "--theta", "2"], "theta must lie in [-1, +1], got 2.0"),
-        (["-m", "concept-conditioned", "--theta", "nan"], "theta must lie in [-1, +1], got nan"),
-        (["-m", "concept-conditioned", "--theta", "inf"], "theta must lie in [-1, +1], got inf"),
         (["--delta", "1.5"], "delta must lie in (0, 1)"),
         (["--delta", "0"], "delta must lie in (0, 1)"),
         (["--delta", "1e-320"], "too small for a finite radius"),
         (["--schema", "a,a"], "duplicate concept names in schema"),
+        (["-m", "concept-conditioned", "--theta", "2"], "theta must lie in [-1, +1], got 2.0"),
+        (["-m", "concept-conditioned", "--theta", "nan"], "theta must lie in [-1, +1], got nan"),
+        (["-m", "concept-conditioned", "--theta", "inf"], "theta must lie in [-1, +1], got inf"),
     ],
 )
 def test_measure_parameter_error_comes_before_reading_files(runner, tmp_path, args, message):
