@@ -8,47 +8,35 @@ vote-thresholded concept-labeling metrics. Brute-force oracles and
 randomized suites verify the closed forms and bounds.
 """
 
-from conceptscope.completeness import (
-    BRUTE_FORCE,
-    CLOSED_FORM,
-    CompletenessScore,
-    completeness_brute_force,
-    completeness_closed_form,
-)
-from conceptscope.dataset import (
-    ConceptDataset,
-    load_dataset,
-    to_jsonl,
-    with_ground_truth_predictions,
-)
-from conceptscope.errors import (
-    ConceptScopeError,
-    DomainError,
-    InfeasiblePlantError,
-    OracleMismatchError,
-    ParseError,
-    SamplingError,
-    SchemaError,
-    UndefinedMeasureError,
-    ValidationError,
-)
-from conceptscope.measures import (
-    CLASS_CONDITIONED,
-    CONCEPT_CONDITIONED,
-    SYMMETRIC,
-    MeasureResult,
-    class_conditioned_measure,
-    concept_conditioned_measure,
-    hoeffding_radius,
-    hoeffding_sample_size,
-    symmetric_measure,
-)
-from conceptscope.votes import VoteMetrics, VoteRecord, label_at_k, metrics_at_k
+# ``errors`` needs nothing beyond the standard library and every command
+# loads it; the other submodules load on first access.
+from conceptscope import errors  # noqa: F401
 
-# Names from the numpy-backed modules, each imported from its submodule
-# on first access (PEP 562), so that ``import conceptscope`` and the
-# commands that need no numpy do not load it.
+# Every public name, by the submodule that defines it. Each is imported
+# from that submodule when first read (PEP 562), so that ``import
+# conceptscope`` and each command load only the modules they use.
 _LAZY = {
+    **dict.fromkeys(
+        ("BRUTE_FORCE", "CLOSED_FORM", "CompletenessScore", "completeness_brute_force",
+         "completeness_closed_form"),
+        "completeness",
+    ),
+    **dict.fromkeys(
+        ("ConceptDataset", "load_dataset", "to_jsonl", "with_ground_truth_predictions"),
+        "dataset",
+    ),
+    **dict.fromkeys(
+        ("ConceptScopeError", "DomainError", "InfeasiblePlantError", "OracleMismatchError",
+         "ParseError", "SamplingError", "SchemaError", "UndefinedMeasureError",
+         "ValidationError"),
+        "errors",
+    ),
+    **dict.fromkeys(
+        ("CLASS_CONDITIONED", "CONCEPT_CONDITIONED", "SYMMETRIC", "MeasureResult",
+         "class_conditioned_measure", "concept_conditioned_measure", "hoeffding_radius",
+         "hoeffding_sample_size", "symmetric_measure"),
+        "measures",
+    ),
     **dict.fromkeys(
         ("DEFAULT_LAMBDA_GRID", "EditPlan", "EvalReport", "classify", "edit_prompt",
          "evaluate", "fit_lambda"),
@@ -64,6 +52,7 @@ _LAZY = {
          "tcav_discrete"),
         "tcav",
     ),
+    **dict.fromkeys(("VoteMetrics", "VoteRecord", "label_at_k", "metrics_at_k"), "votes"),
 }
 
 
@@ -72,7 +61,9 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import importlib
 
-    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    globals()[name] = value = getattr(module, name)  # later reads skip this hook
+    return value
 
 
 def __dir__() -> list[str]:
@@ -81,54 +72,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BRUTE_FORCE",
-    "CLASS_CONDITIONED",
-    "CLOSED_FORM",
-    "CONCEPT_CONDITIONED",
-    "DEFAULT_LAMBDA_GRID",
-    "SYMMETRIC",
-    "CompletenessScore",
-    "ConceptDataset",
-    "ConceptScopeError",
-    "DomainError",
-    "EditPlan",
-    "EvalReport",
-    "InfeasiblePlantError",
-    "LinearConceptModel",
-    "MeasureResult",
-    "OracleMismatchError",
-    "ParseError",
-    "SamplingError",
-    "SchemaError",
-    "SyntheticSpec",
-    "Theorem2Trial",
-    "UndefinedMeasureError",
-    "ValidationError",
-    "VoteMetrics",
-    "VoteRecord",
-    "class_conditioned_from_embeddings",
-    "class_conditioned_measure",
-    "classify",
-    "completeness_brute_force",
-    "completeness_closed_form",
-    "concept_conditioned_measure",
-    "edit_prompt",
-    "evaluate",
-    "fit_lambda",
-    "generate_dataset",
-    "hoeffding_radius",
-    "hoeffding_sample_size",
-    "label_at_k",
-    "load_dataset",
-    "make_rng",
-    "metrics_at_k",
-    "sample_spherical_cap",
-    "split_example",
-    "symmetric_measure",
-    "tcav_continuous",
-    "tcav_discrete",
-    "theorem2_trial",
-    "to_jsonl",
-    "with_ground_truth_predictions",
-]
+__all__ = sorted(_LAZY)

@@ -12,9 +12,7 @@ All command output is byte-stable for fixed inputs and seeds.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import json
 import math
 import os
 import sys
@@ -24,9 +22,6 @@ from typing import TYPE_CHECKING
 import click
 from click.core import ParameterSource
 
-from conceptscope import report as report_mod
-from conceptscope.completeness import completeness_brute_force, completeness_closed_form
-from conceptscope.dataset import check_schema, load_dataset
 from conceptscope.errors import (
     ConceptScopeError,
     DomainError,
@@ -35,26 +30,13 @@ from conceptscope.errors import (
     ValidationError,
     load_json,
 )
-from conceptscope.measures import (
-    CLASS_CONDITIONED,
-    CONCEPT_CONDITIONED,
-    SYMMETRIC,
-    hoeffding_sample_size,
-)
-from conceptscope.votes import load_votes_csv, metrics_at_k
 
-# numpy and the modules built on it (embeddings, prompts, tcav, verify)
-# are imported by the commands that use them, so that measure,
-# completeness, votes, plan and --help start without numpy.
+# Each command imports the modules it uses in its body, so that a command
+# loads only its own path: --help none of them, and measure, completeness,
+# votes and plan no numpy.
 if TYPE_CHECKING:
     from conceptscope.prompts import EditPlan
     from conceptscope.tcav import LinearConceptModel
-
-_MEASURE_CHOICES = {
-    "symmetric": SYMMETRIC,
-    "class-conditioned": CLASS_CONDITIONED,
-    "concept-conditioned": CONCEPT_CONDITIONED,
-}
 
 
 def _cli_errors(func):
@@ -109,6 +91,8 @@ def _write_output(data: bytes, output: str) -> None:
 
 
 def _emit_json(payload: object, output: str) -> None:
+    import json
+
     _write_output((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"), output)
 
 
@@ -180,8 +164,8 @@ def _parse_dataset_spec(spec: str) -> tuple[str, str]:
 @click.option("--dataset", "-d", "dataset_specs", multiple=True, required=True,
               metavar="LABEL=PATH", help="Dataset JSONL with a series label; repeatable.")
 @click.option("--measure", "-m", "measure_name",
-              type=click.Choice(sorted(_MEASURE_CHOICES)), default="symmetric",
-              show_default=True)
+              type=click.Choice(["class-conditioned", "concept-conditioned", "symmetric"]),
+              default="symmetric", show_default=True)
 @click.option("--theta", type=float, default=None,
               help="Threshold for the concept-conditioned measure.")
 @click.option("--delta", type=float, default=None,
@@ -202,9 +186,17 @@ def _parse_dataset_spec(spec: str) -> tuple[str, str]:
 def measure_cmd(dataset_specs, measure_name, theta, delta, include_ground_truth,
                 fmt, output, positive_only, strict, schema):
     """Per-concept measure table over one or more datasets."""
-    kind = _MEASURE_CHOICES[measure_name]
+    from conceptscope import report as report_mod
+    from conceptscope.dataset import check_schema, load_dataset
+
+    kind = measure_name.replace("-", "_")  # as measures.SYMMETRIC, CLASS_CONDITIONED, ...
     report_mod.check_measure_parameters(kind, theta, delta)
-    schema_names = check_schema(s.strip() for s in schema.split(",")) if schema else None
+    schema_names = None
+    if schema is not None:
+        names = [name.strip() for name in schema.split(",")]
+        if not all(names):
+            raise DomainError(f"--schema must list non-empty concept names, got {schema!r}")
+        schema_names = check_schema(names)
     datasets = []
     for spec in dataset_specs:
         label, path = _parse_dataset_spec(spec)
@@ -241,6 +233,9 @@ ORACLE_TOLERANCE = 1e-12
 @_cli_errors
 def completeness_cmd(dataset_path, concept, oracle, output):
     """Completeness score of a binary CONCEPT on DATASET."""
+    from conceptscope.completeness import completeness_brute_force, completeness_closed_form
+    from conceptscope.dataset import load_dataset
+
     dataset = load_dataset(_read_file(dataset_path))
     closed = completeness_closed_form(dataset, concept)
     payload = {
@@ -323,6 +318,8 @@ def tcav_cmd(model_path, embeddings_path, output):
 @_cli_errors
 def plan_cmd(epsilon, delta):
     """Print the sample count needed for radius EPSILON at confidence DELTA."""
+    from conceptscope.measures import hoeffding_sample_size
+
     _write_stdout(f"{hoeffding_sample_size(epsilon, delta)}\n".encode())
 
 
@@ -369,6 +366,8 @@ def _load_plans(path: str) -> list[EditPlan]:
 def edit_cmd(prompts_path, concepts_path, plan_path, images_path, out_prompts,
              renormalize, output):
     """Apply edit PLAN to PROMPTS and evaluate on labeled IMAGES."""
+    import dataclasses
+
     import numpy as np
 
     from conceptscope.embeddings import dump_vector_file, load_vector_file, unit_normalize
@@ -431,6 +430,8 @@ def edit_cmd(prompts_path, concepts_path, plan_path, images_path, out_prompts,
 @_cli_errors
 def votes_cmd(votes_path, ks, output):
     """Accuracy and recall of thresholded concept labels at each k."""
+    from conceptscope.votes import load_votes_csv, metrics_at_k
+
     records = load_votes_csv(_read_file(votes_path))
     lines = ["k,accuracy,recall"]
     for k in ks:
@@ -461,6 +462,8 @@ def verify_cmd(suite, trials, seed, epsilon, delta, dim, records_path):
                     and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE):
                 raise DomainError(
                     f"{param.opts[0]} applies only to --suite theorem2, not --suite {suite}")
+    import json
+
     from conceptscope.verify import run_axioms_suite, run_theorem1_suite, run_theorem2_suite
 
     if suite == "axioms":

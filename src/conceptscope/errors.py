@@ -6,8 +6,6 @@ command layer and library callers agree on what a failure means.
 
 from __future__ import annotations
 
-import json
-
 # What UTF-8 decoding and ``json.loads`` raise on bad input. ValueError
 # covers invalid UTF-8, invalid JSON and integer literals longer than
 # the int-to-str digit limit; RecursionError covers nesting too deep to
@@ -64,6 +62,8 @@ class OracleMismatchError(ConceptScopeError):
 
 def load_json(data: bytes, what: str) -> object:
     """``data`` parsed as UTF-8 JSON; bad bytes raise ParseError("invalid {what}: ...")."""
+    import json
+
     try:
         return json.loads(data.decode("utf-8"))
     except JSON_ERRORS as exc:

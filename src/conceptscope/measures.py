@@ -31,9 +31,12 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 from operator import mul
+from typing import TYPE_CHECKING
 
-from conceptscope.dataset import ConceptDataset
 from conceptscope.errors import DomainError, UndefinedMeasureError
+
+if TYPE_CHECKING:
+    from conceptscope.dataset import ConceptDataset
 
 SYMMETRIC = "symmetric"
 CLASS_CONDITIONED = "class_conditioned"

@@ -271,7 +271,7 @@ def run_theorem2_suite(
     ]
     status = "PASS" if passed else "FAIL"
     lines = [
-        f"theorem2/bound: {status} ({held}/{trials} trials with gap < {epsilon:g};"
+        f"theorem2/bound: {status} ({held}/{trials} trials with gap < {epsilon!r};"
         f" failure rate {failure_rate:.4f} vs allowed {delta + slack:.4f}, dim {dim})"
     ]
     report = SuiteReport("theorem2", passed, lines, failures)

@@ -139,6 +139,10 @@ def test_measure_validation_exits_2(runner, fixtures, tmp_path):
         (["-m", "concept-conditioned", "--theta", "2"], "theta must lie in [-1, +1], got 2.0"),
         (["-m", "concept-conditioned", "--theta", "nan"], "theta must lie in [-1, +1], got nan"),
         (["-m", "concept-conditioned", "--theta", "inf"], "theta must lie in [-1, +1], got inf"),
+        (["--schema", ""], "--schema must list non-empty concept names, got ''"),
+        (["--schema", ","], "--schema must list non-empty concept names, got ','"),
+        (["--schema", "stripes,,spots,c0"],
+         "--schema must list non-empty concept names, got 'stripes,,spots,c0'"),
     ],
 )
 def test_measure_parameter_error_comes_before_reading_files(runner, tmp_path, args, message):
@@ -391,6 +395,13 @@ def test_verify_theorem2_records_bytes_are_pinned(runner, tmp_path):
     invoke(runner, ["verify", "--suite", "theorem2", "--trials", "20", "--dim", "4",
                     "--seed", "0", "--records", str(records)])
     assert hashlib.sha256(records.read_bytes()).hexdigest() == THEOREM2_RECORDS_FILE_SHA256
+
+
+def test_verify_theorem2_summary_prints_epsilon_exactly(runner):
+    # Rounded to 6 significant digits, this epsilon would read "gap < 1".
+    result = invoke(runner, ["verify", "--suite", "theorem2", "--trials", "1",
+                             "--epsilon", "0.9999999"])
+    assert result.stdout.startswith("theorem2/bound: PASS (1/1 trials with gap < 0.9999999;")
 
 
 # Summary lines of each suite when every trial of `--trials 5` fails.
@@ -804,34 +815,36 @@ def _run_import_probe(commands, **env):
     return json.loads(process.stdout.decode().splitlines()[-1]), process.stderr.decode()
 
 
+def _command_args(fixtures, tmp_path):
+    """One run of each command, on the fixtures; output files go to tmp_path."""
+    out = str(tmp_path / "out")
+    return {
+        "help": ["--help"],
+        "plan": ["plan", "--epsilon", "0.2", "--delta", "0.1"],
+        "measure": ["measure", "-d", f"LR={fixtures['lr']}", "-o", out],
+        "measure-json": ["measure", "-d", f"LR={fixtures['lr']}", "-f", "json", "-o", out],
+        "measure-svg": ["measure", "-d", f"LR={fixtures['lr']}", "-f", "svg", "-o", out],
+        "completeness": ["completeness", str(fixtures["lr"]), "stripes", "--oracle", "-o", out],
+        "votes": ["votes", str(fixtures["votes"]), "-o", out],
+        "tcav": ["tcav", str(fixtures["model"]), str(fixtures["embeddings"]), "-o", out],
+        "edit": ["edit", str(fixtures["prompts"]), str(fixtures["concepts"]),
+                 str(fixtures["plan"]), str(fixtures["images"]), "-o", out],
+        "axioms": ["verify", "--suite", "axioms", "--trials", "5"],
+        "theorem1": ["verify", "--suite", "theorem1", "--trials", "5"],
+        "theorem2": ["verify", "--suite", "theorem2", "--trials", "5", "--dim", "4"],
+    }
+
+
 def test_no_command_imports_scipy(fixtures, tmp_path):
     # The commands that need no numpy run first, so nothing else has
     # loaded it yet; then tcav, edit and the suites each load numpy, and
     # none loads scipy. Every command leaves one thread: the CLI sets
     # OPENBLAS_NUM_THREADS=1 before numpy loads, while the import leaves
     # the environment alone.
-    lean = [
-        ("help", ["--help"]),
-        ("plan", ["plan", "--epsilon", "0.2", "--delta", "0.1"]),
-        ("measure", ["measure", "-d", f"LR={fixtures['lr']}", "-o", str(tmp_path / "m.csv")]),
-        ("measure-json", ["measure", "-d", f"LR={fixtures['lr']}", "-f", "json",
-                          "-o", str(tmp_path / "m.json")]),
-        ("measure-svg", ["measure", "-d", f"LR={fixtures['lr']}", "-f", "svg",
-                         "-o", str(tmp_path / "m.svg")]),
-        ("completeness", ["completeness", str(fixtures["lr"]), "stripes", "--oracle",
-                          "-o", str(tmp_path / "c.json")]),
-        ("votes", ["votes", str(fixtures["votes"]), "-o", str(tmp_path / "v.txt")]),
-    ]
-    numeric = [
-        ("tcav", ["tcav", str(fixtures["model"]), str(fixtures["embeddings"]),
-                  "-o", str(tmp_path / "t.json")]),
-        ("edit", ["edit", str(fixtures["prompts"]), str(fixtures["concepts"]),
-                  str(fixtures["plan"]), str(fixtures["images"]),
-                  "-o", str(tmp_path / "e.json")]),
-        ("axioms", ["verify", "--suite", "axioms", "--trials", "5"]),
-        ("theorem1", ["verify", "--suite", "theorem1", "--trials", "5"]),
-        ("theorem2", ["verify", "--suite", "theorem2", "--trials", "5", "--dim", "4"]),
-    ]
+    commands = _command_args(fixtures, tmp_path)
+    numeric = [(name, commands.pop(name))
+               for name in ("tcav", "edit", "axioms", "theorem1", "theorem2")]
+    lean = list(commands.items())
     seen, stderr = _run_import_probe(lean + numeric)
     lean_names = ["import"] + [name for name, _ in lean]
     assert {name: seen[name][:2] for name in lean_names} == dict.fromkeys(lean_names, [0, []]), (
@@ -877,10 +890,66 @@ def test_help_in_a_fresh_process_imports_no_heavy_module():
     imported = {line.rsplit("|", 1)[1].strip()
                 for line in process.stderr.decode().splitlines()
                 if line.startswith("import time:") and line.count("|") == 2}
-    assert "conceptscope.cli" in imported
+    assert {name for name in imported if name.split(".")[0] == "conceptscope"} == {
+        "conceptscope", "conceptscope.cli", "conceptscope.errors"}
     heavy = sorted(m for m in imported for roots in _HEAVY.values() for r in roots
                    if m == r or m.startswith(r + "."))
     assert heavy == []
+
+
+# Runs one command in a fresh interpreter and prints its exit code and the
+# modules that importing the CLI and running the command added: the
+# package's own, and csv, dataclasses and json, which only some commands use.
+_COMMAND_IMPORTS_PROBE = """
+import sys
+before = set(sys.modules)
+from conceptscope.cli import main
+try:
+    code = main.main(args=sys.argv[1:], standalone_mode=False) or 0
+except SystemExit as exc:
+    code = exc.code
+added = sorted(name for name in set(sys.modules) - before
+               if name.split(".")[0] == "conceptscope" or name in ("csv", "dataclasses", "json"))
+import json
+print(json.dumps([code, added]))
+"""
+
+_CLI_MODULES = ["conceptscope", "conceptscope.cli", "conceptscope.errors"]
+_MEASURE_MODULES = ["conceptscope.dataset", "conceptscope.fanout", "conceptscope.measures",
+                    "conceptscope.report", "csv", "dataclasses", "json"]
+_SUITE_MODULES = ["conceptscope.completeness", "conceptscope.dataset",
+                  "conceptscope.embeddings", "conceptscope.fanout", "conceptscope.measures",
+                  "conceptscope.synthetic", "conceptscope.tcav", "conceptscope.verify",
+                  "dataclasses", "json"]
+
+# What each command loads beyond the CLI's own modules.
+COMMAND_MODULES = {
+    "help": [],
+    "plan": ["conceptscope.measures", "dataclasses"],
+    "measure": _MEASURE_MODULES,
+    "measure-json": _MEASURE_MODULES,
+    "measure-svg": _MEASURE_MODULES,
+    "completeness": ["conceptscope.completeness", "conceptscope.dataset", "conceptscope.fanout",
+                     "dataclasses", "json"],
+    "votes": ["conceptscope.votes", "csv", "dataclasses"],
+    "tcav": ["conceptscope.embeddings", "conceptscope.tcav", "dataclasses", "json"],
+    "edit": ["conceptscope.embeddings", "conceptscope.prompts", "dataclasses", "json"],
+    "axioms": _SUITE_MODULES,
+    "theorem1": _SUITE_MODULES,
+    "theorem2": _SUITE_MODULES,
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_its_own_modules(fixtures, tmp_path, command):
+    process = subprocess.run(
+        [sys.executable, "-c", _COMMAND_IMPORTS_PROBE,
+         *_command_args(fixtures, tmp_path)[command]],
+        capture_output=True, check=True, env=env_with_src(),
+    )
+    code, added = json.loads(process.stdout.decode().splitlines()[-1])
+    assert code == 0, process.stderr.decode()
+    assert added == sorted(_CLI_MODULES + COMMAND_MODULES[command])
 
 
 def _run_strict(args, pinned):

@@ -67,9 +67,9 @@ _BARE_IMPORT_PROBE = """
 import json, sys
 import conceptscope
 numpy_after_import = any(m == "numpy" or m.startswith("numpy.") for m in sys.modules)
-verify_after_import = "conceptscope.verify" in sys.modules
+package_after_import = sorted(m for m in sys.modules if m.split(".")[0] == "conceptscope")
 from conceptscope import verify
-print(json.dumps([numpy_after_import, verify_after_import, verify.__name__,
+print(json.dumps([numpy_after_import, package_after_import, verify.__name__,
                   verify is sys.modules["conceptscope.verify"]]))
 """
 
@@ -79,4 +79,5 @@ def test_bare_import_leaves_numpy_unloaded_and_submodules_importable():
         [sys.executable, "-c", _BARE_IMPORT_PROBE],
         capture_output=True, check=True, env=env_with_src(),
     )
-    assert json.loads(process.stdout) == [False, False, "conceptscope.verify", True]
+    assert json.loads(process.stdout) == [
+        False, ["conceptscope", "conceptscope.errors"], "conceptscope.verify", True]
