@@ -18,7 +18,9 @@ read with ``column(name)``. There is no row type; code that wants row
 the constructor, from in-memory columns, or by ``load_dataset``, which
 parses each line once straight into columns, as ints and floats; a large
 input is cut into parts that ``fanout.fork_map`` parses, checks and
-normalizes on every usable CPU, which changes neither result nor error. Both
+normalizes on every usable CPU, which changes neither result nor error. From
+``MIN_PART`` characters on, orjson parses the lines, and json parses again each
+part on which the two could differ, so every value and error is json's. Both
 validate with one exact rule per field, run once over a whole column (or
 a part's, which passes exactly when the column does), so valid data always
 passes. When a rule fails, ``_check_columns`` bisects with it to the
@@ -363,12 +365,39 @@ def _normalize(predictions: Sequence, truths: Sequence, columns: list[Sequence],
     return tuple(predictions), tuple(truths), columns
 
 
-def _parse_lines(text: str, start: int, end: int, names: tuple[str, ...]) -> tuple:
-    """One part of a load: the JSONL lines in ``text[start:end]``, where ``start``
-    begins a line, as whether they pass every field rule that needs no other
-    part, then their line numbers, ids, predictions, weights, truths and concept
-    columns as tuples, and ``bad_concepts``. Numbers that pass are normalized.
-    Raises ParseError at the first line that is not an object."""
+def _stdlib_loads() -> Callable[[str], object]:
+    """``json.loads`` for one stripped line, through the decoder's scanner."""
+    scan = make_scanner(json.JSONDecoder())
+
+    def loads(line: str) -> object:
+        try:
+            obj, stop = scan(line, 0)
+        except StopIteration:
+            stop = -1
+        if stop != len(line):  # not one JSON value: json.loads words the error
+            obj = json.loads(line)
+        return obj
+
+    return loads
+
+
+def _orjson_loads() -> Callable[[str], object]:
+    """``orjson.loads`` for one stripped line that holds no array and at most
+    two objects, as a valid line does; any other line raises ValueError.
+    orjson can overflow the C stack on deep nesting, where json raises."""
+    from orjson import loads
+
+    def screened(line: str) -> object:
+        if line.count("{") > 2 or "[" in line:
+            raise ValueError("nested deeper than a valid line")
+        return loads(line)
+
+    return screened
+
+
+def _read_lines(text: str, start: int, end: int, names: tuple[str, ...],
+                loads: Callable[[str], object]) -> tuple:
+    """``_parse_lines`` with ``loads`` parsing each line."""
     read, keys = _concept_reader(names)
     linenos: list[int] = []
     ids: list[object] = []
@@ -377,18 +406,12 @@ def _parse_lines(text: str, start: int, end: int, names: tuple[str, ...]) -> tup
     truths: list[object] = []
     rows: list[tuple] = []
     bad_concepts: dict[int, object] = {}
-    scan = make_scanner(json.JSONDecoder())
     for lineno, line in enumerate(_split_lines(text[start:end]), text.count("\n", 0, start) + 1):
         stripped = line.strip()
         if not stripped:
             continue
         try:
-            try:
-                obj, stop = scan(stripped, 0)
-            except StopIteration:
-                stop = -1
-            if stop != len(stripped):  # not one JSON value: json.loads words the error
-                obj = json.loads(stripped)
+            obj = loads(stripped)
         except JSON_ERRORS as exc:
             message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
             raise ParseError(f"line {lineno}: invalid JSON ({message})") from None
@@ -415,6 +438,32 @@ def _parse_lines(text: str, start: int, end: int, names: tuple[str, ...]) -> tup
             columns, bad_concepts)
 
 
+def _parse_lines(text: str, start: int, end: int, names: tuple[str, ...]) -> tuple:
+    """One part of a load: the JSONL lines in ``text[start:end]``, where ``start``
+    begins a line, as whether they pass every field rule that needs no other
+    part, then their line numbers, ids, predictions, weights, truths and concept
+    columns as tuples, and ``bad_concepts``. Numbers that pass are normalized.
+    Raises ParseError at the first line that is not an object.
+
+    From ``MIN_PART`` characters of ``text`` on, orjson parses the part first,
+    and its parse is kept only where the two parsers agree: no line nests
+    deeper than a valid line, the part passes its rules, and no weight is a
+    float of 2**63 or more in magnitude, since orjson reads an integer literal
+    past 64 bits as a float where json reads an int. Every other part, and so
+    every error, comes from json.
+    """
+    if len(text) >= MIN_PART:
+        try:
+            part = _read_lines(text, start, end, names, _orjson_loads())
+        except ParseError:
+            pass
+        else:
+            floats = [w for w in part[4] if type(w) is float]
+            if part[0] and max(map(abs, floats), default=0.0) < 2.0 ** 63:
+                return part
+    return _read_lines(text, start, end, names, _stdlib_loads())
+
+
 def _join(parts: Sequence[tuple]) -> tuple:
     """The parts' tuples end to end, as one tuple."""
     return parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
@@ -424,6 +473,8 @@ def _parse_parts(text: str, names: tuple[str, ...]) -> list[tuple]:
     """``_parse_lines`` on ``text`` cut at newlines into up to one part per usable
     CPU, the parts after the first parsed in forked workers (``fork_map``)."""
     k = max(1, min(len(text) // MIN_PART, fanout.usable_cpus()))
+    if len(text) >= MIN_PART:
+        import orjson  # noqa: F401  (here, so that the workers fork with it loaded)
     ends = [text.find("\n", len(text) * i // k) + 1 or len(text) for i in range(1, k)]
     return fanout.fork_map(lambda start, end: _parse_lines(text, start, end, names),
                            list(zip([0, *ends], [*ends, len(text)])))
@@ -455,6 +506,8 @@ def load_dataset(
     From ``2 * MIN_PART`` characters on, forked workers parse, check and
     normalize parts of the input, one per usable CPU; only the rules that
     span parts run here, and the result and error are those of one pass.
+    From ``MIN_PART`` characters on, orjson parses each part that it reads
+    exactly as json does (``_parse_lines``); json parses the others.
     """
     data = source if isinstance(source, bytes) else source.read()
     if data.startswith(b"\xef\xbb\xbf"):
@@ -463,6 +516,7 @@ def load_dataset(
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not valid UTF-8: {exc}") from None
+    del source, data  # so that the input bytes are freed here unless the caller holds them
 
     if schema:
         names = check_schema(schema)

@@ -5,7 +5,8 @@ Each example takes the ``lr`` fixture dataset, breaks it in one way
 or negative number; a deleted key; a truncated file; a BOM) and runs
 ``measure`` and ``completeness`` on it in process. Malformed input must
 exit 2 with a message (0 or 3 when the damage leaves a valid file),
-never 1 with a traceback.
+never 1 with a traceback, and the orjson parse (``MIN_PART`` at 1) must
+give the same exit code and output bytes as json's.
 
 The JSON inputs of ``tcav`` and ``edit`` (model, embeddings, prompts,
 concepts, plan and images files) take every one of those value
@@ -108,6 +109,11 @@ def test_mutated_dataset_exits_cleanly(lr_lines, tmp_path, data):
         assert "Traceback" not in result.output
         if result.exit_code == 2:
             assert "error:" in result.stderr
+        with pytest.MonkeyPatch.context() as patch:  # orjson parses first
+            patch.setattr(dataset_mod, "MIN_PART", 1)
+            fast = runner.invoke(main, args)
+        assert (fast.exit_code, fast.stdout_bytes, fast.stderr_bytes) == (
+            result.exit_code, result.stdout_bytes, result.stderr_bytes), args
 
 
 def _paths(obj, prefix=()):

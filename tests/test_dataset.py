@@ -3,6 +3,7 @@ import json
 import os
 import pickle
 import signal
+import subprocess
 import sys
 import time
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cli_fixtures import assert_nothing_left, open_fds
+from cli_fixtures import assert_nothing_left, env_with_src, open_fds
 from conceptscope import dataset as dataset_mod
 from conceptscope import fanout
 from conceptscope.dataset import (
@@ -331,12 +332,14 @@ NAN, INF = float("nan"), float("inf")
 HUGE = 10**400
 DROP = object()  # delete the key from the JSONL line
 SIGNS = [1, -1, 1.0, -1.0, np.float64(1.0), np.float64(-1.0)]
-BAD_SIGNS = [0, 2, 0.5, True, False, NAN, INF, -INF, HUGE, "1", "", [1], {}, np.int64(1)]
+# 2**64 is the least integer that orjson reads as a float.
+BAD_SIGNS = [0, 2, 0.5, True, False, NAN, INF, -INF, HUGE, 2**64, "1", "", [1], {}, np.int64(1)]
 UNITS = st.one_of(
     st.sampled_from([-1, 0, 1, -0.0, 0.25, np.float64(-0.5)]),
     st.floats(-1.0, 1.0),
 )
-BAD_UNITS = [1.5, -2, NAN, INF, -INF, HUGE, -HUGE, True, None, "0.5", "", [1], {}, np.int64(0)]
+BAD_UNITS = [1.5, -2, NAN, INF, -INF, HUGE, -HUGE, 2**64, True, None, "0.5", "", [1], {},
+             np.int64(0)]
 WEIGHTS = st.one_of(
     st.sampled_from([0, 1, 0.0, 0.5, 1e308, sys.float_info.max, 10**300, np.float64(0.25),
                      np.float64(sys.float_info.max)]),
@@ -392,6 +395,24 @@ def _outcome(call):
     return None
 
 
+def _load_with(data, min_part, cpus=None):
+    """``load_dataset(data)`` with ``MIN_PART`` set to ``min_part`` (and the
+    usable CPUs to ``cpus``): the dataset with the type of every value of
+    every field, or the class and text of its error. orjson parses inputs of
+    at least ``MIN_PART`` characters; json, smaller ones."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset_mod, "MIN_PART", min_part)
+        if cpus is not None:
+            patch.setattr(fanout, "usable_cpus", lambda: cpus)
+        try:
+            dataset = load_dataset(data)
+        except ConceptScopeError as exc:
+            return type(exc), str(exc)
+    fields = [dataset.ids, dataset.predictions, dataset.weights, dataset.ground_truth,
+              *map(dataset.column, dataset.concept_names), [dataset.original_weight_total]]
+    return dataset, [list(map(type, values)) for values in fields]
+
+
 @given(raw=raw_datasets(jsonl=False))
 @settings(max_examples=500, deadline=None)
 def test_constructor_matches_row_reference(raw):
@@ -417,6 +438,8 @@ def test_load_dataset_matches_row_reference(raw, data):
     text = "\n".join(lines) + data.draw(st.sampled_from(["", "\n"]))
     assert _outcome(lambda: load_dataset(text.encode())) == _outcome(
         lambda: row_validator.check_jsonl(text))
+    # With MIN_PART at 1, orjson parses first: the same dataset or error.
+    assert _load_with(text.encode(), 1) == _load_with(text.encode(), dataset_mod.MIN_PART)
 
 
 def test_rules_are_exact_next_to_numpy_floats():
@@ -427,6 +450,134 @@ def test_rules_are_exact_next_to_numpy_floats():
     largest = sys.float_info.max
     with pytest.raises(ValidationError, match=r"^example 1: weight must be"):
         ConceptDataset(["a", "b"], [1, 1], {}, [np.float64(largest), int(largest) + 1])
+
+
+# Values on which orjson and json differ: orjson reads an integer literal
+# past 64 bits as a float, rejects NaN, Infinity and lone surrogates, and
+# nests past json's recursion limit. orjson parses inputs of at least
+# MIN_PART characters, and json parses again each part that holds one, so
+# both paths give json's dataset or error.
+DEEP_LIST = "[" * 2000 + "]" * 2000
+DEEP_OBJECT = '{"a":' * 2000 + "1" + "}" * 2000
+EDGE_LINES = {
+    "weight 2**64": ('"weight": 18446744073709551616', (("a", "b"), 2.0**64)),
+    "weight past the largest float": (
+        f'"weight": {int(sys.float_info.max) + 1}',
+        (ValidationError, "line 2: weight must be a finite number >= 0")),
+    "concept 2**64": ('"concepts": {"s": 18446744073709551616}', (
+        ValidationError, "line 2: concept 's' value 18446744073709551616 outside [-1, +1]")),
+    "prediction -2**63 - 1": ('"prediction": -9223372036854775809', (
+        ValidationError, "line 2: prediction: expected -1 or +1, got -9223372036854775809")),
+    "NaN concept": ('"concepts": {"s": NaN}',
+                    (ValidationError, "line 2: concept 's' value nan outside [-1, +1]")),
+    "Infinity concept": ('"concepts": {"s": Infinity}',
+                         (ValidationError, "line 2: concept 's' value inf outside [-1, +1]")),
+    "lone surrogate id": (r'"id": "\ud800"', (("a", "\ud800"), 4.0)),
+    "nested list, other key": (f'"other": {DEEP_LIST}', ParseError),
+    "nested object, other key": (f'"other": {DEEP_OBJECT}', ParseError),
+    "nested list weight": (f'"weight": {DEEP_LIST}', ParseError),
+}
+
+
+def _edge_line(field: str) -> str:
+    """A valid line with id "b", whose ``field`` (raw JSON ``"key": value``) replaces its key."""
+    row = {"id": '"b"', "prediction": "-1", "concepts": '{"s": -0.25}', "weight": "3",
+           "ground_truth": "1"}
+    key, value = field.split(": ", 1)
+    row[json.loads(key)] = value
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}\n"
+
+
+@pytest.mark.parametrize("field, expected", EDGE_LINES.values(), ids=EDGE_LINES.keys())
+def test_both_parsers_load_edge_values_as_json_does(field, expected):
+    data = (_line(id="a", prediction=1, concepts={"s": 0.5}, weight=1)
+            + _edge_line(field).encode())
+    stdlib = _load_with(data, dataset_mod.MIN_PART)
+    assert _load_with(data, 1) == stdlib
+    if isinstance(stdlib[0], ConceptDataset):  # expected: ids and raw weight total
+        assert (stdlib[0].ids, stdlib[0].original_weight_total) == expected
+    elif expected is ParseError:
+        assert stdlib[0] is ParseError
+        assert stdlib[1].startswith("line 2: invalid JSON (maximum recursion depth exceeded")
+    else:
+        assert stdlib == expected
+
+
+@pytest.fixture(scope="module")
+def two_parts_of_text():
+    """Valid JSONL of at least 2 * MIN_PART characters, as a list of lines."""
+    rng = np.random.default_rng(0)
+    lines, size = [], 0
+    while size < 2 * dataset_mod.MIN_PART:
+        values = ", ".join(f'"c{j}": {v!r}' for j, v in enumerate(rng.uniform(-1, 1, 8).tolist()))
+        lines.append(f'{{"id": "x{len(lines)}", "prediction": {1 - 2 * (len(lines) % 2)}, '
+                     f'"concepts": {{{values}}}, "weight": {rng.uniform(0.05, 1.0)!r}}}\n')
+        size += len(lines[-1])
+    return lines
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("c0", "NaN", ValidationError),
+    ("weight", str(int(sys.float_info.max) + 1), ValidationError),
+    ("other", DEEP_LIST, ParseError),
+    ("weight", "18446744073709551616", None),
+], ids=["NaN concept", "weight past the largest float", "nested list", "weight 2**64"])
+def test_bad_line_in_second_part_of_a_large_file(two_parts_of_text, key, value, expected):
+    lines = list(two_parts_of_text)
+    at = len(lines) * 3 // 4
+    row = json.loads(lines[at])
+    (row["concepts"] if key in row["concepts"] else row)[key] = "@"
+    lines[at] = json.dumps(row).replace('"@"', value) + "\n"
+    data = "".join(lines).encode()
+    stdlib = _load_with(data, len(data) + 1)
+    assert _load_with(data, dataset_mod.MIN_PART, cpus=2) == stdlib
+    if expected is None:
+        assert isinstance(stdlib[0], ConceptDataset)
+    else:
+        assert stdlib[0] is expected and stdlib[1].startswith(f"line {at + 1}: ")
+
+
+def test_orjson_parses_a_large_valid_input(two_parts_of_text, monkeypatch):
+    """With json's scanner broken, an input of MIN_PART characters still loads,
+    to json's dataset: every part of it was kept from the orjson parse."""
+    data = "".join(two_parts_of_text).encode()
+    stdlib = _load_with(data, len(data) + 1)
+
+    def broken(*args):
+        raise AssertionError("json parsed a part of a valid input")
+
+    monkeypatch.setattr(dataset_mod, "make_scanner", broken)
+    assert _load_with(data, dataset_mod.MIN_PART) == stdlib
+    assert _load_with(data, dataset_mod.MIN_PART, cpus=2) == stdlib
+    with pytest.raises(AssertionError, match="json parsed"):
+        _load_with(data, len(data) + 1)
+
+
+_NESTED_PROBE = """
+import sys
+from conceptscope import dataset
+small = b'{"id": "a", "prediction": 1, "concepts": {}}\\n'
+dataset.load_dataset(small)
+print("orjson" in sys.modules)
+dataset.MIN_PART = 1
+for deep in (b"[" * 200000 + b"]" * 200000, b'{"a":' * 200000 + b"1" + b"}" * 200000):
+    try:
+        dataset.load_dataset(small + b'{"id": "b", "prediction": 1, "concepts": {}, "other": '
+                             + deep + b"}\\n")
+    except dataset.ParseError as exc:
+        print(str(exc).split(" while")[0])
+print("orjson" in sys.modules)
+"""
+
+
+def test_orjson_is_imported_for_large_inputs_and_never_sees_deep_nesting():
+    """Only an input of MIN_PART characters imports orjson. Lines nested
+    200,000 deep, on which orjson overflows the C stack, go to json."""
+    process = subprocess.run([sys.executable, "-c", _NESTED_PROBE], capture_output=True,
+                             env=env_with_src())
+    assert (process.returncode, process.stderr) == (0, b"")
+    assert process.stdout.decode().splitlines() == [
+        "False", *["line 2: invalid JSON (maximum recursion depth exceeded"] * 2, "True"]
 
 
 # A split load forks one worker per part after the first. Whatever
