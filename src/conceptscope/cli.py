@@ -51,9 +51,11 @@ def _cli_errors(func):
     return wrapper
 
 
-def _read_file(path: str) -> bytes:
+def _read_file(path: str, read=lambda file: file.read()):
+    """``read(file)`` of ``path`` open in binary; an OSError is ``cannot read PATH``."""
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as file:
+            return read(file)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
 
@@ -200,7 +202,8 @@ def measure_cmd(dataset_specs, measure_name, theta, delta, include_ground_truth,
     datasets = []
     for spec in dataset_specs:
         label, path = _parse_dataset_spec(spec)
-        datasets.append((label, load_dataset(_read_file(path), schema=schema_names)))
+        datasets.append(
+            (label, _read_file(path, lambda file: load_dataset(file, schema=schema_names))))
     cells = report_mod.compute_measure_table(
         datasets,
         kind,
@@ -236,7 +239,7 @@ def completeness_cmd(dataset_path, concept, oracle, output):
     from conceptscope.completeness import completeness_brute_force, completeness_closed_form
     from conceptscope.dataset import load_dataset
 
-    dataset = load_dataset(_read_file(dataset_path))
+    dataset = _read_file(dataset_path, load_dataset)
     closed = completeness_closed_form(dataset, concept)
     payload = {
         "concept": concept,

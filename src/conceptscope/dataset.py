@@ -10,17 +10,18 @@ Files are UTF-8 without BOM. ``weight`` and ``ground_truth`` are
 optional; missing weights default to uniform 1/n and the whole weight
 column is renormalized to sum to 1 at load time.
 
-A ``ConceptDataset`` is columns and nothing else: one tuple per field,
-all in input order: ``ids``, ``predictions`` (+1/-1), ``weights``,
-``ground_truth`` (+1/-1 or None per row) and one column per concept,
-read with ``column(name)``. There is no row type; code that wants row
-``i`` reads index ``i`` of each column. A dataset is built either by
-the constructor, from in-memory columns, or by ``load_dataset``, which
-parses each line once straight into columns, as ints and floats; a large
-input is cut into parts that ``fanout.fork_map`` parses, checks and
-normalizes on every usable CPU, which changes neither result nor error. From
-``MIN_PART`` characters on, orjson parses the lines, and json parses again each
-part on which the two could differ, so every value and error is json's. Both
+A ``ConceptDataset`` is columns and nothing else, all in input order:
+``ids``, ``predictions`` (+1/-1), ``ground_truth`` (+1/-1 or None per
+row) as tuples, and ``weights`` and one column per concept, read with
+``column(name)``, as read-only memoryviews of doubles. There is no row
+type; code that wants row ``i`` reads index ``i`` of each column. A
+dataset is built either by the constructor, from in-memory columns, or by
+``load_dataset``, which parses each line once straight into columns; a
+large input is cut at newlines into byte spans that ``fanout.fork_map``
+reads, parses, checks and normalizes on every usable CPU, which changes
+neither result nor error. From ``MIN_PART`` bytes on, orjson parses the
+lines, and json each line and part on which the two could differ, so every
+value and error is json's. Both
 validate with one exact rule per field, run once over a whole column (or
 a part's, which passes exactly when the column does), so valid data always
 passes. When a rule fails, ``_check_columns`` bisects with it to the
@@ -31,12 +32,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 import sys
+from array import array
 from dataclasses import FrozenInstanceError
+from functools import reduce
 from itertools import accumulate, chain, compress, repeat
 from json.scanner import make_scanner
-from operator import itemgetter, mul
-from typing import BinaryIO, Callable, Iterable, Mapping, Sequence
+from operator import iadd, itemgetter, mul
+from typing import BinaryIO, Callable, Iterable, Mapping, NoReturn, Sequence
 
 from conceptscope import fanout
 from conceptscope.errors import (
@@ -47,8 +52,8 @@ from conceptscope.errors import (
 )
 
 WEIGHT_SUM_TOLERANCE = 1e-9
-# Fewest characters per part when load_dataset splits its parse; a forked
-# part (parse, checks, normalization) saves time from a quarter of this on.
+# Fewest bytes per part when load_dataset splits its parse; a forked part
+# (read, parse, checks, normalization) saves time from a quarter of this on.
 MIN_PART = 1 << 20
 
 
@@ -62,20 +67,20 @@ class ConceptDataset:
     checked here: every column has one value per id, weights are
     nonnegative and sum to 1 within 1e-9, predictions are in {-1,+1},
     ground truth is in {-1,+1} or None, concept values lie in [-1,+1],
-    and ids are unique.
+    and ids are unique. Columns of numbers are read-only views of doubles.
     """
 
     concept_names: tuple[str, ...]
     ids: tuple[str, ...]
     predictions: tuple[int, ...]
-    weights: tuple[float, ...]
+    weights: memoryview
     ground_truth: tuple[int | None, ...]
     # Pre-normalization weight total when loaded from a file.
     original_weight_total: float | None
     # ``math.fsum`` of ``weights``: correctly rounded, so independent of row order.
     weight_total: float
     # weight * prediction per row, the factor of every h-weighted sum.
-    signed_weights: tuple[float, ...]
+    signed_weights: memoryview
 
     def __init__(
         self,
@@ -116,7 +121,12 @@ class ConceptDataset:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def column(self, concept: str) -> tuple[float, ...]:
+    def __reduce__(self) -> tuple:  # a memoryview does not pickle: rebuild from the columns
+        columns = {name: tuple(column) for name, column in self._columns.items()}
+        return ConceptDataset, (self.ids, self.predictions, columns, tuple(self.weights),
+                                self.ground_truth, self.original_weight_total)
+
+    def column(self, concept: str) -> memoryview:
         """The values of ``concept`` in row order."""
         try:
             return self._columns[concept]
@@ -145,8 +155,8 @@ def _fill(
     names: tuple[str, ...],
     ids: tuple[str, ...],
     predictions: tuple[int, ...],
-    columns: list[tuple[float, ...]],
-    weights: tuple[float, ...],
+    columns: Sequence[array | memoryview],
+    weights: array | memoryview,
     ground_truth: tuple[int | None, ...],
     original_weight_total: float | None,
     weight_total: float | None = None,
@@ -162,12 +172,12 @@ def _fill(
         concept_names=names,
         ids=ids,
         predictions=predictions,
-        weights=weights,
+        weights=memoryview(weights).toreadonly(),
         ground_truth=ground_truth,
         original_weight_total=original_weight_total,
         weight_total=weight_total,
-        signed_weights=tuple(map(mul, weights, predictions)),
-        _columns=dict(zip(names, columns)),
+        signed_weights=memoryview(array("d", map(mul, weights, predictions))).toreadonly(),
+        _columns={name: memoryview(c).toreadonly() for name, c in zip(names, columns)},
         _positives=None,
     )
 
@@ -300,7 +310,7 @@ def _check_columns(
     ``bad_concepts`` maps each row whose concepts value is not an object
     with exactly the schema's keys to that value; its entries in
     ``columns`` are placeholders. ``where(i)`` names row i. Returns ids,
-    predictions, concept columns, weights and ground truth as tuples.
+    predictions, the concept columns and weights as double arrays, and ground truth.
     """
     n = len(ids)
     if not n:
@@ -334,7 +344,8 @@ def _check_columns(
     if error is not None:
         raise error
 
-    return tuple(ids), tuple(predictions), columns, tuple(weights), tuple(ground_truth)
+    return (tuple(ids), tuple(predictions), [array("d", column) for column in columns],
+            array("d", weights), tuple(ground_truth))
 
 
 def _split_lines(text: str, block: int = 1 << 20):
@@ -353,16 +364,14 @@ def _split_lines(text: str, block: int = 1 << 20):
         start = end + 1
 
 
-def _normalize(predictions: Sequence, truths: Sequence, columns: list[Sequence],
-               types: Iterable[set[type]]) -> tuple:
+def _normalize(predictions: Sequence, truths: Sequence, columns: list[Sequence]) -> tuple:
     """The file's numbers as the format's types: +1/-1 as ints (a JSON 1.0 is
-    accepted), concept values, of the ``types`` given, as floats; all tuples."""
+    accepted) in tuples, and each concept column as a double array."""
     if not _types(predictions) <= {int}:
         predictions = map(int, predictions)
     if not _types(truths) <= {int, type(None)}:
         truths = (None if v is None else int(v) for v in truths)
-    columns = [c if t <= {float} else tuple(map(float, c)) for c, t in zip(columns, types)]
-    return tuple(predictions), tuple(truths), columns
+    return tuple(predictions), tuple(truths), [array("d", column) for column in columns]
 
 
 def _stdlib_loads() -> Callable[[str], object]:
@@ -382,22 +391,26 @@ def _stdlib_loads() -> Callable[[str], object]:
 
 
 def _orjson_loads() -> Callable[[str], object]:
-    """``orjson.loads`` for one stripped line that holds no array and at most
-    two objects, as a valid line does; any other line raises ValueError.
-    orjson can overflow the C stack on deep nesting, where json raises."""
+    """``orjson.loads`` for one stripped line, and ``json.loads`` for a line that
+    orjson rejects or that holds an array or more than two objects, as no valid
+    line does: orjson can overflow the C stack on deep nesting, where json raises."""
     from orjson import loads
 
     def screened(line: str) -> object:
-        if line.count("{") > 2 or "[" in line:
-            raise ValueError("nested deeper than a valid line")
-        return loads(line)
+        try:
+            if line.count("{") <= 2 and "[" not in line:
+                return loads(line)
+        except ValueError:
+            pass
+        return json.loads(line)
 
     return screened
 
 
-def _read_lines(text: str, start: int, end: int, names: tuple[str, ...],
-                loads: Callable[[str], object]) -> tuple:
-    """``_parse_lines`` with ``loads`` parsing each line."""
+def _read_lines(text: str, names: tuple[str, ...], loads: Callable[[str], object],
+                bad_line: Callable[[int, str], NoReturn]) -> tuple:
+    """``_parse_lines`` on a part's text; ``loads`` parses each line, and
+    ``bad_line(lineno, what)`` raises at a bad one."""
     read, keys = _concept_reader(names)
     linenos: list[int] = []
     ids: list[object] = []
@@ -406,7 +419,7 @@ def _read_lines(text: str, start: int, end: int, names: tuple[str, ...],
     truths: list[object] = []
     rows: list[tuple] = []
     bad_concepts: dict[int, object] = {}
-    for lineno, line in enumerate(_split_lines(text[start:end]), text.count("\n", 0, start) + 1):
+    for lineno, line in enumerate(_split_lines(text), 1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -414,9 +427,9 @@ def _read_lines(text: str, start: int, end: int, names: tuple[str, ...],
             obj = loads(stripped)
         except JSON_ERRORS as exc:
             message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
-            raise ParseError(f"line {lineno}: invalid JSON ({message})") from None
+            bad_line(lineno, f"invalid JSON ({message})")
         if not isinstance(obj, dict):
-            raise ParseError(f"line {lineno}: expected a JSON object")
+            bad_line(lineno, "expected a JSON object")
         concepts = obj.get("concepts")
         if isinstance(concepts, dict) and concepts.keys() == keys:
             rows.append(read(concepts))
@@ -429,39 +442,83 @@ def _read_lines(text: str, start: int, end: int, names: tuple[str, ...],
         weights.append(obj.get("weight"))
         truths.append(obj.get("ground_truth"))
     columns = list(zip(*rows)) or [()] * len(names)
-    types = list(map(_types, columns))
     ok = (not bad_concepts and _ids(ids) and _signs(predictions)
-          and all(map(_units, columns, types)) and _signs_or_none(truths))
+          and all(map(_units, columns)) and _signs_or_none(truths))
     if ok:
-        predictions, truths, columns = _normalize(predictions, truths, columns, types)
-    return (ok, tuple(linenos), tuple(ids), tuple(predictions), tuple(weights), tuple(truths),
-            columns, bad_concepts)
+        predictions, truths, columns = _normalize(predictions, truths, columns)
+    # The split's last item, after the text's last newline, is line ``lineno``.
+    return (lineno - 1, ok, tuple(linenos), tuple(ids), tuple(predictions), tuple(weights),
+            tuple(truths), columns, bad_concepts)
 
 
-def _parse_lines(text: str, start: int, end: int, names: tuple[str, ...]) -> tuple:
-    """One part of a load: the JSONL lines in ``text[start:end]``, where ``start``
-    begins a line, as whether they pass every field rule that needs no other
-    part, then their line numbers, ids, predictions, weights, truths and concept
-    columns as tuples, and ``bad_concepts``. Numbers that pass are normalized.
-    Raises ParseError at the first line that is not an object.
+class _File:
+    """A regular file from its position on, as bytes that ``os.pread`` reads in
+    spans, which forked workers can share; a file that has shrunk reads short."""
 
-    From ``MIN_PART`` characters of ``text`` on, orjson parses the part first,
-    and its parse is kept only where the two parsers agree: no line nests
-    deeper than a valid line, the part passes its rules, and no weight is a
-    float of 2**63 or more in magnitude, since orjson reads an integer literal
-    past 64 bits as a float where json reads an int. Every other part, and so
-    every error, comes from json.
-    """
-    if len(text) >= MIN_PART:
+    def __init__(self, file: BinaryIO, size: int) -> None:
+        self.fd, self.offset = file.fileno(), file.tell()
+        self.size = max(0, size - self.offset)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, span: slice) -> bytes:
+        start, stop, _ = span.indices(self.size)
+        chunks = []
+        while start < stop and (chunk := os.pread(self.fd, stop - start, self.offset + start)):
+            chunks.append(chunk)
+            start += len(chunk)
+        return b"".join(chunks)
+
+
+def _input(source: bytes | BinaryIO) -> memoryview | _File:
+    """``source`` as bytes that parts slice: a view, a ``_File``, or all read now."""
+    if isinstance(source, bytes):
+        return memoryview(source)
+    try:
+        status = os.fstat(source.fileno())
+    except (AttributeError, OSError):  # io.BytesIO raises io.UnsupportedOperation
+        status = None
+    if status and stat.S_ISREG(status.st_mode) and status.st_size:  # /proc files have size 0
+        return _File(source, status.st_size)
+    return memoryview(source.read())
+
+
+def _decode(data: memoryview | _File, start: int, end: int) -> str:
+    """Bytes ``start`` (a line start) to ``end`` of ``data`` as text. A UTF-8 error
+    is that of decoding from the input's start, so it counts from there."""
+    try:
+        return str(data[start:end], "utf-8")
+    except UnicodeDecodeError as exc:
         try:
-            part = _read_lines(text, start, end, names, _orjson_loads())
-        except ParseError:
-            pass
-        else:
-            floats = [w for w in part[4] if type(w) is float]
-            if part[0] and max(map(abs, floats), default=0.0) < 2.0 ** 63:
-                return part
-    return _read_lines(text, start, end, names, _stdlib_loads())
+            str(data[0:end], "utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        raise ParseError(f"input is not valid UTF-8: {exc}") from None
+
+
+def _parse_lines(data: memoryview | _File, start: int, end: int, names: tuple[str, ...]) -> tuple:
+    """One part of a load: the JSONL lines in bytes ``start`` (a line start) to
+    ``end`` of ``data``, as their count of newlines, whether they pass every field
+    rule that needs no other part, their line numbers (from the part's first), ids,
+    predictions, weights, truths, concept columns and ``bad_concepts``, numbers
+    normalized if they pass. Raises ParseError if the part is not UTF-8, or at a line
+    that is not a JSON object once every later byte decodes. From ``MIN_PART`` bytes
+    on, orjson's parse is kept unless a rule fails or a float weight reaches 2**63
+    (orjson reads integer literals past 64 bits as floats)."""
+    text = _decode(data, start, end)
+
+    def bad_line(lineno: int, what: str) -> NoReturn:
+        _decode(data, end, len(data))
+        lineno += _decode(data, 0, start).count("\n")
+        raise ParseError(f"line {lineno}: {what}")
+
+    if len(data) >= MIN_PART:
+        part = _read_lines(text, names, _orjson_loads(), bad_line)
+        floats = [w for w in part[5] if type(w) is float]
+        if part[1] and max(map(abs, floats), default=0.0) < 2.0 ** 63:
+            return part
+    return _read_lines(text, names, _stdlib_loads(), bad_line)
 
 
 def _join(parts: Sequence[tuple]) -> tuple:
@@ -469,15 +526,34 @@ def _join(parts: Sequence[tuple]) -> tuple:
     return parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
 
 
-def _parse_parts(text: str, names: tuple[str, ...]) -> list[tuple]:
-    """``_parse_lines`` on ``text`` cut at newlines into up to one part per usable
-    CPU, the parts after the first parsed in forked workers (``fork_map``)."""
-    k = max(1, min(len(text) // MIN_PART, fanout.usable_cpus()))
-    if len(text) >= MIN_PART:
+def _line_end(data: memoryview | _File, pos: int) -> int:
+    """The offset just past the first newline at or after ``pos``, or ``len(data)``."""
+    span = 256
+    while window := bytes(data[pos:pos + span]):
+        if (at := window.find(b"\n")) >= 0:
+            return pos + at + 1
+        pos, span = pos + len(window), 2 * span
+    return len(data)
+
+
+def _first_line(data: memoryview | _File) -> str:
+    """The first non-blank line of ``data``, stripped, or ""; the parse reports bad UTF-8."""
+    start = end = 0
+    while not (line := str(data[start:end], "utf-8", "replace").strip()) and end < len(data):
+        start, end = end, _line_end(data, end)
+    return line
+
+
+def _parse_parts(data: memoryview | _File, names: tuple[str, ...]) -> list[tuple]:
+    """``_parse_lines`` on ``data`` cut at newlines into up to one part per usable
+    CPU, the parts after the first in forked workers (``fork_map``)."""
+    size = len(data)
+    k = max(1, min(size // MIN_PART, fanout.usable_cpus()))
+    if size >= MIN_PART:
         import orjson  # noqa: F401  (here, so that the workers fork with it loaded)
-    ends = [text.find("\n", len(text) * i // k) + 1 or len(text) for i in range(1, k)]
-    return fanout.fork_map(lambda start, end: _parse_lines(text, start, end, names),
-                           list(zip([0, *ends], [*ends, len(text)])))
+    cuts = [0, *(_line_end(data, size * i // k) for i in range(1, k)), size]
+    return fanout.fork_map(lambda start, end: _parse_lines(data, start, end, names),
+                           list(zip(cuts, cuts[1:])))
 
 
 def check_schema(schema: Sequence[str]) -> tuple[str, ...]:
@@ -496,39 +572,35 @@ def load_dataset(
     """Parse JSONL bytes into a ConceptDataset.
 
     Args:
-        source: raw bytes or a binary file object.
+        source: raw bytes or a binary file object, read from its position.
         schema: concept names every line must carry exactly. Without
             it the schema is the first line's concept keys, in their
             order.
 
     Missing weights default to uniform 1/n; the weight column is then
     renormalized to total 1 and the raw total is kept on the dataset.
-    From ``2 * MIN_PART`` characters on, forked workers parse, check and
-    normalize parts of the input, one per usable CPU; only the rules that
-    span parts run here, and the result and error are those of one pass.
-    From ``MIN_PART`` characters on, orjson parses each part that it reads
+    From ``2 * MIN_PART`` bytes on, forked workers read (a regular file with
+    ``os.pread``; any other file object is read whole here), parse, check
+    and normalize parts of the input, one per usable CPU; only the rules
+    that span parts run here, and the result and error are those of one
+    pass. From ``MIN_PART`` bytes on, orjson parses each part that it reads
     exactly as json does (``_parse_lines``); json parses the others.
     """
-    data = source if isinstance(source, bytes) else source.read()
-    if data.startswith(b"\xef\xbb\xbf"):
+    data = _input(source)
+    if bytes(data[0:3]) == b"\xef\xbb\xbf":
         raise ParseError("input starts with a UTF-8 BOM; the format forbids it")
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"input is not valid UTF-8: {exc}") from None
-    del source, data  # so that the input bytes are freed here unless the caller holds them
 
     if schema:
         names = check_schema(schema)
     else:  # the first line's concept keys; a bad first line fails its parse below
         try:
-            first = json.loads(next(filter(None, map(str.strip, _split_lines(text))), ""))
+            first = json.loads(_first_line(data))
         except JSON_ERRORS:
             first = None
         concepts = first.get("concepts") if isinstance(first, dict) else None
         names = tuple(concepts) if isinstance(concepts, dict) else ()
-    oks, linenos, ids, predictions, weights, truths, columns, bad_concepts = zip(
-        *_parse_parts(text, names))
+    newlines, oks, linenos, ids, predictions, weights, truths, columns, bad_concepts = zip(
+        *_parse_parts(data, names))
     ids, predictions, weights, truths = map(_join, (ids, predictions, weights, truths))
     n = len(ids)
     if not n:
@@ -539,18 +611,21 @@ def load_dataset(
         except UnicodeEncodeError:
             raise SchemaError(f"concept name {name!r} holds a lone surrogate") from None
 
-    columns = [_join(column) for column in zip(*columns)]
+    columns = list(zip(*columns))  # each concept's parts
     uniform = 1.0 / n
     weights = [uniform if w is None else w for w in weights]
-    if not (all(oks) and len(set(ids)) == n and _weights(weights)):
+    if all(oks) and len(set(ids)) == n and _weights(weights):
+        columns = [reduce(iadd, column) for column in columns]
+    else:
         # A rule fails: the one-pass check finds the first bad line.
         starts = accumulate(map(len, linenos), initial=0)
         bad = {start + i: v for start, part in zip(starts, bad_concepts) for i, v in part.items()}
-        linenos = _join(linenos)
+        offsets = accumulate(newlines, initial=0)
+        linenos = [offset + lineno for offset, part in zip(offsets, linenos) for lineno in part]
         ids, predictions, columns, weights, truths = _check_columns(
-            names, ids, predictions, columns, weights, truths, lambda i: f"line {linenos[i]}", bad)
-        predictions, truths, columns = _normalize(predictions, truths, columns,
-                                                  map(_types, columns))
+            names, ids, predictions, list(map(_join, columns)), weights, truths,
+            lambda i: f"line {linenos[i]}", bad)
+        predictions, truths, columns = _normalize(predictions, truths, columns)
     raw_weights = list(map(float, weights))
     total = _total(raw_weights)
     if not math.isfinite(total):
@@ -559,7 +634,7 @@ def load_dataset(
         raise ValidationError("total weight must be positive")
     dataset = ConceptDataset.__new__(ConceptDataset)
     _fill(dataset, names, ids, predictions, columns,
-          tuple([w / total for w in raw_weights]), truths, total)
+          array("d", [w / total for w in raw_weights]), truths, total)
     return dataset
 
 

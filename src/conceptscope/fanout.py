@@ -1,4 +1,4 @@
-"""One fork fan-out, for the split parse and the verify suites; standard library only."""
+"""One fork fan-out, for the split parse, large tables and the verify suites; stdlib only."""
 
 from __future__ import annotations
 

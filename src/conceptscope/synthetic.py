@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -194,10 +194,10 @@ def split_example(dataset: ConceptDataset, example_id: str, fraction: float) -> 
     except ValueError:
         raise ValidationError(f"no example with id {example_id!r}") from None
 
-    def split(column: tuple, first: object, second: object) -> tuple:
-        return column[:position] + (first, second) + column[position + 1 :]
+    def split(column: Sequence, first: object, second: object) -> tuple:
+        return (*column[:position], first, second, *column[position + 1 :])
 
-    def twice(column: tuple) -> tuple:
+    def twice(column: Sequence) -> tuple:
         return split(column, column[position], column[position])
 
     weight = dataset.weights[position]

@@ -97,7 +97,7 @@ def _duplicate_and_halve(dataset: ConceptDataset) -> ConceptDataset:
     return ConceptDataset(
         ids=dataset.ids + tuple(example_id + "+dup" for example_id in dataset.ids),
         predictions=dataset.predictions * 2,
-        concepts={name: dataset.column(name) * 2 for name in dataset.concept_names},
+        concepts={name: [*dataset.column(name)] * 2 for name in dataset.concept_names},
         weights=halves * 2,
         ground_truth=dataset.ground_truth * 2,
     )

@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import signal
 from pathlib import Path
 
 import pytest
@@ -138,6 +140,25 @@ def env_with_src() -> dict[str, str]:
 
 def open_fds() -> int | None:
     return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def lose_workers(monkeypatch: pytest.MonkeyPatch, sent: float | None) -> None:
+    """Make every forked worker die after sending the share ``sent`` of its
+    pickled result or, with ``sent`` None, every fork fail."""
+
+    def killed(obj, out, protocol):
+        data = pickle.dumps(obj, protocol)
+        out.write(data[: int(len(data) * sent)])
+        out.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    if sent is None:
+        monkeypatch.setattr(os, "fork", no_fork)
+    else:
+        monkeypatch.setattr(pickle, "dump", killed)
 
 
 def assert_nothing_left(fds: int | None) -> None:

@@ -104,7 +104,7 @@ def measured(measure, *args):
 def test_normalized_weights_are_bit_identical(data):
     weights, total = normalized_weights(parsed(data))
     dataset = load_dataset(data)
-    assert dataset.weights == tuple(weights)
+    assert tuple(dataset.weights) == tuple(weights)
     assert dataset.original_weight_total == total
     assert dataset.weight_total == exact_sum(weights)
 

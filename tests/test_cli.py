@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ from click.testing import CliRunner
 
 from cli_fixtures import BLAS_VARS, env_with_src, write_fixtures
 from conceptscope import dataset as dataset_mod
+from conceptscope import report as report_mod
 from conceptscope.cli import main
 from conceptscope.verify import MIN_TRIALS
 
@@ -952,14 +954,14 @@ def test_each_command_loads_only_its_own_modules(fixtures, tmp_path, command):
     assert added == sorted(_CLI_MODULES + COMMAND_MODULES[command])
 
 
-def _run_strict(args, pinned):
+def _run_strict(args, pinned, check=True):
     """Python on ``args`` with warnings as errors, on every usable CPU or pinned
     to one; without the BLAS variables, so that the CLI runs one thread."""
     one_cpu = {min(os.sched_getaffinity(0))}
     env = {k: v for k, v in env_with_src().items() if k not in BLAS_VARS}
     return subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", *args], capture_output=True,
-        env=env, check=True,
+        env=env, check=check,
         preexec_fn=(lambda: os.sched_setaffinity(0, one_cpu)) if pinned else None,
     )
 
@@ -969,32 +971,6 @@ needs_two_cpus = pytest.mark.skipif(
     reason="needs two usable CPUs and sched_setaffinity")
 
 
-@needs_two_cpus
-def test_split_parse_is_quiet_and_prints_what_one_cpu_prints(tmp_path):
-    # A file above the split threshold, so that the CLI process, which runs
-    # one thread, forks a worker; pinning it to one CPU leaves one part.
-    rng = random.Random(0)
-    lines = []
-    while sum(map(len, lines)) < 2 * dataset_mod.MIN_PART:
-        prediction = rng.choice((-1, 1))
-        lines.append(json.dumps({
-            "id": f"x{len(lines)}", "prediction": prediction,
-            "concepts": {f"c{j}": rng.uniform(-1.0, 1.0) for j in range(8)},
-            "weight": rng.uniform(0.05, 1.0), "ground_truth": rng.choice((prediction, 1)),
-        }) + "\n")
-    path = tmp_path / "large.jsonl"
-    path.write_text("".join(lines))
-    probe = ["-c", "from conceptscope.fanout import usable_cpus; print(usable_cpus())"]
-    assert _run_strict(probe, False).stdout == f"{len(os.sched_getaffinity(0))}\n".encode()
-    assert _run_strict(probe, True).stdout == b"1\n"
-    measure = ["-m", "conceptscope", "measure", "-d", f"L={path}", "-m", "class-conditioned",
-               "--delta", "0.05", "--ground-truth"]
-    split, single = _run_strict(measure, False), _run_strict(measure, True)
-    assert (split.stderr, single.stderr) == (b"", b"")
-    assert split.stdout == single.stdout
-    assert split.stdout.count(b"\n") == 1 + 8 * 2
-
-
 # The CLI with its forks counted from the parent's audit events, on stderr.
 _COUNT_FORKS = (
     "import atexit, sys; forks = []; "
@@ -1002,6 +978,78 @@ _COUNT_FORKS = (
     "atexit.register(lambda: print(len(forks), file=sys.stderr)); "
     "from conceptscope.cli import main; main()"
 )
+
+
+@needs_two_cpus
+def test_split_parse_is_quiet_and_prints_what_one_cpu_prints(tmp_path):
+    # A file above the split thresholds of the parse and of the table, so
+    # that the CLI process, which runs one thread, forks workers for both;
+    # pinning it to one CPU leaves one part of each. Concept c7 never
+    # reaches 0.5.
+    rng = random.Random(0)
+    lines = []
+    while (sum(map(len, lines)) < 2 * dataset_mod.MIN_PART
+           or 8 * len(lines) < 2 * report_mod.MIN_TABLE_PART):
+        prediction = rng.choice((-1, 1))
+        lines.append(json.dumps({
+            "id": f"x{len(lines)}", "prediction": prediction,
+            "concepts": {f"c{j}": rng.uniform(-1.0, 0.4 if j == 7 else 1.0) for j in range(8)},
+            "weight": rng.uniform(0.05, 1.0), "ground_truth": rng.choice((prediction, 1)),
+        }) + "\n")
+    path = tmp_path / "large.jsonl"
+    path.write_text("".join(lines))
+    cpus = len(os.sched_getaffinity(0))
+    probe = ["-c", "from conceptscope.fanout import usable_cpus; print(usable_cpus())"]
+    assert _run_strict(probe, False).stdout == f"{cpus}\n".encode()
+    assert _run_strict(probe, True).stdout == b"1\n"
+    parse_forks = min(path.stat().st_size // dataset_mod.MIN_PART, cpus) - 1
+    for args, series in [
+        (["-m", "class-conditioned", "--delta", "0.05", "--ground-truth"], 2),
+        (["-m", "concept-conditioned", "--theta", "0.5", "-f", "json"], 1),
+        (["-m", "symmetric", "--strict", "-f", "svg"], 1),
+        (["-m", "concept-conditioned", "--theta", "0.5", "--strict"], 1),
+    ]:
+        measure = ["measure", "-d", f"L={path}", *args]
+        split, single = (_run_strict(["-m", "conceptscope", *measure], pinned, check=False)
+                         for pinned in (False, True))
+        assert (split.returncode, split.stdout, split.stderr) == (
+            single.returncode, single.stdout, single.stderr)
+        work = 8 * series * len(lines)  # row-cells
+        table_forks = min(cpus, 8 * series, work // report_mod.MIN_TABLE_PART) - 1
+        counted = _run_strict(["-c", _COUNT_FORKS, *measure], False, check=False)
+        assert counted.stderr.endswith(f"{parse_forks + table_forks}\n".encode())
+        assert table_forks > 0 and counted.stdout == split.stdout
+        if "--strict" in args and "--theta" in args:
+            # The first undefined cell is c7's, in the last worker's span.
+            assert split.returncode == 3 and split.stdout == b""
+            assert split.stderr.startswith(b"error: concept-conditioned measure of 'c7' ")
+        else:
+            assert split.returncode == 0 and split.stderr == b""
+
+
+def test_table_on_the_cli_fixtures_forks_nothing(fixtures):
+    measure = ["measure", "-d", f"LR={fixtures['lr']}", "-d", f"RF={fixtures['rf']}",
+               "-m", "class-conditioned", "--delta", "0.05"]
+    counted = _run_strict(["-c", _COUNT_FORKS, *measure], False)
+    assert counted.stderr == b"0\n"
+    assert counted.stdout.count(b"\n") == 1 + 3 * 2
+
+
+@pytest.mark.parametrize("command", ["measure", "completeness"])
+def test_unreadable_dataset_exits_2(runner, fixtures, tmp_path, monkeypatch, command):
+    def args(path):
+        return ["measure", "-d", f"X={path}"] if command == "measure" else [
+            "completeness", str(path), "stripes"]
+
+    result = invoke(runner, args(tmp_path), expect=2)
+    assert result.stderr == f"error: cannot read {tmp_path}: Is a directory\n"
+
+    def broken(*args):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, "pread", broken)
+    result = invoke(runner, args(fixtures["lr"]), expect=2)
+    assert result.stderr == f"error: cannot read {fixtures['lr']}: Input/output error\n"
 
 
 @needs_two_cpus

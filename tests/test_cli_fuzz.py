@@ -232,5 +232,5 @@ def test_split_load_normalizes_every_part(data, parts):
     assert types == [[str] * 9, [int] * 9, [float] * 9, [int] * 9, [float] * 9, [float] * 9,
                      [float]]
     if b'"weight"' not in data:  # uniform over the whole file, not over a part
-        assert dataset.weights == (dataset.weights[0],) * 9
+        assert tuple(dataset.weights) == (dataset.weights[0],) * 9
         assert dataset.weights[0] == pytest.approx(1 / 9)

@@ -1,8 +1,9 @@
+import copy
 import dataclasses
+import io
 import json
 import os
 import pickle
-import signal
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cli_fixtures import assert_nothing_left, env_with_src, open_fds
+from cli_fixtures import assert_nothing_left, env_with_src, lose_workers, open_fds
 from conceptscope import dataset as dataset_mod
 from conceptscope import fanout
 from conceptscope.dataset import (
@@ -35,7 +36,7 @@ def test_uniform_default_weights():
         id="b", prediction=-1, concepts={"s": -1.0}
     )
     ds = load_dataset(data)
-    assert ds.weights == (0.5, 0.5)
+    assert tuple(ds.weights) == (0.5, 0.5)
 
 
 def test_weights_renormalized():
@@ -43,7 +44,7 @@ def test_weights_renormalized():
         id="b", prediction=-1, concepts={"s": -1.0}, weight=2
     )
     ds = load_dataset(data)
-    assert ds.weights == (0.5, 0.5)
+    assert tuple(ds.weights) == (0.5, 0.5)
     assert ds.original_weight_total == 4.0
 
 
@@ -99,7 +100,7 @@ def test_explicit_schema_is_checked_on_every_line():
     )
     ds = load_dataset(data, schema=["t", "s"])
     assert ds.concept_names == ("t", "s")
-    assert ds.column("s") == (1.0, 1.0)
+    assert tuple(ds.column("s")) == (1.0, 1.0)
     with pytest.raises(SchemaError, match="line 1"):
         load_dataset(data, schema=["other"])
     with pytest.raises(SchemaError, match="line 1"):
@@ -152,7 +153,10 @@ def test_examples_are_immutable():
         ds.weights = (0.2,)
     with pytest.raises(dataclasses.FrozenInstanceError):
         del ds.ids
-    assert isinstance(ds.weights, tuple) and isinstance(ds.column("s"), tuple)
+    for values in (ds.column("s"), ds.weights, ds.signed_weights):
+        with pytest.raises(TypeError, match="read-only"):
+            values[0] = 0.5
+    assert tuple(ds.column("s")) == (1.0,) and tuple(ds.weights) == (1.0,)
 
 
 def test_jsonl_round_trip():
@@ -292,8 +296,8 @@ def test_loaded_columns_hold_the_format_types():
     ds = load_dataset(data)
     assert ds.ids == ("a", "b")
     assert ds.predictions == (1, -1) and type(ds.predictions[0]) is int
-    assert ds.column("s") == (1.0, 0.25) and type(ds.column("s")[0]) is float
-    assert ds.weights == (0.75, 0.25)
+    assert tuple(ds.column("s")) == (1.0, 0.25) and type(ds.column("s")[0]) is float
+    assert tuple(ds.weights) == (0.75, 0.25)
     assert ds.ground_truth == (-1, None)
     with pytest.raises(SchemaError, match="unknown concept"):
         ds.column("u")
@@ -589,12 +593,10 @@ SPLIT_DATA = b"".join(
 
 
 @pytest.fixture()
-def three_parts(monkeypatch):
+def three_parts(monkeypatch, forks):
     """Loads in this test cut into three parts; the list of forks made."""
     monkeypatch.setattr(dataset_mod, "MIN_PART", 1)
     monkeypatch.setattr(fanout, "usable_cpus", lambda: 3)
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     return forks
 
 
@@ -658,20 +660,131 @@ def test_split_load_parses_a_lost_workers_part_itself(three_parts, monkeypatch, 
     forked (``sent`` None), leaves its part to the parent."""
     fds = open_fds()
     expected = load_dataset(SPLIT_DATA)
-
-    def killed(obj, out, protocol):
-        data = pickle.dumps(obj, protocol)
-        out.write(data[: int(len(data) * sent)])
-        out.flush()
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    def no_fork():
-        raise BlockingIOError("Resource temporarily unavailable")
-
-    if sent is None:
-        monkeypatch.setattr(os, "fork", no_fork)
-    else:
-        monkeypatch.setattr(pickle, "dump", killed)
+    lose_workers(monkeypatch, sent)
     assert load_dataset(SPLIT_DATA) == expected
     assert len(three_parts) == 2 + 2 * (sent is not None)
     assert_nothing_left(fds)
+
+
+# json parses only the lines of a large input that orjson is not given or
+# rejects; the rest of the part keeps orjson's parse.
+@pytest.mark.parametrize("bad_last_line", [False, True], ids=["brackets", "bad-last-line"])
+def test_json_parses_only_the_lines_orjson_does_not(two_parts_of_text, monkeypatch,
+                                                    bad_last_line):
+    lines = list(two_parts_of_text)
+    marked = [10, len(lines) // 2, len(lines) - 5]
+    for i in marked:
+        lines[i] = lines[i].replace(f'"id": "x{i}"', f'"id": "x[{i}"')
+    if bad_last_line:
+        lines[-1] = lines[-1][: len(lines[-1]) // 2] + "\n"
+        marked.append(len(lines) - 1)
+    data = "".join(lines).encode()
+    stdlib = _load_with(data, len(data) + 1)
+    assert _load_with(data, dataset_mod.MIN_PART, cpus=2) == stdlib
+
+    def broken(*args):
+        raise AssertionError("json parsed a whole part")
+
+    seen, loads = [], json.loads
+    monkeypatch.setattr(dataset_mod, "make_scanner", broken)
+    monkeypatch.setattr(json, "loads", lambda text: seen.append(text) or loads(text))
+    assert _load_with(data, dataset_mod.MIN_PART, cpus=1) == stdlib
+    # The first line once more, for the schema.
+    assert seen == [lines[0].strip(), *(lines[i].strip() for i in marked)]
+
+
+# A bad UTF-8 byte anywhere gives the error and message of decoding the
+# whole input, before any JSON error of any part, on one CPU or two.
+def _bad_utf8_inputs():
+    lines, size = [], 0
+    while size < 2 * dataset_mod.MIN_PART:
+        lines.append(json.dumps({"id": f"x{len(lines)}", "prediction": 1,
+                                 "concepts": {"s": 0.5}, "weight": 1.0 + len(lines)}) + "\n")
+        size += len(lines[-1])
+    data = "".join(lines).encode()
+    cut = dataset_mod._line_end(memoryview(data), len(data) // 2)  # where two parts meet
+    truncated = data[: cut - 1] + b"\xe2\x82" + data[cut - 1:]
+    assert dataset_mod._line_end(memoryview(truncated), len(truncated) // 2) == cut + 2
+    return {
+        "first line": data[:9] + b"\xff" + data[10:],
+        "second part": data[: cut + 100] + b"\xff" + data[cut + 101:],
+        "truncated at the end": data + b"\xe2\x82",
+        "truncated before a cut": truncated,
+        "json error, then bad byte": data.replace(b'"concepts": {', b'"concepts": [', 1)[: cut + 100]
+        + b"\xc3" + data[cut + 101:],
+    }
+
+
+BAD_UTF8 = _bad_utf8_inputs()
+
+
+@pytest.mark.parametrize("data", BAD_UTF8.values(), ids=BAD_UTF8.keys())
+def test_bad_utf8_names_the_first_bad_byte_of_the_whole_input(data, tmp_path):
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    expected = (ParseError, f"input is not valid UTF-8: {whole.value}")
+    assert _load_with(data, len(data) + 1) == expected
+    assert _load_with(data, dataset_mod.MIN_PART, cpus=1) == expected
+    assert _load_with(data, dataset_mod.MIN_PART, cpus=2) == expected
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(data)
+    process = subprocess.run([sys.executable, "-m", "conceptscope", "measure", "-d", f"A={path}"],
+                             capture_output=True, env=env_with_src())
+    assert (process.returncode, process.stdout) == (2, b"")
+    assert process.stderr.decode() == f"error: {expected[1]}\n"
+
+
+# A regular file is read in spans with os.pread, bytes as memoryview slices,
+# and any other file object whole; all load the same dataset.
+def test_every_source_loads_the_same_dataset(two_parts_of_text, tmp_path, monkeypatch):
+    data = "".join(two_parts_of_text).encode()
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(data)
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
+    expected = load_dataset(data)
+    with open(path, "rb") as file:
+        assert load_dataset(file) == expected
+    assert load_dataset(io.BytesIO(data)) == expected
+    writer = [sys.executable, "-c",
+              f"import sys; sys.stdout.buffer.write(open({str(path)!r}, 'rb').read())"]
+    with subprocess.Popen(writer, stdout=subprocess.PIPE) as pipe:
+        assert load_dataset(pipe.stdout) == expected
+    with open(path, "rb") as file:  # read from the file's position
+        file.readline()
+        assert load_dataset(file) == load_dataset(data[data.index(b"\n") + 1:])
+
+
+@pytest.mark.parametrize("keep", [0.3, 0.7])
+@pytest.mark.parametrize("at_line_end", [False, True], ids=["mid-line", "line-end"])
+def test_file_that_shrinks_while_loading_loads_what_is_left(two_parts_of_text, tmp_path,
+                                                            monkeypatch, keep, at_line_end):
+    """The file is cut after its size is read, so reads past the cut come back
+    short: the load is that of the bytes left."""
+    data = "".join(two_parts_of_text).encode()
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(data)
+    cut = int(len(data) * keep)
+    if at_line_end:
+        cut = data.index(b"\n", cut) + 1
+    expected = _load_with(data[:cut], dataset_mod.MIN_PART, cpus=2)
+    fstat = os.fstat
+
+    def fstat_then_shrink(fd):
+        status = fstat(fd)
+        os.truncate(path, cut)
+        return status
+
+    with open(path, "rb") as file, monkeypatch.context() as patch:
+        patch.setattr(os, "fstat", fstat_then_shrink)
+        assert _load_with(file, dataset_mod.MIN_PART, cpus=2) == expected
+    assert isinstance(expected[0], ConceptDataset) == at_line_end
+
+
+def test_dataset_pickles_and_copies_to_an_equal_dataset():
+    ds = with_ground_truth_predictions(load_dataset(
+        _line(id="a", prediction=1, concepts={"s": 0.5}, weight=3, ground_truth=-1)
+        + _line(id="b", prediction=-1, concepts={"s": -1.0}, weight=1, ground_truth=1)))
+    for copied in (pickle.loads(pickle.dumps(ds)), copy.deepcopy(ds)):
+        assert copied == ds
+        assert (copied.weight_total, tuple(copied.signed_weights)) == (
+            ds.weight_total, tuple(ds.signed_weights))

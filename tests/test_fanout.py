@@ -2,15 +2,12 @@
 worker or pipe behind; the verify suites that run through it give the
 report of one pass."""
 
-import os
-import pickle
-import signal
 import threading
 import time
 
 import pytest
 
-from cli_fixtures import assert_nothing_left, open_fds
+from cli_fixtures import assert_nothing_left, lose_workers, open_fds
 from conceptscope import fanout, verify
 from conceptscope.errors import DomainError
 from conceptscope.fanout import fork_map
@@ -20,14 +17,6 @@ SPANS = [(0, 3), (3, 6), (6, 9)]
 
 def squares(start, end):
     return [i * i for i in range(start, end)]
-
-
-@pytest.fixture()
-def forks(monkeypatch):
-    """The list of forks made in this test."""
-    made, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
-    return made
 
 
 def test_fork_map_equals_one_pass_and_reaps_its_workers(forks):
@@ -82,20 +71,7 @@ def test_fork_map_computes_a_lost_workers_part_itself(forks, monkeypatch, sent):
     """A worker killed before it sends or midway, or one that cannot be
     forked (``sent`` None), leaves its part to the parent."""
     fds = open_fds()
-
-    def killed(obj, out, protocol):
-        data = pickle.dumps(obj, protocol)
-        out.write(data[: int(len(data) * sent)])
-        out.flush()
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    def no_fork():
-        raise BlockingIOError("Resource temporarily unavailable")
-
-    if sent is None:
-        monkeypatch.setattr(os, "fork", no_fork)
-    else:
-        monkeypatch.setattr(pickle, "dump", killed)
+    lose_workers(monkeypatch, sent)
     assert fork_map(squares, SPANS) == [squares(*span) for span in SPANS]
     assert len(forks) == 2 * (sent is not None)
     assert_nothing_left(fds)

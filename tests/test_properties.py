@@ -114,7 +114,7 @@ def test_duplicate_and_halve_changes_nothing(ds):
     doubled = ConceptDataset(
         [example_id + suffix for suffix in ("", "*") for example_id in ds.ids],
         ds.predictions * 2,
-        {"c": ds.column("c") * 2},
+        {"c": [*ds.column("c")] * 2},
         [weight / 2.0 for weight in ds.weights] * 2,
     )
     before = all_measures(ds, 0.25)
