@@ -364,16 +364,6 @@ def _split_lines(text: str, block: int = 1 << 20):
         start = end + 1
 
 
-def _normalize(predictions: Sequence, truths: Sequence, columns: list[Sequence]) -> tuple:
-    """The file's numbers as the format's types: +1/-1 as ints (a JSON 1.0 is
-    accepted) in tuples, and each concept column as a double array."""
-    if not _types(predictions) <= {int}:
-        predictions = map(int, predictions)
-    if not _types(truths) <= {int, type(None)}:
-        truths = (None if v is None else int(v) for v in truths)
-    return tuple(predictions), tuple(truths), [array("d", column) for column in columns]
-
-
 def _stdlib_loads() -> Callable[[str], object]:
     """``json.loads`` for one stripped line, through the decoder's scanner."""
     scan = make_scanner(json.JSONDecoder())
@@ -444,8 +434,12 @@ def _read_lines(text: str, names: tuple[str, ...], loads: Callable[[str], object
     columns = list(zip(*rows)) or [()] * len(names)
     ok = (not bad_concepts and _ids(ids) and _signs(predictions)
           and all(map(_units, columns)) and _signs_or_none(truths))
-    if ok:
-        predictions, truths, columns = _normalize(predictions, truths, columns)
+    if ok:  # the format's types: +1/-1 as ints (a JSON 1.0 is accepted), concepts as doubles
+        if not _types(predictions) <= {int}:
+            predictions = map(int, predictions)
+        if not _types(truths) <= {int, type(None)}:
+            truths = (None if v is None else int(v) for v in truths)
+        columns = [array("d", column) for column in columns]
     # The split's last item, after the text's last newline, is line ``lineno``.
     return (lineno - 1, ok, tuple(linenos), tuple(ids), tuple(predictions), tuple(weights),
             tuple(truths), columns, bad_concepts)
@@ -475,9 +469,9 @@ def _input(source: bytes | BinaryIO) -> memoryview | _File:
     """``source`` as bytes that parts slice: a view, a ``_File``, or all read now."""
     if isinstance(source, bytes):
         return memoryview(source)
-    try:
-        status = os.fstat(source.fileno())
-    except (AttributeError, OSError):  # io.BytesIO raises io.UnsupportedOperation
+    try:  # Windows has no os.pread; io.BytesIO raises io.UnsupportedOperation
+        status = os.fstat(source.fileno()) if hasattr(os, "pread") else None
+    except (AttributeError, OSError):
         status = None
     if status and stat.S_ISREG(status.st_mode) and status.st_size:  # /proc files have size 0
         return _File(source, status.st_size)
@@ -580,7 +574,7 @@ def load_dataset(
     Missing weights default to uniform 1/n; the weight column is then
     renormalized to total 1 and the raw total is kept on the dataset.
     From ``2 * MIN_PART`` bytes on, forked workers read (a regular file with
-    ``os.pread``; any other file object is read whole here), parse, check
+    ``os.pread``, where the OS has it; any other file is read whole here), parse, check
     and normalize parts of the input, one per usable CPU; only the rules
     that span parts run here, and the result and error are those of one
     pass. From ``MIN_PART`` bytes on, orjson parses each part that it reads
@@ -614,18 +608,16 @@ def load_dataset(
     columns = list(zip(*columns))  # each concept's parts
     uniform = 1.0 / n
     weights = [uniform if w is None else w for w in weights]
-    if all(oks) and len(set(ids)) == n and _weights(weights):
-        columns = [reduce(iadd, column) for column in columns]
-    else:
-        # A rule fails: the one-pass check finds the first bad line.
+    if not (all(oks) and len(set(ids)) == n and _weights(weights)):
+        # A rule fails: the one-pass check finds and raises the first bad line.
         starts = accumulate(map(len, linenos), initial=0)
         bad = {start + i: v for start, part in zip(starts, bad_concepts) for i, v in part.items()}
         offsets = accumulate(newlines, initial=0)
         linenos = [offset + lineno for offset, part in zip(offsets, linenos) for lineno in part]
-        ids, predictions, columns, weights, truths = _check_columns(
-            names, ids, predictions, list(map(_join, columns)), weights, truths,
-            lambda i: f"line {linenos[i]}", bad)
-        predictions, truths, columns = _normalize(predictions, truths, columns)
+        _check_columns(names, ids, predictions, list(map(_join, columns)), weights, truths,
+                       lambda i: f"line {linenos[i]}", bad)
+        raise AssertionError("a rule failed that the one-pass check passed")
+    columns = [reduce(iadd, column) for column in columns]
     raw_weights = list(map(float, weights))
     total = _total(raw_weights)
     if not math.isfinite(total):

@@ -20,9 +20,9 @@ def usable_cpus() -> int:
 def fork_map(func: Callable, spans: Sequence[tuple]) -> list:
     """``[func(*span) for span in spans]``, the spans after the first in forked
     workers that pickle their results back. A result that arrives incomplete,
-    or whose fork failed, is computed here, in order, so the first error is the
-    one a single pass raises. Every worker is killed and reaped, and every pipe
-    closed, before this returns or raises; gc, pickle and signal load only here.
+    or whose pipe or fork failed, is computed here, in order, so the first error
+    is the one a single pass raises. Every worker is killed and reaped, and every
+    pipe closed, before this returns or raises; gc, pickle and signal load only here.
     """
     if len(spans) < 2:
         return [func(*span) for span in spans]
@@ -33,7 +33,10 @@ def fork_map(func: Callable, spans: Sequence[tuple]) -> list:
     parent, workers = os.getpid(), []
     try:
         for span in spans[1:]:
-            read_end, write_end = os.pipe()
+            try:
+                read_end, write_end = os.pipe()
+            except OSError:  # no descriptors to spare: this span and the rest run here
+                break
             try:
                 pid = os.fork()
             except OSError:  # no process to spare: the pipe stays empty
@@ -51,7 +54,7 @@ def fork_map(func: Callable, spans: Sequence[tuple]) -> list:
                 results.append(pickle.load(pipe))
             except (EOFError, pickle.UnpicklingError):
                 results.append(func(*span))
-        return results
+        return results + [func(*span) for span in spans[1 + len(workers):]]
     finally:
         if os.getpid() != parent:  # a worker that raised or was interrupted
             os._exit(1)

@@ -1025,6 +1025,13 @@ def test_split_parse_is_quiet_and_prints_what_one_cpu_prints(tmp_path):
             assert split.stderr.startswith(b"error: concept-conditioned measure of 'c7' ")
         else:
             assert split.returncode == 0 and split.stderr == b""
+            # Every cell of every series is printed.
+            if args[-1] == "json":
+                assert len(json.loads(split.stdout)["rows"]) == 8 * series
+            elif args[-1] == "svg":  # a bar per cell and a legend swatch per series
+                assert split.stdout.count(b"<rect ") == (8 + 1) * series
+            else:
+                assert split.stdout.count(b"\n") == 1 + 8 * series
 
 
 def test_table_on_the_cli_fixtures_forks_nothing(fixtures):

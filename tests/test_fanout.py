@@ -2,6 +2,8 @@
 worker or pipe behind; the verify suites that run through it give the
 report of one pass."""
 
+import errno
+import os
 import threading
 import time
 
@@ -74,6 +76,24 @@ def test_fork_map_computes_a_lost_workers_part_itself(forks, monkeypatch, sent):
     lose_workers(monkeypatch, sent)
     assert fork_map(squares, SPANS) == [squares(*span) for span in SPANS]
     assert len(forks) == 2 * (sent is not None)
+    assert_nothing_left(fds)
+
+
+def test_fork_map_computes_the_spans_it_has_no_pipe_for(forks, monkeypatch):
+    """Once ``os.pipe`` fails, as when descriptors run out, that span and the
+    ones after it are computed here."""
+    fds = open_fds()
+    pipe, made = os.pipe, []
+
+    def one_pipe():
+        if made:
+            raise OSError(errno.EMFILE, "Too many open files")
+        made.append(1)
+        return pipe()
+
+    monkeypatch.setattr(os, "pipe", one_pipe)
+    assert fork_map(squares, SPANS) == [squares(*span) for span in SPANS]
+    assert len(forks) == 1
     assert_nothing_left(fds)
 
 
