@@ -12,15 +12,13 @@ All command output is byte-stable for fixed inputs and seeds.
 
 from __future__ import annotations
 
-import functools
+import argparse
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import click
-from click.core import ParameterSource
 
 from conceptscope.errors import (
     ConceptScopeError,
@@ -37,18 +35,6 @@ from conceptscope.errors import (
 if TYPE_CHECKING:
     from conceptscope.prompts import EditPlan
     from conceptscope.tcav import LinearConceptModel
-
-
-def _cli_errors(func):
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except ConceptScopeError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(exc.exit_code)
-
-    return wrapper
 
 
 def _read_file(path: str, read=lambda file: file.read()):
@@ -108,47 +94,45 @@ def _finite_number(value: object, what: str) -> float:
     raise ValidationError(f"{what} must be a finite number, got {value!r}")
 
 
-def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
-    """click's help callback, writing through ``_write_stdout`` so that help on
-    a stdout that fails exits 2 as every command's output does."""
-    if value and not ctx.resilient_parsing:
-        _cli_errors(_write_stdout)(f"{ctx.get_help()}\n".encode("utf-8"))
-        ctx.exit()
+class _Formatter(argparse.HelpFormatter):  # "Usage:", which scripts look for
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
 
 
-class _Command(click.Command):
-    """A command whose ``--help`` is written by ``_show_help``."""
+class _Parser(argparse.ArgumentParser):
+    """No abbreviated options; ``-1e-3`` or ``-inf`` is a value, not an option; help
+    goes through ``_write_stdout``, so that help on a failing stdout exits 2."""
 
-    def get_help_option(self, ctx: click.Context) -> click.Option | None:
-        option = super().get_help_option(ctx)
-        if option is not None:
-            option.callback = _show_help
-        return option
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_Formatter, allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
-
-class _Group(_Command, click.Group):
-    command_class = _Command
+    def print_help(self, file=None):
+        _write_stdout(self.format_help().encode("utf-8"))
 
 
-@click.group(cls=_Group, context_settings={"help_option_names": ["-h", "--help"]})
-@click.option(
-    "--threads",
-    type=click.IntRange(min=1),
-    default=1,
-    show_default=True,
-    expose_value=False,
-    help="Accepted for compatibility; has no effect.",
-)
-def main() -> None:
-    """Concept-importance measures, verification suites and prompt editing."""
-    # OpenBLAS sizes its worker pool to the CPU count when the library loads,
-    # numpy has no API to change it later and threadpoolctl is not a
-    # dependency. The one BLAS call that could split, theorem2's gemv, is
-    # 116 x 8 at the defaults, so idle workers only burn CPU. This runs before
-    # any command imports numpy; a user's setting wins, and importing the
-    # package leaves the environment alone.
-    if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+_COMMANDS: dict[str, tuple] = {}  # name -> (function, its _arg()s); filled by @_command
+
+
+def _command(name, *arguments):
+    return lambda func: _COMMANDS.setdefault(name, (func, arguments))[0]
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
+        return value
+
+    parse.__name__ = "int"  # as argparse's "invalid int value: ..." names it
+    return parse
+
+
+_OUTPUT = _arg("-o", "--output", default="-", metavar="PATH", help="default: %(default)s")
 
 
 def _parse_dataset_spec(spec: str) -> tuple[str, str]:
@@ -162,29 +146,25 @@ def _parse_dataset_spec(spec: str) -> tuple[str, str]:
     return label, path
 
 
-@main.command("measure")
-@click.option("--dataset", "-d", "dataset_specs", multiple=True, required=True,
-              metavar="LABEL=PATH", help="Dataset JSONL with a series label; repeatable.")
-@click.option("--measure", "-m", "measure_name",
-              type=click.Choice(["class-conditioned", "concept-conditioned", "symmetric"]),
-              default="symmetric", show_default=True)
-@click.option("--theta", type=float, default=None,
-              help="Threshold for the concept-conditioned measure.")
-@click.option("--delta", type=float, default=None,
-              help="Attach Hoeffding confidence radii at this delta.")
-@click.option("--ground-truth", "include_ground_truth", is_flag=True,
-              help="Add per-dataset ground-truth comparison series.")
-@click.option("--format", "-f", "fmt", type=click.Choice(["csv", "json", "svg"]),
-              default="csv", show_default=True)
-@click.option("--output", "-o", default="-", show_default=True)
-@click.option("--positive-only", is_flag=True,
-              help="Figure-style filter: keep concepts with a positive value somewhere.")
-@click.option("--strict", is_flag=True,
-              help="Fail (exit 3) on undefined measures instead of rendering n/a.")
-@click.option("--schema", default=None,
-              help="Comma-separated concept names every line must carry exactly;"
-                   " by default the first line's concepts are the schema.")
-@_cli_errors
+@_command(
+    "measure",
+    _arg("-d", "--dataset", dest="dataset_specs", action="append", required=True,
+         metavar="LABEL=PATH", help="Dataset JSONL with a series label; repeatable."),
+    _arg("-m", "--measure", dest="measure_name", default="symmetric", help="default: %(default)s",
+         choices=["class-conditioned", "concept-conditioned", "symmetric"]),
+    _arg("--theta", type=float, help="Threshold for the concept-conditioned measure."),
+    _arg("--delta", type=float, help="Attach Hoeffding confidence radii at this delta."),
+    _arg("--ground-truth", dest="include_ground_truth", action="store_true",
+         help="Add per-dataset ground-truth comparison series."),
+    _arg("-f", "--format", dest="fmt", choices=["csv", "json", "svg"], default="csv",
+         help="default: %(default)s"),
+    _OUTPUT,
+    _arg("--positive-only", action="store_true",
+         help="Figure-style filter: keep concepts with a positive value somewhere."),
+    _arg("--strict", action="store_true",
+         help="Fail (exit 3) on undefined measures instead of rendering n/a."),
+    _arg("--schema", help="Comma-separated concept names every line must carry exactly;"
+                          " by default the first line's concepts are the schema."))
 def measure_cmd(dataset_specs, measure_name, theta, delta, include_ground_truth,
                 fmt, output, positive_only, strict, schema):
     """Per-concept measure table over one or more datasets."""
@@ -205,13 +185,8 @@ def measure_cmd(dataset_specs, measure_name, theta, delta, include_ground_truth,
         datasets.append(
             (label, _read_file(path, lambda file: load_dataset(file, schema=schema_names))))
     cells = report_mod.compute_measure_table(
-        datasets,
-        kind,
-        theta=theta,
-        delta=delta,
-        include_ground_truth=include_ground_truth,
-        strict=strict,
-    )
+        datasets, kind, theta=theta, delta=delta, include_ground_truth=include_ground_truth,
+        strict=strict)
     if positive_only:
         cells = report_mod.filter_positive(cells)
     if fmt == "csv":
@@ -227,13 +202,10 @@ def measure_cmd(dataset_specs, measure_name, theta, delta, include_ground_truth,
 ORACLE_TOLERANCE = 1e-12
 
 
-@main.command("completeness")
-@click.argument("dataset_path", metavar="DATASET")
-@click.argument("concept")
-@click.option("--oracle", is_flag=True,
-              help="Also run the brute-force decoder maximum and require agreement.")
-@click.option("--output", "-o", default="-", show_default=True)
-@_cli_errors
+@_command("completeness", _arg("dataset_path", metavar="DATASET"),
+          _arg("concept", metavar="CONCEPT"), _OUTPUT,
+          _arg("--oracle", action="store_true",
+               help="Also run the brute-force decoder maximum and require agreement."))
 def completeness_cmd(dataset_path, concept, oracle, output):
     """Completeness score of a binary CONCEPT on DATASET."""
     from conceptscope.completeness import completeness_brute_force, completeness_closed_form
@@ -282,11 +254,8 @@ def _load_model(path: str) -> LinearConceptModel:
     )
 
 
-@main.command("tcav")
-@click.argument("model_path", metavar="MODEL")
-@click.argument("embeddings_path", metavar="EMBEDDINGS")
-@click.option("--output", "-o", default="-", show_default=True)
-@_cli_errors
+@_command("tcav", _arg("model_path", metavar="MODEL"),
+          _arg("embeddings_path", metavar="EMBEDDINGS"), _OUTPUT)
 def tcav_cmd(model_path, embeddings_path, output):
     """Concept scores of a linear head over an embedding file."""
     from conceptscope.embeddings import load_vector_file
@@ -315,10 +284,8 @@ def tcav_cmd(model_path, embeddings_path, output):
     _emit_json(payload, output)
 
 
-@main.command("plan")
-@click.option("--epsilon", type=float, required=True)
-@click.option("--delta", type=float, required=True)
-@_cli_errors
+@_command("plan", _arg("--epsilon", type=float, required=True),
+          _arg("--delta", type=float, required=True))
 def plan_cmd(epsilon, delta):
     """Print the sample count needed for radius EPSILON at confidence DELTA."""
     from conceptscope.measures import hoeffding_sample_size
@@ -355,17 +322,14 @@ def _load_plans(path: str) -> list[EditPlan]:
     return plans
 
 
-@main.command("edit")
-@click.argument("prompts_path", metavar="PROMPTS")
-@click.argument("concepts_path", metavar="CONCEPTS")
-@click.argument("plan_path", metavar="PLAN")
-@click.argument("images_path", metavar="IMAGES")
-@click.option("--out-prompts", default=None, metavar="PATH",
-              help="Write the edited prompt vectors to this file.")
-@click.option("--renormalize", is_flag=True,
-              help="Renormalize edited prompts to unit norm (off by default).")
-@click.option("--output", "-o", default="-", show_default=True)
-@_cli_errors
+@_command(
+    "edit",
+    *(_arg(f"{name.lower()}_path", metavar=name)
+      for name in ("PROMPTS", "CONCEPTS", "PLAN", "IMAGES")),
+    _arg("--out-prompts", metavar="PATH", help="Write the edited prompt vectors to this file."),
+    _arg("--renormalize", action="store_true",
+         help="Renormalize edited prompts to unit norm (off by default)."),
+    _OUTPUT)
 def edit_cmd(prompts_path, concepts_path, plan_path, images_path, out_prompts,
              renormalize, output):
     """Apply edit PLAN to PROMPTS and evaluate on labeled IMAGES."""
@@ -426,45 +390,40 @@ def edit_cmd(prompts_path, concepts_path, plan_path, images_path, out_prompts,
     _emit_json(payload, output)
 
 
-@main.command("votes")
-@click.argument("votes_path", metavar="VOTES_CSV")
-@click.option("--k", "ks", multiple=True, type=int, default=(1, 3, 5), show_default=True)
-@click.option("--output", "-o", default="-", show_default=True)
-@_cli_errors
+@_command("votes", _arg("votes_path", metavar="VOTES_CSV"),
+          _arg("--k", dest="ks", action="append", type=int, metavar="K",
+               help="Repeatable; default: 1, 3, 5."),
+          _OUTPUT)
 def votes_cmd(votes_path, ks, output):
     """Accuracy and recall of thresholded concept labels at each k."""
     from conceptscope.votes import load_votes_csv, metrics_at_k
 
     records = load_votes_csv(_read_file(votes_path))
     lines = ["k,accuracy,recall"]
-    for k in ks:
+    for k in ks or (1, 3, 5):
         metrics = metrics_at_k(records, k)
         lines.append(f"{k},{metrics.accuracy!r},{metrics.recall!r}")
     _write_output(("\n".join(lines) + "\n").encode("utf-8"), output)
 
 
-@main.command("verify")
-@click.option("--suite", type=click.Choice(["axioms", "theorem1", "theorem2"]),
-              required=True)
-@click.option("--trials", type=click.IntRange(min=1), default=None,
-              help="Defaults: 1000 (axioms, theorem1) or 500 (theorem2).")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--epsilon", type=float, default=0.2, show_default=True)
-@click.option("--delta", type=float, default=0.1, show_default=True)
-@click.option("--dim", type=int, default=8, show_default=True)
-@click.option("--records", "records_path", default=None, metavar="PATH",
-              help="Write one JSONL record per theorem2 trial.")
-@_cli_errors
+@_command(
+    "verify",
+    _arg("--suite", required=True, choices=["axioms", "theorem1", "theorem2"]),
+    _arg("--trials", type=_at_least(1),
+         help="Defaults: 1000 (axioms, theorem1) or 500 (theorem2)."),
+    _arg("--seed", type=_at_least(0), default=0, help="default: %(default)s"),
+    # Options only theorem2 reads; None stands for "not given".
+    _arg("--epsilon", type=float, help="default: 0.2"),
+    _arg("--delta", type=float, help="default: 0.1"),
+    _arg("--dim", type=int, help="default: 8"),
+    _arg("--records", dest="records_path", metavar="PATH",
+         help="Write one JSONL record per theorem2 trial."))
 def verify_cmd(suite, trials, seed, epsilon, delta, dim, records_path):
     """Run a verification suite; exit 0 only if every check passes."""
-    if suite != "theorem2":
-        # Options only theorem2 reads; a default is not a given option.
-        ctx = click.get_current_context()
-        for param in ctx.command.params:
-            if (param.name in ("epsilon", "delta", "dim", "records_path")
-                    and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE):
-                raise DomainError(
-                    f"{param.opts[0]} applies only to --suite theorem2, not --suite {suite}")
+    theorem2 = {"--epsilon": epsilon, "--delta": delta, "--dim": dim, "--records": records_path}
+    given = [option for option, value in theorem2.items() if value is not None]
+    if suite != "theorem2" and given:
+        raise DomainError(f"{given[0]} applies only to --suite theorem2, not --suite {suite}")
     import json
 
     from conceptscope.verify import run_axioms_suite, run_theorem1_suite, run_theorem2_suite
@@ -474,7 +433,9 @@ def verify_cmd(suite, trials, seed, epsilon, delta, dim, records_path):
     elif suite == "theorem1":
         report = run_theorem1_suite(trials or 1000, seed)
     else:
-        report, records = run_theorem2_suite(epsilon, delta, dim, trials or 500, seed)
+        report, records = run_theorem2_suite(
+            0.2 if epsilon is None else epsilon, 0.1 if delta is None else delta,
+            8 if dim is None else dim, trials or 500, seed)
         if records_path is not None:
             _write_file(records_path, "".join(
                 json.dumps(record, sort_keys=True) + "\n" for record in records).encode("utf-8"))
@@ -482,6 +443,44 @@ def verify_cmd(suite, trials, seed, epsilon, delta, dim, records_path):
     _write_stdout("".join(f"{line}\n" for line in lines).encode("utf-8"))
     if not report.passed:
         sys.exit(1)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="conceptscope", description="Concept-importance measures,"
+                     " verification suites and prompt editing.")
+    parser.add_argument("--threads", type=_at_least(1), default=1, metavar="N",
+                        help="Accepted for compatibility; has no effect.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, (func, arguments) in sorted(_COMMANDS.items()):
+        sub = commands.add_parser(name, help=func.__doc__, description=func.__doc__)
+        for flags, options in arguments:
+            sub.add_argument(*flags, **options)
+        sub.set_defaults(func=func)
+    return parser
+
+
+def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
+    """Run the command in ``args`` (default ``sys.argv[1:]``) and exit with
+    its code; on success under ``standalone_mode=False``, return instead."""
+    try:
+        options = vars(_parser().parse_args(args))
+        # OpenBLAS sizes its worker pool to the CPU count when the library loads,
+        # numpy has no API to change it later and threadpoolctl is not a dependency.
+        # The one BLAS call that could split, theorem2's gemv, is 116 x 8 at the
+        # defaults, so idle workers only burn CPU. This runs before any command
+        # imports numpy; a user's setting wins, and the import leaves it alone.
+        if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        del options["threads"]
+        options.pop("func")(**options)
+    except ConceptScopeError as exc:
+        print(f"error: {exc}", file=sys.stderr, flush=True)
+        sys.exit(exc.exit_code)
+    except KeyboardInterrupt:  # Ctrl-C: no traceback
+        print("\nAborted!", file=sys.stderr, flush=True)
+        sys.exit(1)
+    if standalone_mode:
+        sys.exit(0)
 
 
 def run() -> None:

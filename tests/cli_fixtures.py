@@ -6,15 +6,21 @@ be verified by hand; datasets come from the seeded generator.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import os
 import pickle
 import signal
+import traceback
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from conceptscope import cli
 from conceptscope.dataset import to_jsonl
 from conceptscope.synthetic import SyntheticSpec, generate_dataset
 
@@ -129,6 +135,57 @@ def write_fixtures(directory: Path) -> dict[str, Path]:
 # The variables that set OpenBLAS's thread count. The CLI sets the first
 # unless the user has set one of them.
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+# A process wraps help at COLUMNS - 2 columns; ``run_cli`` sets COLUMNS to this.
+HELP_COLUMNS = "80"
+
+
+@dataclasses.dataclass(frozen=True)
+class CliResult:
+    """The exit code, stdout and stderr of one in-process CLI run, and the
+    exception that escaped ``main``, if one did."""
+
+    exit_code: int
+    stdout_bytes: bytes
+    stderr_bytes: bytes
+    exception: BaseException | None = None
+
+    @property
+    def stdout(self) -> str:
+        return self.stdout_bytes.decode("utf-8", "replace")
+
+    @property
+    def stderr(self) -> str:
+        return self.stderr_bytes.decode("utf-8", "replace")
+
+    @property
+    def output(self) -> str:
+        """stdout, then stderr."""
+        return self.stdout + self.stderr
+
+
+def run_cli(args: list[str]) -> CliResult:
+    """``cli.main(args, standalone_mode=False)`` in this process, with stdout
+    and stderr captured as the bytes a process would write: an exception
+    that escapes ``main`` leaves its traceback on stderr and exit code 1."""
+    out, err = io.BytesIO(), io.BytesIO()
+    stdout = io.TextIOWrapper(out, encoding="utf-8", write_through=True)
+    stderr = io.TextIOWrapper(err, encoding="utf-8", errors="backslashreplace",
+                              write_through=True)
+    code, exception = 0, None
+    with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+          mock.patch.dict(os.environ, COLUMNS=HELP_COLUMNS)):
+        try:
+            cli.main(list(args), standalone_mode=False)
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+        except Exception as exc:
+            traceback.print_exc()
+            code, exception = 1, exc
+        stdout.flush()
+        stderr.flush()
+    return CliResult(code, out.getvalue(), err.getvalue(), exception)
 
 
 def env_with_src() -> dict[str, str]:

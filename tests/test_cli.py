@@ -8,12 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from cli_fixtures import BLAS_VARS, env_with_src, write_fixtures
+from cli_fixtures import BLAS_VARS, env_with_src, run_cli, write_fixtures
 from conceptscope import dataset as dataset_mod
 from conceptscope import report as report_mod
-from conceptscope.cli import main
 from conceptscope.verify import MIN_TRIALS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -24,13 +22,8 @@ def fixtures(tmp_path):
     return write_fixtures(tmp_path)
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, args, expect=0):
-    result = runner.invoke(main, args)
+def invoke(args, expect=0):
+    result = run_cli(args)
     assert result.exit_code == expect, (args, result.output, result.exception)
     return result
 
@@ -39,18 +32,16 @@ def golden_bytes(name):
     return (GOLDEN / name).read_bytes()
 
 
-def test_measure_symmetric_golden(runner, fixtures):
+def test_measure_symmetric_golden(fixtures):
     result = invoke(
-        runner,
         ["measure", "-d", f"LR={fixtures['lr']}", "-d", f"RF={fixtures['rf']}",
          "-m", "symmetric"],
     )
     assert result.stdout.encode() == golden_bytes("measure_symmetric.csv")
 
 
-def test_measure_json_with_ground_truth_golden(runner, fixtures):
+def test_measure_json_with_ground_truth_golden(fixtures):
     result = invoke(
-        runner,
         ["measure", "-d", f"LR={fixtures['lr']}", "-m", "class-conditioned",
          "--ground-truth", "--delta", "0.05", "-f", "json"],
     )
@@ -65,18 +56,16 @@ def test_measure_json_with_ground_truth_golden(runner, fixtures):
         assert series["LR"] == series["LR:ground_truth"]
 
 
-def test_measure_svg_golden(runner, fixtures):
+def test_measure_svg_golden(fixtures):
     result = invoke(
-        runner,
         ["measure", "-d", f"LR={fixtures['lr']}", "-d", f"RF={fixtures['rf']}",
          "-m", "concept-conditioned", "--theta", "1.0", "-f", "svg"],
     )
     assert result.stdout.encode() == golden_bytes("measure_conceptcond.svg")
 
 
-def test_measure_identical_datasets_identical_series(runner, fixtures):
+def test_measure_identical_datasets_identical_series(fixtures):
     result = invoke(
-        runner,
         ["measure", "-d", f"A={fixtures['lr']}", "-d", f"B={fixtures['lr']}"],
     )
     rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
@@ -87,28 +76,26 @@ def test_measure_identical_datasets_identical_series(runner, fixtures):
         assert series["A"] == series["B"]
 
 
-def test_measure_output_file_and_threads(runner, fixtures, tmp_path):
+def test_measure_output_file_and_threads(fixtures, tmp_path):
     out1 = tmp_path / "t1.csv"
     out8 = tmp_path / "t8.csv"
-    invoke(runner, ["--threads", "1", "measure", "-d", f"LR={fixtures['lr']}",
-                    "-o", str(out1)])
-    invoke(runner, ["--threads", "8", "measure", "-d", f"LR={fixtures['lr']}",
-                    "-o", str(out8)])
+    invoke(["--threads", "1", "measure", "-d", f"LR={fixtures['lr']}",
+            "-o", str(out1)])
+    invoke(["--threads", "8", "measure", "-d", f"LR={fixtures['lr']}",
+            "-o", str(out8)])
     assert out1.read_bytes() == out8.read_bytes()
 
 
-def test_measure_undefined_renders_na(runner, fixtures):
+def test_measure_undefined_renders_na(fixtures):
     result = invoke(
-        runner,
         ["measure", "-d", f"U={fixtures['undefined']}", "-m", "class-conditioned"],
     )
     for line in result.stdout.splitlines()[1:]:
         assert ",n/a," in line
 
 
-def test_measure_strict_exits_3(runner, fixtures):
+def test_measure_strict_exits_3(fixtures):
     result = invoke(
-        runner,
         ["measure", "-d", f"U={fixtures['undefined']}", "-m", "class-conditioned",
          "--strict"],
         expect=3,
@@ -116,16 +103,16 @@ def test_measure_strict_exits_3(runner, fixtures):
     assert "error:" in result.stderr
 
 
-def test_measure_validation_exits_2(runner, fixtures, tmp_path):
-    invoke(runner, ["measure", "-d", "nolabel"], expect=2)
-    invoke(runner, ["measure", "-d", f"X={tmp_path}/missing.jsonl"], expect=2)
-    invoke(runner, ["measure", "-d", f"LR={fixtures['lr']}",
-                    "-m", "concept-conditioned"], expect=2)
-    invoke(runner, ["measure", "-d", f"LR={fixtures['lr']}",
-                    "-m", "symmetric", "--theta", "0.5"], expect=2)
+def test_measure_validation_exits_2(fixtures, tmp_path):
+    invoke(["measure", "-d", "nolabel"], expect=2)
+    invoke(["measure", "-d", f"X={tmp_path}/missing.jsonl"], expect=2)
+    invoke(["measure", "-d", f"LR={fixtures['lr']}",
+            "-m", "concept-conditioned"], expect=2)
+    invoke(["measure", "-d", f"LR={fixtures['lr']}",
+            "-m", "symmetric", "--theta", "0.5"], expect=2)
     bad = tmp_path / "bad.jsonl"
     bad.write_bytes(b'{"id": "a", "prediction": 3, "concepts": {"s": 1.0}}\n')
-    result = invoke(runner, ["measure", "-d", f"B={bad}"], expect=2)
+    result = invoke(["measure", "-d", f"B={bad}"], expect=2)
     assert "line 1" in result.stderr
 
 
@@ -147,27 +134,26 @@ def test_measure_validation_exits_2(runner, fixtures, tmp_path):
          "--schema must list non-empty concept names, got 'stripes,,spots,c0'"),
     ],
 )
-def test_measure_parameter_error_comes_before_reading_files(runner, tmp_path, args, message):
+def test_measure_parameter_error_comes_before_reading_files(tmp_path, args, message):
     missing = tmp_path / "missing.jsonl"
-    result = invoke(runner, ["measure", "-d", f"X={missing}", *args], expect=2)
+    result = invoke(["measure", "-d", f"X={missing}", *args], expect=2)
     assert message in result.stderr
     assert "cannot read" not in result.stderr
 
 
-def test_measure_schema_mismatch_reports_diff(runner, fixtures, tmp_path):
+def test_measure_schema_mismatch_reports_diff(fixtures, tmp_path):
     other = tmp_path / "other.jsonl"
     other.write_bytes(b'{"id": "a", "prediction": 1, "concepts": {"extra": 1.0}}\n')
     result = invoke(
-        runner,
         ["measure", "-d", f"LR={fixtures['lr']}", "-d", f"O={other}"],
         expect=2,
     )
     assert "extra" in result.stderr
 
 
-def test_measure_positive_only_filters(runner, fixtures):
-    base = invoke(runner, ["measure", "-d", f"LR={fixtures['lr']}"])
-    filtered = invoke(runner, ["measure", "-d", f"LR={fixtures['lr']}", "--positive-only"])
+def test_measure_positive_only_filters(fixtures):
+    base = invoke(["measure", "-d", f"LR={fixtures['lr']}"])
+    filtered = invoke(["measure", "-d", f"LR={fixtures['lr']}", "--positive-only"])
     base_concepts = {line.split(",")[0] for line in base.stdout.splitlines()[1:]}
     kept = {line.split(",")[0] for line in filtered.stdout.splitlines()[1:]}
     assert kept < base_concepts
@@ -175,20 +161,20 @@ def test_measure_positive_only_filters(runner, fixtures):
     assert "stripes" in kept
 
 
-def test_completeness_golden_and_oracle(runner, fixtures):
-    result = invoke(runner, ["completeness", str(fixtures["lr"]), "stripes", "--oracle"])
+def test_completeness_golden_and_oracle(fixtures):
+    result = invoke(["completeness", str(fixtures["lr"]), "stripes", "--oracle"])
     assert result.stdout.encode() == golden_bytes("completeness.json")
     payload = json.loads(result.stdout)
     assert payload["difference"] == 0.0
     assert payload["closed_form"]["value"] == payload["brute_force"]["value"]
 
 
-def test_completeness_unknown_concept_exits_2(runner, fixtures):
-    invoke(runner, ["completeness", str(fixtures["lr"]), "nope"], expect=2)
+def test_completeness_unknown_concept_exits_2(fixtures):
+    invoke(["completeness", str(fixtures["lr"]), "nope"], expect=2)
 
 
-def test_tcav_golden(runner, fixtures):
-    result = invoke(runner, ["tcav", str(fixtures["model"]), str(fixtures["embeddings"])])
+def test_tcav_golden(fixtures):
+    result = invoke(["tcav", str(fixtures["model"]), str(fixtures["embeddings"])])
     assert result.stdout.encode() == golden_bytes("tcav.json")
     payload = json.loads(result.stdout)
     assert payload["tcav_con"] == pytest.approx(0.6)
@@ -196,15 +182,15 @@ def test_tcav_golden(runner, fixtures):
     assert payload["gap"] == pytest.approx(abs(payload["class_conditioned"] - 0.6))
 
 
-def test_plan_prints_sample_size(runner):
-    result = invoke(runner, ["plan", "--epsilon", "0.2", "--delta", "0.1"])
+def test_plan_prints_sample_size():
+    result = invoke(["plan", "--epsilon", "0.2", "--delta", "0.1"])
     assert result.stdout == "116\n"
-    result = invoke(runner, ["plan", "--epsilon", "0.1", "--delta", "0.05"])
+    result = invoke(["plan", "--epsilon", "0.1", "--delta", "0.05"])
     assert result.stdout == "600\n"
 
 
-def test_plan_domain_error(runner):
-    invoke(runner, ["plan", "--epsilon", "1.5", "--delta", "0.1"], expect=2)
+def test_plan_domain_error():
+    invoke(["plan", "--epsilon", "1.5", "--delta", "0.1"], expect=2)
 
 
 @pytest.mark.parametrize(
@@ -219,27 +205,26 @@ def test_plan_domain_error(runner):
     ids=["plan-tiny-epsilon", "plan-epsilon-squared-underflows", "plan-tiny-delta",
          "verify-tiny-epsilon", "measure-tiny-delta"],
 )
-def test_non_finite_hoeffding_result_exits_2(runner, fixtures, args):
+def test_non_finite_hoeffding_result_exits_2(fixtures, args):
     if args[0] == "measure":
         args = ["measure", "-d", f"LR={fixtures['lr']}"] + args[1:]
-    result = invoke(runner, args, expect=2)
+    result = invoke(args, expect=2)
     assert "Traceback" not in result.output
     assert "Infinity" not in result.stdout
     assert "error:" in result.stderr
 
 
-def test_votes_golden(runner, fixtures):
-    result = invoke(runner, ["votes", str(fixtures["votes"])])
+def test_votes_golden(fixtures):
+    result = invoke(["votes", str(fixtures["votes"])])
     assert result.stdout.encode() == golden_bytes("votes.txt")
 
 
-def test_votes_custom_k_out_of_range(runner, fixtures):
-    invoke(runner, ["votes", str(fixtures["votes"]), "--k", "12"], expect=2)
+def test_votes_custom_k_out_of_range(fixtures):
+    invoke(["votes", str(fixtures["votes"]), "--k", "12"], expect=2)
 
 
-def test_edit_golden_report(runner, fixtures):
+def test_edit_golden_report(fixtures):
     result = invoke(
-        runner,
         ["edit", str(fixtures["prompts"]), str(fixtures["concepts"]),
          str(fixtures["plan"]), str(fixtures["images"])],
     )
@@ -254,10 +239,9 @@ OUT_PROMPTS_SHA256 = "0f13c8fc312688e5f740c329603977db81e5be576fdc064bd0f9c5213a
 RENORMALIZED_OUT_PROMPTS_SHA256 = "61d11e78dd333a47dbd82e6858b1a0d37347cd591c14b06a8440bcfc78b2cca4"
 
 
-def test_edit_writes_unnormalized_prompts(runner, fixtures, tmp_path):
+def test_edit_writes_unnormalized_prompts(fixtures, tmp_path):
     out = tmp_path / "edited.json"
     invoke(
-        runner,
         ["edit", str(fixtures["prompts"]), str(fixtures["concepts"]),
          str(fixtures["plan"]), str(fixtures["images"]), "--out-prompts", str(out)],
     )
@@ -269,10 +253,9 @@ def test_edit_writes_unnormalized_prompts(runner, fixtures, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == OUT_PROMPTS_SHA256
 
 
-def test_edit_renormalize_bytes_are_pinned(runner, fixtures, tmp_path):
+def test_edit_renormalize_bytes_are_pinned(fixtures, tmp_path):
     out = tmp_path / "edited.json"
     result = invoke(
-        runner,
         ["edit", str(fixtures["prompts"]), str(fixtures["concepts"]),
          str(fixtures["plan"]), str(fixtures["images"]), "--renormalize",
          "--out-prompts", str(out)],
@@ -291,19 +274,19 @@ def test_edit_renormalize_bytes_are_pinned(runner, fixtures, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RENORMALIZED_OUT_PROMPTS_SHA256
 
 
-def test_vector_file_error_names_the_first_faulty_entry(runner, fixtures, tmp_path):
+def test_vector_file_error_names_the_first_faulty_entry(fixtures, tmp_path):
     embeddings = tmp_path / "embeddings.json"
     embeddings.write_text(json.dumps({"dim": 4, "vectors": [
         {"id": "e0", "values": [1.0, 0.0, 0.0, 0.0]},
         {"id": "e1", "values": [0.0, 0.0, 0.0, 0.0]},
         {"id": "e2", "values": [1.0, 0.0]},
     ]}))
-    result = invoke_input_error(runner, ["tcav", str(fixtures["model"]), str(embeddings)])
+    result = invoke_input_error(["tcav", str(fixtures["model"]), str(embeddings)])
     assert result.stderr == (
         "error: vectors[1]: 'values' of 'e1' has norm 0.0 and cannot be normalized\n")
 
 
-def test_edit_renormalize_zero_prompt_exits_2(runner, fixtures, tmp_path):
+def test_edit_renormalize_zero_prompt_exits_2(fixtures, tmp_path):
     concepts = tmp_path / "concepts.json"
     concepts.write_text(
         json.dumps({"dim": 4, "vectors": [{"id": "same", "values": [0.8, 0.0, 0.6, 0.0]}]})
@@ -311,14 +294,13 @@ def test_edit_renormalize_zero_prompt_exits_2(runner, fixtures, tmp_path):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"class_name": "a", "concept_names": ["same"], "lambda": 1.0}))
     result = invoke_input_error(
-        runner,
         ["edit", str(fixtures["prompts"]), str(concepts), str(plan), str(fixtures["images"]),
          "--renormalize"],
     )
     assert "error: edited prompt 'a' has norm 0.0 and cannot be normalized" in result.stderr
 
 
-def test_edit_accepts_plan_lists(runner, fixtures, tmp_path):
+def test_edit_accepts_plan_lists(fixtures, tmp_path):
     plans = tmp_path / "plans.json"
     plans.write_text(
         json.dumps(
@@ -329,7 +311,6 @@ def test_edit_accepts_plan_lists(runner, fixtures, tmp_path):
         )
     )
     result = invoke(
-        runner,
         ["edit", str(fixtures["prompts"]), str(fixtures["concepts"]), str(plans),
          str(fixtures["images"])],
     )
@@ -339,43 +320,40 @@ def test_edit_accepts_plan_lists(runner, fixtures, tmp_path):
     assert payload["edited"]["accuracy"] == 1.0
 
 
-def test_edit_requires_image_labels(runner, fixtures, tmp_path):
+def test_edit_requires_image_labels(fixtures, tmp_path):
     unlabeled = tmp_path / "img.json"
     unlabeled.write_text(
         json.dumps({"dim": 4, "vectors": [{"id": "i", "values": [1.0, 0.0, 0.0, 0.0]}]})
     )
     invoke(
-        runner,
         ["edit", str(fixtures["prompts"]), str(fixtures["concepts"]),
          str(fixtures["plan"]), str(unlabeled)],
         expect=2,
     )
 
 
-def test_edit_unknown_plan_class(runner, fixtures, tmp_path):
+def test_edit_unknown_plan_class(fixtures, tmp_path):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"class_name": "zz", "concept_names": ["w"], "lambda": 0.1}))
     invoke(
-        runner,
         ["edit", str(fixtures["prompts"]), str(fixtures["concepts"]), str(plan),
          str(fixtures["images"])],
         expect=2,
     )
 
 
-def test_verify_suites_pass(runner):
-    result = invoke(runner, ["verify", "--suite", "theorem1", "--trials", "40"])
+def test_verify_suites_pass():
+    result = invoke(["verify", "--suite", "theorem1", "--trials", "40"])
     assert "theorem1/equality: PASS" in result.stdout
-    result = invoke(runner, ["verify", "--suite", "axioms", "--trials", "20"])
+    result = invoke(["verify", "--suite", "axioms", "--trials", "20"])
     assert "axioms/recursivity: PASS" in result.stdout
     assert "axioms/linearity: PASS" in result.stdout
     assert "axioms/decomposition: PASS" in result.stdout
 
 
-def test_verify_theorem2_writes_records(runner, tmp_path):
+def test_verify_theorem2_writes_records(tmp_path):
     records = tmp_path / "trials.jsonl"
     result = invoke(
-        runner,
         ["verify", "--suite", "theorem2", "--trials", "10", "--dim", "4",
          "--records", str(records)],
     )
@@ -392,17 +370,17 @@ def test_verify_theorem2_writes_records(runner, tmp_path):
 THEOREM2_RECORDS_FILE_SHA256 = "965f06908a0befc559a011f126b16ce749d92d0da52133bf8f563270c2f31d71"
 
 
-def test_verify_theorem2_records_bytes_are_pinned(runner, tmp_path):
+def test_verify_theorem2_records_bytes_are_pinned(tmp_path):
     records = tmp_path / "trials.jsonl"
-    invoke(runner, ["verify", "--suite", "theorem2", "--trials", "20", "--dim", "4",
-                    "--seed", "0", "--records", str(records)])
+    invoke(["verify", "--suite", "theorem2", "--trials", "20", "--dim", "4",
+            "--seed", "0", "--records", str(records)])
     assert hashlib.sha256(records.read_bytes()).hexdigest() == THEOREM2_RECORDS_FILE_SHA256
 
 
-def test_verify_theorem2_summary_prints_epsilon_exactly(runner):
+def test_verify_theorem2_summary_prints_epsilon_exactly():
     # Rounded to 6 significant digits, this epsilon would read "gap < 1".
-    result = invoke(runner, ["verify", "--suite", "theorem2", "--trials", "1",
-                             "--epsilon", "0.9999999"])
+    result = invoke(["verify", "--suite", "theorem2", "--trials", "1",
+                     "--epsilon", "0.9999999"])
     assert result.stdout.startswith("theorem2/bound: PASS (1/1 trials with gap < 0.9999999;")
 
 
@@ -418,7 +396,7 @@ FAILING_SUITES = {
 
 
 @pytest.mark.parametrize("suite", sorted(FAILING_SUITES))
-def test_failing_verify_suite_exits_1_with_its_records(runner, monkeypatch, suite):
+def test_failing_verify_suite_exits_1_with_its_records(monkeypatch, suite):
     """Exit 1, the summary lines, then one sorted-key JSON failure record per
     line for every failing trial. Five trials are fewer than 2 * MIN_TRIALS,
     so nothing forks."""
@@ -431,7 +409,7 @@ def test_failing_verify_suite_exits_1_with_its_records(runner, monkeypatch, suit
                             lambda epsilon, delta, dim, seed: Theorem2Trial(0.5, 7, False))
     else:
         monkeypatch.setattr(verify, "IDENTITY_TOLERANCE", -1.0)
-    result = invoke(runner, ["verify", "--suite", suite, "--trials", "5"], expect=1)
+    result = invoke(["verify", "--suite", suite, "--trials", "5"], expect=1)
     lines = result.stdout.splitlines()
     summary = FAILING_SUITES[suite]
     assert lines[:len(summary)] == summary
@@ -443,21 +421,21 @@ def test_failing_verify_suite_exits_1_with_its_records(runner, monkeypatch, suit
                            for i in range(5)]
 
 
-def test_verify_thread_count_does_not_change_output(runner):
+def test_verify_thread_count_does_not_change_output():
     args = ["verify", "--suite", "axioms", "--trials", "12", "--seed", "5"]
-    first = invoke(runner, ["--threads", "1"] + args)
-    second = invoke(runner, ["--threads", "8"] + args)
+    first = invoke(["--threads", "1"] + args)
+    second = invoke(["--threads", "8"] + args)
     assert first.stdout == second.stdout
 
 
-def invoke_input_error(runner, args):
-    result = invoke(runner, args, expect=2)
+def invoke_input_error(args):
+    result = invoke(args, expect=2)
     assert "Traceback" not in result.output
     return result
 
 
-def test_verify_negative_seed_exits_2(runner):
-    result = invoke_input_error(runner, ["verify", "--suite", "axioms", "--seed", "-1"])
+def test_verify_negative_seed_exits_2():
+    result = invoke_input_error(["verify", "--suite", "axioms", "--seed", "-1"])
     assert "--seed" in result.stderr
 
 
@@ -468,36 +446,36 @@ def test_verify_negative_seed_exits_2(runner):
     for option, value, suffix in (("--records", None, ""), ("--epsilon", "7", "-epsilon"),
                                   ("--delta", "0.1", "-delta"), ("--dim", "1", "-dim"))
 ])
-def test_verify_records_without_theorem2_exits_2(runner, tmp_path, suite, option, value):
+def test_verify_records_without_theorem2_exits_2(tmp_path, suite, option, value):
     records = tmp_path / "trials.jsonl"
     result = invoke_input_error(
-        runner, ["verify", "--suite", suite, "--trials", "3", option, value or str(records)])
+        ["verify", "--suite", suite, "--trials", "3", option, value or str(records)])
     assert result.stderr == f"error: {option} applies only to --suite theorem2, not --suite {suite}\n"
     assert result.stdout == ""
     assert not records.exists()
 
 
-def test_tcav_non_numeric_theta_exits_2(runner, fixtures, tmp_path):
+def test_tcav_non_numeric_theta_exits_2(fixtures, tmp_path):
     model = json.loads(fixtures["model"].read_text())
     model["theta_h"] = "abc"
     bad = tmp_path / "model.json"
     bad.write_text(json.dumps(model))
-    result = invoke_input_error(runner, ["tcav", str(bad), str(fixtures["embeddings"])])
+    result = invoke_input_error(["tcav", str(bad), str(fixtures["embeddings"])])
     assert "error:" in result.stderr and "theta_h" in result.stderr
 
 
-def test_tcav_non_numeric_vector_values_exit_2(runner, fixtures, tmp_path):
+def test_tcav_non_numeric_vector_values_exit_2(fixtures, tmp_path):
     embeddings = tmp_path / "embeddings.json"
     embeddings.write_text(
         json.dumps({"dim": 4, "vectors": [{"id": "e", "values": ["a", 0, 0, 0]}]})
     )
-    result = invoke_input_error(runner, ["tcav", str(fixtures["model"]), str(embeddings)])
+    result = invoke_input_error(["tcav", str(fixtures["model"]), str(embeddings)])
     assert "vectors[0]" in result.stderr
     model = json.loads(fixtures["model"].read_text())
     model["w_h"] = ["a", 0, 0, 0]
     bad = tmp_path / "model.json"
     bad.write_text(json.dumps(model))
-    result = invoke_input_error(runner, ["tcav", str(bad), str(fixtures["embeddings"])])
+    result = invoke_input_error(["tcav", str(bad), str(fixtures["embeddings"])])
     assert "w_h" in result.stderr
 
 
@@ -505,7 +483,7 @@ def test_tcav_non_numeric_vector_values_exit_2(runner, fixtures, tmp_path):
     "field, value",
     [("w_h", [True, False, False, False]), ("v", [0, 1, 0, True]), ("dim", True)],
 )
-def test_tcav_boolean_model_fields_exit_2(runner, fixtures, tmp_path, field, value):
+def test_tcav_boolean_model_fields_exit_2(fixtures, tmp_path, field, value):
     model = json.loads(fixtures["model"].read_text())
     model[field] = value
     if field == "dim":
@@ -513,7 +491,7 @@ def test_tcav_boolean_model_fields_exit_2(runner, fixtures, tmp_path, field, val
         model["w_h"], model["v"] = [1.0], [1.0]
     bad = tmp_path / "model.json"
     bad.write_text(json.dumps(model))
-    result = invoke_input_error(runner, ["tcav", str(bad), str(fixtures["embeddings"])])
+    result = invoke_input_error(["tcav", str(bad), str(fixtures["embeddings"])])
     assert f"'{field}'" in result.stderr
 
 
@@ -521,26 +499,25 @@ def test_tcav_boolean_model_fields_exit_2(runner, fixtures, tmp_path, field, val
     "values", ["[true, false, false, false]", "[1" + "0" * 400 + ", 0, 0, 0]"],
     ids=["boolean", "too-large-for-a-float"],
 )
-def test_tcav_rejected_vector_values_exit_2(runner, fixtures, tmp_path, values):
+def test_tcav_rejected_vector_values_exit_2(fixtures, tmp_path, values):
     embeddings = tmp_path / "embeddings.json"
     embeddings.write_text('{"dim": 4, "vectors": [{"id": "e", "values": ' + values + "}]}")
-    result = invoke_input_error(runner, ["tcav", str(fixtures["model"]), str(embeddings)])
+    result = invoke_input_error(["tcav", str(fixtures["model"]), str(embeddings)])
     assert "vectors[0]" in result.stderr
 
 
-def _edit_with_plan(runner, fixtures, tmp_path, plan):
+def _edit_with_plan(fixtures, tmp_path, plan):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(plan))
     return invoke_input_error(
-        runner,
         ["edit", str(fixtures["prompts"]), str(fixtures["concepts"]), str(path),
          str(fixtures["images"])],
     )
 
 
-def test_edit_non_numeric_lambda_exits_2(runner, fixtures, tmp_path):
+def test_edit_non_numeric_lambda_exits_2(fixtures, tmp_path):
     result = _edit_with_plan(
-        runner, fixtures, tmp_path, {"class_name": "a", "concept_names": ["w"], "lambda": "q"}
+        fixtures, tmp_path, {"class_name": "a", "concept_names": ["w"], "lambda": "q"}
     )
     assert "error:" in result.stderr and "lambda" in result.stderr
 
@@ -560,15 +537,15 @@ def test_edit_non_numeric_lambda_exits_2(runner, fixtures, tmp_path):
      "plan[0] names unknown concept 'q'"),
 ], ids=["no-concepts", "negative-lambda", "list-class-name", "unknown-class",
         "unknown-concept"])
-def test_edit_plan_errors_name_their_plan(runner, fixtures, tmp_path, plans, message):
-    result = _edit_with_plan(runner, fixtures, tmp_path, plans)
+def test_edit_plan_errors_name_their_plan(fixtures, tmp_path, plans, message):
+    result = _edit_with_plan(fixtures, tmp_path, plans)
     assert result.stderr == f"error: {message}\n"
 
 
-def test_edit_string_concept_names_exits_2(runner, fixtures, tmp_path):
+def test_edit_string_concept_names_exits_2(fixtures, tmp_path):
     # A bare string would otherwise be split into one-letter concept names.
     result = _edit_with_plan(
-        runner, fixtures, tmp_path, {"class_name": "a", "concept_names": "w", "lambda": 0.5}
+        fixtures, tmp_path, {"class_name": "a", "concept_names": "w", "lambda": 0.5}
     )
     assert "error:" in result.stderr and "concept_names" in result.stderr
 
@@ -579,62 +556,61 @@ def _dataset_with_line(fixtures, tmp_path, line):
     return path
 
 
-def test_measure_huge_integer_concept_exits_2(runner, fixtures, tmp_path):
+def test_measure_huge_integer_concept_exits_2(fixtures, tmp_path):
     # Past the int-to-str digit limit json.loads raises a plain ValueError.
     path = _dataset_with_line(
         fixtures, tmp_path,
         b'{"id": "big", "prediction": 1, "concepts": {"stripes": ' + b"9" * 5000
         + b', "spots": 1.0, "c0": 1.0}}',
     )
-    result = invoke_input_error(runner, ["measure", "-d", f"X={path}"])
+    result = invoke_input_error(["measure", "-d", f"X={path}"])
     assert "error:" in result.stderr and "line 9" in result.stderr
 
 
-def test_measure_huge_integer_weight_exits_2(runner, fixtures, tmp_path):
+def test_measure_huge_integer_weight_exits_2(fixtures, tmp_path):
     # Parses, but is too large for a float.
     path = _dataset_with_line(
         fixtures, tmp_path,
         b'{"id": "big", "prediction": 1, "concepts": {"stripes": 1.0, "spots": 1.0,'
         b' "c0": 1.0}, "weight": ' + b"9" * 400 + b"}",
     )
-    result = invoke_input_error(runner, ["measure", "-d", f"X={path}"])
+    result = invoke_input_error(["measure", "-d", f"X={path}"])
     assert "error: line 9: weight" in result.stderr
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_overflowing_weight_total_exits_2(runner, tmp_path, n):
+def test_overflowing_weight_total_exits_2(tmp_path, n):
     path = tmp_path / "overflow.jsonl"
     path.write_text("".join(
         json.dumps({"id": f"x{i}", "prediction": 1, "concepts": {"s": 1.0}, "weight": 1e308})
         + "\n" for i in range(n)
     ))
     for args in (["measure", "-d", f"A={path}"], ["completeness", str(path), "s"]):
-        result = invoke_input_error(runner, args)
+        result = invoke_input_error(args)
         assert "error: weight total overflows" in result.stderr
 
 
-def test_edit_huge_integer_lambda_exits_2(runner, fixtures, tmp_path):
+def test_edit_huge_integer_lambda_exits_2(fixtures, tmp_path):
     path = tmp_path / "plan.json"
     path.write_text('{"class_name": "a", "concept_names": ["w"], "lambda": ' + "9" * 5000 + "}")
     result = invoke_input_error(
-        runner,
         ["edit", str(fixtures["prompts"]), str(fixtures["concepts"]), str(path),
          str(fixtures["images"])],
     )
     assert "error:" in result.stderr and "plan file" in result.stderr
 
 
-def test_measure_schema_matching_the_file_changes_nothing(runner, fixtures):
+def test_measure_schema_matching_the_file_changes_nothing(fixtures):
     args = ["measure", "-d", f"LR={fixtures['lr']}", "-d", f"RF={fixtures['rf']}"]
-    inferred = invoke(runner, args)
-    checked = invoke(runner, args + ["--schema", "stripes,spots,c0"])
+    inferred = invoke(args)
+    checked = invoke(args + ["--schema", "stripes,spots,c0"])
     assert checked.stdout.encode() == inferred.stdout.encode()
 
 
 @pytest.mark.parametrize("schema", ["other", "stripes,spots"])
-def test_measure_schema_mismatch_exits_2(runner, fixtures, schema):
+def test_measure_schema_mismatch_exits_2(fixtures, schema):
     result = invoke_input_error(
-        runner, ["measure", "-d", f"LR={fixtures['lr']}", "--schema", schema]
+        ["measure", "-d", f"LR={fixtures['lr']}", "--schema", schema]
     )
     assert "error: line 1: concept keys do not match schema" in result.stderr
 
@@ -651,16 +627,16 @@ def _write_sites(fixtures, target):
 
 
 @pytest.mark.parametrize("site", ["measure", "completeness", "verify", "edit"])
-def test_unwritable_output_path_exits_2(runner, fixtures, tmp_path, site):
+def test_unwritable_output_path_exits_2(fixtures, tmp_path, site):
     target = str(tmp_path / "missing-directory" / "out")
-    result = invoke_input_error(runner, _write_sites(fixtures, target)[site])
+    result = invoke_input_error(_write_sites(fixtures, target)[site])
     assert f"error: cannot write {target}" in result.stderr
 
 
 # An empty path is a path that cannot be written, not "no file asked for".
 @pytest.mark.parametrize("site", ["measure", "completeness", "verify", "edit"])
-def test_empty_output_path_exits_2(runner, fixtures, site):
-    result = invoke_input_error(runner, _write_sites(fixtures, "")[site])
+def test_empty_output_path_exits_2(fixtures, site):
+    result = invoke_input_error(_write_sites(fixtures, "")[site])
     assert result.stderr.startswith("error: cannot write : ")
     assert result.stdout == ""
 
@@ -691,9 +667,9 @@ def test_full_stdout_exits_2(fixtures, command):
 
 
 @pytest.mark.parametrize("second, extra", [("LR", []), ("LR:ground_truth", ["--ground-truth"])])
-def test_measure_repeated_series_label_exits_2(runner, fixtures, second, extra):
+def test_measure_repeated_series_label_exits_2(fixtures, second, extra):
     result = invoke_input_error(
-        runner, ["measure", "-d", f"LR={fixtures['lr']}", "-d", f"{second}={fixtures['rf']}"]
+        ["measure", "-d", f"LR={fixtures['lr']}", "-d", f"{second}={fixtures['rf']}"]
         + extra,
     )
     assert f"repeated: [{second!r}]" in result.stderr
@@ -707,26 +683,26 @@ def test_measure_repeated_series_label_exits_2(runner, fixtures, second, extra):
     ],
     ids=["tiny-epsilon", "huge-dim"],
 )
-def test_verify_theorem2_over_budget_exits_2(runner, args):
-    result = invoke_input_error(runner, args)
+def test_verify_theorem2_over_budget_exits_2(args):
+    result = invoke_input_error(args)
     assert "error: a theorem2 trial would sample n x dim" in result.stderr
 
 
-def test_tcav_with_no_positive_embedding_exits_3(runner, fixtures, tmp_path):
+def test_tcav_with_no_positive_embedding_exits_3(fixtures, tmp_path):
     # e3 is orthogonal to w_h, so its margin is -theta_h: nothing is in the class.
     embeddings = tmp_path / "embeddings.json"
     embeddings.write_text(
         json.dumps({"dim": 4, "vectors": [{"id": "e3", "values": [0.0, 1.0, 0.0, 0.0]}]})
     )
-    result = invoke(runner, ["tcav", str(fixtures["model"]), str(embeddings)], expect=3)
+    result = invoke(["tcav", str(fixtures["model"]), str(embeddings)], expect=3)
     assert "Traceback" not in result.output
     assert "error: no examples are predicted positive" in result.stderr
 
 
-def test_votes_with_no_present_record_exits_3(runner, tmp_path):
+def test_votes_with_no_present_record_exits_3(tmp_path):
     votes = tmp_path / "votes.csv"
     votes.write_text("example_id,concept,yes_count,total_votes,true_label\nx3,wing,7,11,absent\n")
-    result = invoke(runner, ["votes", str(votes)], expect=3)
+    result = invoke(["votes", str(votes)], expect=3)
     assert "Traceback" not in result.output
     assert "error: recall is undefined" in result.stderr
 
@@ -742,18 +718,18 @@ OVERSIZED_FIELD = '"' + "x" * 131073 + '"'
      (VOTES_HEADER + "x1,wing,7,11,present\n" + OVERSIZED_FIELD + ",wing,7,11,present\n", 3)],
     ids=["header", "data-row"],
 )
-def test_votes_oversized_field_exits_2(runner, tmp_path, text, row):
+def test_votes_oversized_field_exits_2(tmp_path, text, row):
     votes = tmp_path / "votes.csv"
     votes.write_text(text)
-    result = invoke_input_error(runner, ["votes", str(votes)])
+    result = invoke_input_error(["votes", str(votes)])
     assert result.stderr.startswith(f"error: row {row}: field larger than field limit")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
-def test_measure_lone_surrogate_concept_name_exits_2(runner, tmp_path, fmt):
+def test_measure_lone_surrogate_concept_name_exits_2(tmp_path, fmt):
     dataset = tmp_path / "d.jsonl"
     dataset.write_text('{"id": "a", "prediction": 1, "concepts": {"\\ud800": 0.5}}\n')
-    result = invoke_input_error(runner, ["measure", "-d", f"A={dataset}", "-f", fmt])
+    result = invoke_input_error(["measure", "-d", f"A={dataset}", "-f", fmt])
     assert "error: concept name '\\ud800' holds a lone surrogate" in result.stderr
 
 
@@ -770,11 +746,13 @@ def test_measure_non_utf8_label_exits_2(fixtures):
 
 
 # Module families that a command must not load unless it uses them:
-# numpy, scipy, and the chain that ``xml.sax.saxutils`` pulls in.
+# numpy, scipy, the chain that ``xml.sax.saxutils`` pulls in, and click,
+# which the CLI does not use.
 _HEAVY = {
     "numpy": ("numpy",),
     "scipy": ("scipy",),
     "urllib": ("urllib.request", "http.client", "ssl", "email"),
+    "click": ("click",),
 }
 
 # Runs each command in one fresh interpreter and reports, after the
@@ -797,7 +775,7 @@ from conceptscope.cli import main
 seen = {"import": state(0)}
 for name, args in json.loads(sys.argv[1]):
     try:
-        code = main.main(args=args, standalone_mode=False) or 0
+        code = main(args, standalone_mode=False) or 0
     except SystemExit as exc:
         code = exc.code
     seen[name] = state(code)
@@ -806,7 +784,7 @@ print(json.dumps(seen))
 
 
 def _run_import_probe(commands, **env):
-    # An in-process CliRunner test may already have set a BLAS variable in
+    # An in-process CLI test may already have set a BLAS variable in
     # this process, and env_with_src() copies os.environ.
     child_env = {k: v for k, v in env_with_src().items() if k not in BLAS_VARS}
     process = subprocess.run(
@@ -839,10 +817,10 @@ def _command_args(fixtures, tmp_path):
 
 def test_no_command_imports_scipy(fixtures, tmp_path):
     # The commands that need no numpy run first, so nothing else has
-    # loaded it yet; then tcav, edit and the suites each load numpy, and
-    # none loads scipy. Every command leaves one thread: the CLI sets
-    # OPENBLAS_NUM_THREADS=1 before numpy loads, while the import leaves
-    # the environment alone.
+    # loaded it yet; then tcav, edit and the suites each load numpy and
+    # no other family of _HEAVY, scipy and click included. Every command
+    # leaves one thread: the CLI sets OPENBLAS_NUM_THREADS=1 before numpy
+    # loads, while the import leaves the environment alone.
     commands = _command_args(fixtures, tmp_path)
     numeric = [(name, commands.pop(name))
                for name in ("tcav", "edit", "axioms", "theorem1", "theorem2")]
@@ -851,9 +829,8 @@ def test_no_command_imports_scipy(fixtures, tmp_path):
     lean_names = ["import"] + [name for name, _ in lean]
     assert {name: seen[name][:2] for name in lean_names} == dict.fromkeys(lean_names, [0, []]), (
         stderr)
-    assert {name: [seen[name][0], "numpy" in seen[name][1], "scipy" in seen[name][1]]
-            for name, _ in numeric} == {
-        name: [0, True, False] for name, _ in numeric
+    assert {name: seen[name][:2] for name, _ in numeric} == {
+        name: [0, ["numpy"]] for name, _ in numeric
     }, stderr
     assert seen["import"][3] == {}
     assert {name: seen[name][3] for name, _ in numeric} == dict.fromkeys(
@@ -907,7 +884,7 @@ import sys
 before = set(sys.modules)
 from conceptscope.cli import main
 try:
-    code = main.main(args=sys.argv[1:], standalone_mode=False) or 0
+    code = main(sys.argv[1:], standalone_mode=False) or 0
 except SystemExit as exc:
     code = exc.code
 added = sorted(name for name in set(sys.modules) - before
@@ -1043,19 +1020,19 @@ def test_table_on_the_cli_fixtures_forks_nothing(fixtures):
 
 
 @pytest.mark.parametrize("command", ["measure", "completeness"])
-def test_unreadable_dataset_exits_2(runner, fixtures, tmp_path, monkeypatch, command):
+def test_unreadable_dataset_exits_2(fixtures, tmp_path, monkeypatch, command):
     def args(path):
         return ["measure", "-d", f"X={path}"] if command == "measure" else [
             "completeness", str(path), "stripes"]
 
-    result = invoke(runner, args(tmp_path), expect=2)
+    result = invoke(args(tmp_path), expect=2)
     assert result.stderr == f"error: cannot read {tmp_path}: Is a directory\n"
 
     def broken(*args):
         raise OSError(errno.EIO, os.strerror(errno.EIO))
 
     monkeypatch.setattr(os, "pread", broken)
-    result = invoke(runner, args(fixtures["lr"]), expect=2)
+    result = invoke(args(fixtures["lr"]), expect=2)
     assert result.stderr == f"error: cannot read {fixtures['lr']}: Input/output error\n"
 
 
@@ -1077,3 +1054,121 @@ def test_split_verify_is_quiet_and_prints_what_one_cpu_prints(tmp_path, suite, e
     assert b": PASS (" in outputs[0][0]
     spans = min(len(os.sched_getaffinity(0)), 3)
     assert _run_strict(["-c", _COUNT_FORKS, *args], False).stderr == f"{spans - 1}\n".encode()
+
+
+MEASURES = ["class-conditioned", "concept-conditioned", "symmetric"]
+COMMANDS = ["completeness", "edit", "measure", "plan", "tcav", "verify", "votes"]
+
+
+def _votes_rows(*ks):
+    return lambda stdout: [line.split(",")[0] for line in stdout.splitlines()[1:]] == list(ks)
+
+
+# The command-line surface, case by case: the exit code, the spellings of
+# one command (from the fixtures ``f`` and a directory ``out``), which must
+# all exit with that code and print the same stdout, and a check on that
+# stdout or None. Exit 2 here is a usage error: ``Usage:`` and ``error:``
+# on stderr.
+SURFACE = {
+    "measure-spellings": (0, lambda f, out: [
+        ["measure", "--dataset", f"LR={f['lr']}", "--measure", "concept-conditioned",
+         "--theta", "0.5", "--format", "json", "--output", "-"],
+        ["measure", "-d", f"LR={f['lr']}", "-m", "concept-conditioned", "--theta=0.5",
+         "-f", "json", "-o", "-"],
+        ["measure", f"-dLR={f['lr']}", "-mconcept-conditioned", "--theta", "0.5", "-fjson",
+         "-o-"],
+    ], None),
+    "measure-flags": (0, lambda f, out: [
+        ["measure", "-d", f"LR={f['lr']}", "-m", "class-conditioned", "--delta", "0.05",
+         "--ground-truth", "--positive-only", "--strict", "--schema", "stripes,spots,c0"],
+    ], None),
+    **{f"measure-{measure}-{fmt}": (0, lambda f, out, measure=measure, fmt=fmt: [
+        ["measure", "-d", f"LR={f['lr']}", "-m", measure, "-f", fmt,
+         *(["--theta", "-1e-3"] if measure == "concept-conditioned" else [])],
+    ], None) for measure in MEASURES for fmt in ("csv", "json", "svg")},
+    "completeness": (0, lambda f, out: [
+        ["completeness", str(f["lr"]), "stripes", "--oracle", "--output", "-"],
+        ["completeness", "--oracle", str(f["lr"]), "stripes", "-o", "-"],
+    ], None),
+    "tcav": (0, lambda f, out: [
+        ["tcav", str(f["model"]), str(f["embeddings"]), "--output", "-"],
+        ["tcav", "-o", "-", str(f["model"]), str(f["embeddings"])],
+    ], None),
+    "plan": (0, lambda f, out: [
+        ["plan", "--epsilon", "0.2", "--delta", "0.1"], ["plan", "--delta=0.1", "--epsilon=0.2"],
+    ], lambda stdout: stdout == "116\n"),
+    "edit": (0, lambda f, out: [
+        ["edit", *(str(f[k]) for k in ("prompts", "concepts", "plan", "images")),
+         "--out-prompts", str(out / "p.json"), "--renormalize", *flag]
+        for flag in ([], ["--output", "-"], ["-o", "-"])
+    ], None),
+    "votes-default-k": (0, lambda f, out: [["votes", str(f["votes"])]],
+                        _votes_rows("1", "3", "5")),
+    "votes-one-k": (0, lambda f, out: [
+        ["votes", str(f["votes"]), "--k", "2", "--output", "-"],
+        ["votes", "-o", "-", "--k=2", str(f["votes"])],
+    ], _votes_rows("2")),
+    "votes-two-k": (0, lambda f, out: [["votes", str(f["votes"]), "--k", "4", "--k", "2"]],
+                    _votes_rows("4", "2")),
+    **{f"verify-{suite}": (0, lambda f, out, suite=suite: [
+        ["verify", "--suite", suite, "--trials", "3", "--seed", "1", *(
+            ["--epsilon", "0.3", "--delta", "0.2", "--dim", "4", "--records",
+             str(out / "r.jsonl")] if suite == "theorem2" else [])],
+    ], lambda stdout: ": PASS (" in stdout) for suite in ("axioms", "theorem1", "theorem2")},
+    "threads": (0, lambda f, out: [
+        [*threads, "verify", "--suite", "axioms", "--trials", "3"]
+        for threads in ([], ["--threads", "2"], ["--threads=1"])
+    ], None),
+    **{"-".join(["help", *command]): (0, lambda f, out, command=command: [
+        [*command, "--help"], [*command, "-h"],
+    ], lambda stdout, command=command: stdout.startswith(
+        " ".join(["Usage: conceptscope", *command])))
+       for command in [[]] + [[name] for name in COMMANDS]},
+    "prefix-ground": (2, lambda f, out: [["measure", "-d", f"LR={f['lr']}", "--ground"]], None),
+    "prefix-strict": (2, lambda f, out: [["measure", "-d", f"LR={f['lr']}", "--str"]], None),
+    "prefix-suite": (2, lambda f, out: [["verify", "--suit", "axioms"]], None),
+    "threads-0": (2, lambda f, out: [["--threads", "0", "verify", "--suite", "axioms"]], None),
+    "threads-after-command": (2, lambda f, out: [
+        ["verify", "--suite", "axioms", "--threads", "2"]], None),
+    "bad-choice": (2, lambda f, out: [
+        ["measure", "-d", f"LR={f['lr']}", "-m", "mean"],
+        ["measure", "-d", f"LR={f['lr']}", "-f", "xml"], ["verify", "--suite", "theorem3"],
+    ], None),
+    "out-of-range": (2, lambda f, out: [
+        ["verify", "--suite", "axioms", "--trials", "0"],
+        ["verify", "--suite", "axioms", "--seed", "-1"],
+    ], None),
+    "no-arguments": (2, lambda f, out: [[]], None),
+    "unknown-command": (2, lambda f, out: [["nope"], ["nope", "--help"]], None),
+}
+
+
+@pytest.mark.parametrize("case", SURFACE)
+def test_cli_surface(tmp_path, case):
+    code, spellings, check = SURFACE[case]
+    results = [run_cli(args) for args in spellings(write_fixtures(tmp_path), tmp_path)]
+    assert [result.exit_code for result in results] == [code] * len(results), [
+        result.output for result in results]
+    assert len({result.stdout_bytes for result in results}) == 1
+    for result in results:
+        if code == 2:
+            assert result.stdout == ""
+            assert result.stderr.startswith("Usage: conceptscope"), result.stderr
+            assert "error: " in result.stderr
+        else:
+            assert result.stderr == ""
+    assert check is None or check(results[0].stdout), results[0].stdout
+
+
+def test_interrupt_exits_1_without_traceback(monkeypatch):
+    from conceptscope import measures
+
+    def interrupted(epsilon, delta):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(measures, "hoeffding_sample_size", interrupted)
+    try:
+        result = run_cli(["plan", "--epsilon", "0.2", "--delta", "0.1"])
+    except KeyboardInterrupt:  # which would otherwise stop the test run
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    assert (result.exit_code, result.stdout, result.stderr) == (1, "", "\nAborted!\n")

@@ -25,14 +25,12 @@ import json
 import operator
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cli_fixtures import write_fixtures
+from cli_fixtures import run_cli, write_fixtures
 from conceptscope import dataset as dataset_mod
 from conceptscope import fanout
-from conceptscope.cli import main
 from conceptscope.errors import ConceptScopeError
 
 PLACEHOLDER = "@@fuzz@@"
@@ -97,21 +95,20 @@ def mutated_files(draw, lines):
 def test_mutated_dataset_exits_cleanly(lr_lines, tmp_path, data):
     path = tmp_path / "fuzzed.jsonl"
     path.write_bytes(data.draw(mutated_files(lr_lines)))
-    runner = CliRunner()
     for args in (
         ["measure", "-d", f"X={path}", "-m", "class-conditioned", "--ground-truth"],
         ["measure", "-d", f"X={path}", "-m", "concept-conditioned", "--theta", "0.5",
          "-f", "json"],
         ["completeness", str(path), "stripes", "--oracle"],
     ):
-        result = runner.invoke(main, args)
+        result = run_cli(args)
         assert result.exit_code in (0, 2, 3), (args, result.output, result.exception)
         assert "Traceback" not in result.output
         if result.exit_code == 2:
             assert "error:" in result.stderr
         with pytest.MonkeyPatch.context() as patch:  # orjson parses first
             patch.setattr(dataset_mod, "MIN_PART", 1)
-            fast = runner.invoke(main, args)
+            fast = run_cli(args)
         assert (fast.exit_code, fast.stdout_bytes, fast.stderr_bytes) == (
             result.exit_code, result.stdout_bytes, result.stderr_bytes), args
 
@@ -128,7 +125,6 @@ def _paths(obj, prefix=()):
 def test_mutated_vector_input_exits_cleanly(tmp_path, name):
     files = write_fixtures(tmp_path)
     original = json.loads(files[name].read_text())
-    runner = CliRunner()
     cases = [(path, raw) for path in _paths(original) for raw in [*BAD_VALUES, None]]
     for case, (path, raw) in enumerate(cases):
         # One file per case, so that a failing case's inputs stay for inspection.
@@ -139,7 +135,7 @@ def test_mutated_vector_input_exits_cleanly(tmp_path, name):
         else:
             args = ["edit", files["prompts"], files["concepts"], files["plan"], files["images"],
                     "--out-prompts", tmp_path / f"{case}-out.json"]
-        result = runner.invoke(main, [str(arg) for arg in args])
+        result = run_cli([str(arg) for arg in args])
         assert result.exit_code in (0, 2, 3), (path, raw, result.output, result.exception)
         assert "Traceback" not in result.output
         if result.exit_code == 2:

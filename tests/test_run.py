@@ -3,21 +3,21 @@
 once stdout and stderr are flushed, so these tests hold it to what the
 in-process ``main`` gives: the same exit code, stdout, stderr and files."""
 
+import ast
 import importlib
 import os
+import re
 import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from cli_fixtures import env_with_src, write_fixtures
+from cli_fixtures import HELP_COLUMNS, env_with_src, run_cli, write_fixtures
 from conceptscope import cli
 
 ROOT = Path(__file__).resolve().parents[1]
-PROG = "python -m conceptscope"
 
 
 # Each case's exit code, and its arguments from the fixtures ``f`` and a
@@ -49,12 +49,8 @@ def _files(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
-# A process wraps help at COLUMNS - 2; CliRunner at 80 unless told.
-HELP_WIDTH = 78
-
-
 def _env():
-    return dict(env_with_src(), COLUMNS=str(HELP_WIDTH + 2))
+    return dict(env_with_src(), COLUMNS=HELP_COLUMNS)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -66,8 +62,7 @@ def test_process_matches_in_process(tmp_path, case):
     in_process.mkdir()
     done = subprocess.run([sys.executable, "-m", "conceptscope", *make_args(fixtures, process)],
                           capture_output=True, env=_env())
-    result = CliRunner().invoke(cli.main, make_args(fixtures, in_process), prog_name=PROG,
-                                terminal_width=HELP_WIDTH)
+    result = run_cli(make_args(fixtures, in_process))
     assert done.returncode == expect, done.stderr.decode()
     assert (done.returncode, done.stdout, done.stderr, _files(process)) == (
         result.exit_code, result.stdout_bytes, result.stderr_bytes, _files(in_process))
@@ -91,7 +86,7 @@ def test_failing_suite_process_matches_in_process(tmp_path, monkeypatch):
                            str(tmp_path / "process.jsonl")], capture_output=True, env=_env())
     monkeypatch.setattr(verify, "theorem2_trial",
                         lambda epsilon, delta, dim, seed: Theorem2Trial(0.5, 7, False))
-    result = CliRunner().invoke(cli.main, [*args, str(tmp_path / "in-process.jsonl")])
+    result = run_cli([*args, str(tmp_path / "in-process.jsonl")])
     assert done.returncode == 1, done.stderr.decode()
     assert (done.returncode, done.stdout, done.stderr) == (
         result.exit_code, result.stdout_bytes, result.stderr_bytes)
@@ -145,3 +140,22 @@ def test_entry_points_call_run(monkeypatch):
     monkeypatch.setattr(cli, "run", lambda: calls.append("run"))
     runpy.run_module("conceptscope", run_name="__main__")
     assert calls == ["run"]
+
+
+def test_runtime_dependencies_are_the_third_party_imports():
+    """``pyproject.toml``'s runtime dependencies are exactly the top-level
+    modules outside the standard library that the package imports anywhere
+    (each distribution here is named as its module)."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
+                for spec in project["project"]["dependencies"]}
+    imported = set()
+    for path in (ROOT / "src" / "conceptscope").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"conceptscope"}
+    assert third_party == declared == {"numpy", "orjson"}
