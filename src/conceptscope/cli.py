@@ -170,9 +170,10 @@ def measure_cmd(dataset_specs, measure_name, theta, delta, include_ground_truth,
     """Per-concept measure table over one or more datasets."""
     from conceptscope import report as report_mod
     from conceptscope.dataset import check_schema, load_dataset
+    from conceptscope.measures import check_measure_parameters
 
     kind = measure_name.replace("-", "_")  # as measures.SYMMETRIC, CLASS_CONDITIONED, ...
-    report_mod.check_measure_parameters(kind, theta, delta)
+    check_measure_parameters(kind, theta, delta)
     schema_names = None
     if schema is not None:
         names = [name.strip() for name in schema.split(",")]

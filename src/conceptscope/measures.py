@@ -7,14 +7,19 @@ probability mass p(x), the measures are
     class-conditioned    E[c(x) | h(x) = +1]   necessity of the concept
     concept-conditioned  E[h(x) | c(x) >= t]   sufficiency of the concept
 
-estimated as weighted means over the dataset's columns. Each sum is a
-``math.fsum`` over the IEEE products (w*h)*c, w*c and w*h: correctly
-rounded (Shewchuk 1997), so the result depends only on the weighted
-examples, not on their order, and equal input bytes give bit-identical
-results. The per-dataset factors (w*h per row, the rows
-predicted +1 and their weight total) are computed once per dataset and
-shared by every concept. Empty conditioning sets raise
-UndefinedMeasureError rather than returning NaN.
+estimated as weighted means over the dataset's columns. They differ
+only in the set they condition on: all rows, {h = +1} or {c >= t}.
+Each public function picks its set's numerator terms, weight mass and
+row count; one kernel, ``_conditional_mean``, tests the set for
+emptiness, sums, divides by the mass (the symmetric sum is its mean
+already), clamps and sizes the radius, and ``measure`` dispatches on
+the kind name. Each sum is a ``math.fsum`` over the IEEE products
+(w*h)*c, w*c and w*h: correctly rounded (Shewchuk 1997), so the result
+depends only on the weighted examples, not on their order, and equal
+input bytes give bit-identical results. The per-dataset factors (w*h
+per row, the rows predicted +1 and their weight total) are computed
+once per dataset and shared by every concept. Empty conditioning sets
+raise UndefinedMeasureError rather than returning NaN.
 
 The sampling plan inverts Hoeffding's one-sided tail for means of
 [-1,1] variables, exp(-n eps^2 / 2) = delta, giving n = ceil(2
@@ -31,7 +36,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 from operator import mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from conceptscope.errors import DomainError, UndefinedMeasureError
 
@@ -64,23 +69,70 @@ class MeasureResult:
     confidence_radius: float | None
 
 
-def _clamp(value: float) -> float:
-    # Weights may sum to 1 only within 1e-9, so guard the [-1, 1] range.
-    return min(1.0, max(-1.0, value))
-
-
 def check_theta(theta: object) -> None:
     """Raise DomainError unless theta is a number in [-1, +1]."""
     if not isinstance(theta, (int, float)) or isinstance(theta, bool):
         raise DomainError(f"theta must be a number, got {theta!r}")
-    if not math.isfinite(theta) or not -1.0 <= theta <= 1.0:
+    if not -1.0 <= theta <= 1.0:  # false for NaN; exact for ints too large for a float
         raise DomainError(f"theta must lie in [-1, +1], got {theta!r}")
 
 
-def _radius_or_none(count: int, delta: float | None) -> float | None:
-    if delta is None:
-        return None
-    return hoeffding_radius(count, delta)
+def check_measure_parameters(kind: str, theta: float | None, delta: float | None) -> None:
+    """Raise DomainError for a measure kind, theta or delta that no table can use."""
+    if kind not in MEASURE_KINDS:
+        raise DomainError(f"unknown measure kind {kind!r}")
+    if (theta is None) and kind == CONCEPT_CONDITIONED:
+        raise DomainError("theta is required for the concept-conditioned measure")
+    if (theta is not None) and kind != CONCEPT_CONDITIONED:
+        raise DomainError("theta is only valid for the concept-conditioned measure")
+    if delta is not None:
+        hoeffding_radius(1, delta)  # its checks on delta do not depend on the count
+    if theta is not None:
+        check_theta(theta)
+
+
+def measure(
+    kind: str, dataset: ConceptDataset, concept: str, theta: float | None = None,
+    *, delta: float | None = None,
+) -> MeasureResult:
+    """The ``kind`` measure of ``concept``; only the concept-conditioned one reads theta.
+
+    Each call looks the public function up as a module global, so a wrapper
+    bound over it on this module (a tracer, a test's patch) sees every call.
+    """
+    if kind == SYMMETRIC:
+        return symmetric_measure(dataset, concept, delta=delta)
+    if kind == CLASS_CONDITIONED:
+        return class_conditioned_measure(dataset, concept, delta=delta)
+    return concept_conditioned_measure(dataset, concept, theta, delta=delta)
+
+
+def _conditional_mean(
+    kind: str, concept: str, terms: Iterable[float], mass: float, count: int,
+    delta: float | None, theta: float | None = None,
+) -> MeasureResult:
+    """The mean of ``terms`` over a conditioning set of ``count`` rows and weight ``mass``."""
+    if count == 0 or mass <= 0.0:  # never for symmetric: a dataset's weights sum to 1
+        if kind == CLASS_CONDITIONED:
+            raise UndefinedMeasureError(
+                f"class-conditioned measure of {concept!r} is undefined:"
+                " no weight on examples predicted +1"
+            )
+        raise UndefinedMeasureError(
+            f"concept-conditioned measure of {concept!r} at theta={theta!r} is undefined:"
+            " no weight on examples with the concept above threshold"
+        )
+    # The symmetric sum is its mean already; dividing by weight_total would move bits.
+    value = math.fsum(terms) / (1.0 if kind == SYMMETRIC else mass)
+    return MeasureResult(
+        kind=kind,
+        concept_name=concept,
+        # Weights may sum to 1 only within 1e-9, so guard the [-1, 1] range.
+        value=min(1.0, max(-1.0, value)),
+        threshold=None if theta is None else float(theta),
+        effective_count=mass,
+        confidence_radius=None if delta is None else hoeffding_radius(count, delta),
+    )
 
 
 def symmetric_measure(
@@ -88,15 +140,8 @@ def symmetric_measure(
 ) -> MeasureResult:
     """Weighted mean of h(x)*c(x) over the whole dataset."""
     column = dataset.column(concept)
-    total = math.fsum(map(mul, dataset.signed_weights, column))
-    return MeasureResult(
-        kind=SYMMETRIC,
-        concept_name=concept,
-        value=_clamp(total),
-        threshold=None,
-        effective_count=dataset.weight_total,
-        confidence_radius=_radius_or_none(len(dataset), delta),
-    )
+    return _conditional_mean(SYMMETRIC, concept, map(mul, dataset.signed_weights, column),
+                             dataset.weight_total, len(dataset), delta)
 
 
 def class_conditioned_measure(
@@ -104,21 +149,9 @@ def class_conditioned_measure(
 ) -> MeasureResult:
     """Weighted mean of c(x) over examples predicted +1."""
     column = dataset.column(concept)
-    mask, weights, denominator, count = dataset.positives
-    if count == 0 or denominator <= 0.0:
-        raise UndefinedMeasureError(
-            f"class-conditioned measure of {concept!r} is undefined:"
-            " no weight on examples predicted +1"
-        )
-    numerator = math.fsum(map(mul, weights, compress(column, mask)))
-    return MeasureResult(
-        kind=CLASS_CONDITIONED,
-        concept_name=concept,
-        value=_clamp(numerator / denominator),
-        threshold=None,
-        effective_count=denominator,
-        confidence_radius=_radius_or_none(count, delta),
-    )
+    mask, weights, mass, count = dataset.positives
+    return _conditional_mean(CLASS_CONDITIONED, concept,
+                             map(mul, weights, compress(column, mask)), mass, count, delta)
 
 
 def concept_conditioned_measure(
@@ -136,22 +169,9 @@ def concept_conditioned_measure(
     column = dataset.column(concept)
     check_theta(theta)
     mask = [value >= theta for value in column]
-    count = sum(mask)
-    denominator = math.fsum(compress(dataset.weights, mask))
-    if count == 0 or denominator <= 0.0:
-        raise UndefinedMeasureError(
-            f"concept-conditioned measure of {concept!r} at theta={theta!r} is undefined:"
-            " no weight on examples with the concept above threshold"
-        )
-    numerator = math.fsum(compress(dataset.signed_weights, mask))
-    return MeasureResult(
-        kind=CONCEPT_CONDITIONED,
-        concept_name=concept,
-        value=_clamp(numerator / denominator),
-        threshold=float(theta),
-        effective_count=denominator,
-        confidence_radius=_radius_or_none(count, delta),
-    )
+    return _conditional_mean(CONCEPT_CONDITIONED, concept,
+                             compress(dataset.signed_weights, mask),
+                             math.fsum(compress(dataset.weights, mask)), sum(mask), delta, theta)
 
 
 def hoeffding_sample_size(epsilon: float, delta: float) -> int:
@@ -174,7 +194,10 @@ def hoeffding_radius(n: int, delta: float) -> float:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
-    radius = math.sqrt(2.0 * math.log(1.0 / delta) / n)
+    try:
+        radius = math.sqrt(2.0 * math.log(1.0 / delta) / n)
+    except OverflowError:  # n is an int too large for a float
+        raise DomainError(f"n={n!r} is too large for a float") from None
     if math.isinf(radius):  # 1/delta overflowed
         raise DomainError(f"delta={delta!r} is too small for a finite radius")
     return radius

@@ -19,17 +19,7 @@ from typing import Sequence
 from conceptscope import fanout
 from conceptscope.dataset import ConceptDataset, with_ground_truth_predictions
 from conceptscope.errors import DomainError, SchemaError, UndefinedMeasureError
-from conceptscope.measures import (
-    CLASS_CONDITIONED,
-    CONCEPT_CONDITIONED,
-    MEASURE_KINDS,
-    SYMMETRIC,
-    check_theta,
-    class_conditioned_measure,
-    concept_conditioned_measure,
-    hoeffding_radius,
-    symmetric_measure,
-)
+from conceptscope.measures import check_measure_parameters, measure
 
 GROUND_TRUTH_SUFFIX = ":ground_truth"
 # Fewest row-cells (rows x concepts over all series) per part when a table forks. A
@@ -49,31 +39,12 @@ class MeasureCell:
 def _cell(concept: str, label: str, dataset: ConceptDataset, kind: str, theta: float | None,
           delta: float | None, strict: bool) -> MeasureCell:
     try:
-        if kind == SYMMETRIC:
-            result = symmetric_measure(dataset, concept, delta=delta)
-        elif kind == CLASS_CONDITIONED:
-            result = class_conditioned_measure(dataset, concept, delta=delta)
-        else:  # CONCEPT_CONDITIONED, with the theta that check_measure_parameters requires
-            result = concept_conditioned_measure(dataset, concept, theta, delta=delta)
+        result = measure(kind, dataset, concept, theta, delta=delta)
     except UndefinedMeasureError:
         if strict:
             raise
         return MeasureCell(concept, label, None, None)
     return MeasureCell(concept, label, result.value, result.confidence_radius)
-
-
-def check_measure_parameters(kind: str, theta: float | None, delta: float | None) -> None:
-    """Raise DomainError for a measure kind, theta or delta that no table can use."""
-    if kind not in MEASURE_KINDS:
-        raise DomainError(f"unknown measure kind {kind!r}")
-    if (theta is None) and kind == CONCEPT_CONDITIONED:
-        raise DomainError("theta is required for the concept-conditioned measure")
-    if (theta is not None) and kind != CONCEPT_CONDITIONED:
-        raise DomainError("theta is only valid for the concept-conditioned measure")
-    if delta is not None:
-        hoeffding_radius(1, delta)  # its checks on delta do not depend on the count
-    if theta is not None:
-        check_theta(theta)
 
 
 def compute_measure_table(

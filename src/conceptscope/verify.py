@@ -44,8 +44,9 @@ from conceptscope.completeness import completeness_brute_force, completeness_clo
 from conceptscope.dataset import ConceptDataset
 from conceptscope.errors import DomainError, UndefinedMeasureError
 from conceptscope.measures import (
+    MEASURE_KINDS,
     class_conditioned_measure,
-    concept_conditioned_measure,
+    measure,
     symmetric_measure,
 )
 from conceptscope.synthetic import (
@@ -77,18 +78,13 @@ class SuiteReport:
 
 
 def _all_measures(dataset: ConceptDataset, concept: str, theta: float) -> dict[str, float | None]:
+    """Each kind's value, or None where it is undefined; theta is the concept-conditioned one's."""
     values: dict[str, float | None] = {}
-    values["symmetric"] = symmetric_measure(dataset, concept).value
-    try:
-        values["class_conditioned"] = class_conditioned_measure(dataset, concept).value
-    except UndefinedMeasureError:
-        values["class_conditioned"] = None
-    try:
-        values["concept_conditioned"] = concept_conditioned_measure(
-            dataset, concept, theta
-        ).value
-    except UndefinedMeasureError:
-        values["concept_conditioned"] = None
+    for kind in MEASURE_KINDS:
+        try:
+            values[kind] = measure(kind, dataset, concept, theta).value
+        except UndefinedMeasureError:
+            values[kind] = None
     return values
 
 

@@ -16,8 +16,13 @@ from conceptscope.completeness import completeness_brute_force, completeness_clo
 from conceptscope.dataset import ConceptDataset, load_dataset, with_ground_truth_predictions
 from conceptscope.errors import UndefinedMeasureError
 from conceptscope.measures import (
+    CLASS_CONDITIONED,
+    CONCEPT_CONDITIONED,
+    MEASURE_KINDS,
+    SYMMETRIC,
     class_conditioned_measure,
     concept_conditioned_measure,
+    measure,
     symmetric_measure,
 )
 from oracles import (
@@ -117,15 +122,20 @@ def test_measures_are_bit_identical(data, theta):
               (with_ground_truth_predictions(dataset), reference_rows(data, "ground_truth"))]
     for columnar, reference in series:
         for name in NAMES:
-            assert measured(symmetric_measure, columnar, name) == naive_symmetric(
-                reference, name
-            )
+            expected = {
+                SYMMETRIC: naive_symmetric(reference, name),
+                CLASS_CONDITIONED: naive_class_conditioned(reference, name),
+                CONCEPT_CONDITIONED: naive_concept_conditioned(reference, name, theta),
+            }
+            assert measured(symmetric_measure, columnar, name) == expected[SYMMETRIC]
             assert measured(class_conditioned_measure, columnar, name) == (
-                naive_class_conditioned(reference, name)
+                expected[CLASS_CONDITIONED]
             )
             assert measured(concept_conditioned_measure, columnar, name, theta) == (
-                naive_concept_conditioned(reference, name, theta)
+                expected[CONCEPT_CONDITIONED]
             )
+            for kind in MEASURE_KINDS:
+                assert measured(measure, kind, columnar, name, theta) == expected[kind]
 
 
 @given(jsonl_files(binary=True))

@@ -100,7 +100,8 @@ def test_measure_strict_exits_3(fixtures):
          "--strict"],
         expect=3,
     )
-    assert "error:" in result.stderr
+    assert result.stderr == ("error: class-conditioned measure of 'stripes' is undefined:"
+                             " no weight on examples predicted +1\n")
 
 
 def test_measure_validation_exits_2(fixtures, tmp_path):

@@ -1,16 +1,21 @@
 import math
+import re
 
 import pytest
 
+from conceptscope import measures, verify
 from conceptscope.dataset import ConceptDataset
 from conceptscope.errors import DomainError, SchemaError, UndefinedMeasureError
 from conceptscope.measures import (
+    CONCEPT_CONDITIONED,
+    MEASURE_KINDS,
     class_conditioned_measure,
     concept_conditioned_measure,
     hoeffding_radius,
     hoeffding_sample_size,
     symmetric_measure,
 )
+from conceptscope.report import compute_measure_table
 from oracles import naive_class_conditioned, naive_concept_conditioned, naive_symmetric
 
 
@@ -61,7 +66,9 @@ def test_class_conditioned_concept_always_present():
 
 def test_class_conditioned_no_positive_predictions():
     ds = dataset([(-1, [1.0], 1.0)])
-    with pytest.raises(UndefinedMeasureError):
+    message = ("class-conditioned measure of 's' is undefined:"
+               " no weight on examples predicted +1")
+    with pytest.raises(UndefinedMeasureError, match=f"^{re.escape(message)}$"):
         class_conditioned_measure(ds, "s")
 
 
@@ -102,13 +109,16 @@ def test_concept_conditioned_boundary_tie_included():
 
 def test_concept_conditioned_empty_set():
     ds = dataset([(1, [0.0], 1.0)])
-    with pytest.raises(UndefinedMeasureError):
-        concept_conditioned_measure(ds, "s", 0.5)
+    for theta, shown in ((0.5, "0.5"), (1, "1")):
+        message = (f"concept-conditioned measure of 's' at theta={shown} is undefined:"
+                   " no weight on examples with the concept above threshold")
+        with pytest.raises(UndefinedMeasureError, match=f"^{re.escape(message)}$"):
+            concept_conditioned_measure(ds, "s", theta)
 
 
 def test_concept_conditioned_theta_out_of_range():
     ds = dataset([(1, [1.0], 1.0)])
-    for theta in (-1.5, 1.5, float("nan")):
+    for theta in (-1.5, 1.5, float("nan"), 10**400, -(10**400)):
         with pytest.raises(DomainError):
             concept_conditioned_measure(ds, "s", theta)
 
@@ -151,6 +161,8 @@ def test_hoeffding_radius_domain():
         hoeffding_radius(0, 0.05)
     with pytest.raises(DomainError):
         hoeffding_radius(10, 1.5)
+    with pytest.raises(DomainError):
+        hoeffding_radius(2**1024, 0.05)  # too large for a float
 
 
 def test_confidence_radius_uses_conditioning_count():
@@ -162,3 +174,23 @@ def test_confidence_radius_uses_conditioning_count():
     full = symmetric_measure(ds, "s", delta=0.05)
     assert full.confidence_radius == hoeffding_radius(4, 0.05)
     assert symmetric_measure(ds, "s").confidence_radius is None
+
+
+def test_tables_and_suites_call_the_module_functions(monkeypatch):
+    # A tracer rebinds these names on conceptscope.measures; the dispatch must reach it.
+    calls = []
+    names = ("symmetric_measure", "class_conditioned_measure", "concept_conditioned_measure")
+    for name in names:
+        def spy(*args, _name=name, _original=getattr(measures, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(measures, name, spy)
+    ds = dataset([(1, [0.5], 0.5), (-1, [0.2], 0.5)])
+    for kind in MEASURE_KINDS:
+        compute_measure_table([("A", ds)], kind,
+                              theta=0.0 if kind == CONCEPT_CONDITIONED else None)
+    assert calls == list(names)
+    calls.clear()
+    verify._all_measures(ds, "s", 0.0)
+    assert calls == list(names)

@@ -12,13 +12,13 @@ from conceptscope.dataset import ConceptDataset
 from conceptscope.errors import UndefinedMeasureError
 from conceptscope.measures import (
     class_conditioned_measure,
-    concept_conditioned_measure,
     hoeffding_radius,
     hoeffding_sample_size,
     symmetric_measure,
 )
 from conceptscope.prompts import edit_prompt
 from conceptscope.synthetic import split_example
+from conceptscope.verify import _all_measures
 from conceptscope.votes import VoteRecord, metrics_at_k
 from oracles import (
     naive_class_conditioned,
@@ -44,19 +44,6 @@ def datasets(draw, max_size=12, binary=False):
     return ConceptDataset(
         [f"x{i}" for i in range(n)], predictions, {"c": values}, [w / total for w in raw]
     )
-
-
-def all_measures(dataset, theta):
-    out = {"symmetric": symmetric_measure(dataset, "c").value}
-    try:
-        out["class_conditioned"] = class_conditioned_measure(dataset, "c").value
-    except UndefinedMeasureError:
-        out["class_conditioned"] = None
-    try:
-        out["concept_conditioned"] = concept_conditioned_measure(dataset, "c", theta).value
-    except UndefinedMeasureError:
-        out["concept_conditioned"] = None
-    return out
 
 
 @given(st.lists(st.tuples(st.integers(0, 64), st.sampled_from([-1, 1]), st.booleans()),
@@ -100,8 +87,8 @@ def test_similarity_axiom_on_dyadic_weights(rows):
 def test_recursivity_under_weight_splits(ds, position, numerator, theta):
     target = ds.ids[position % len(ds)]
     fraction = numerator / 1024.0
-    before = all_measures(ds, theta)
-    after = all_measures(split_example(ds, target, fraction), theta)
+    before = _all_measures(ds, "c", theta)
+    after = _all_measures(split_example(ds, target, fraction), "c", theta)
     for name in before:
         assert (before[name] is None) == (after[name] is None)
         if before[name] is not None:
@@ -117,8 +104,8 @@ def test_duplicate_and_halve_changes_nothing(ds):
         {"c": [*ds.column("c")] * 2},
         [weight / 2.0 for weight in ds.weights] * 2,
     )
-    before = all_measures(ds, 0.25)
-    after = all_measures(doubled, 0.25)
+    before = _all_measures(ds, "c", 0.25)
+    after = _all_measures(doubled, "c", 0.25)
     for name in before:
         if before[name] is not None:
             assert abs(before[name] - after[name]) <= TOL
@@ -147,7 +134,7 @@ def test_symmetric_decomposes_over_prediction_classes(ds):
 @given(datasets())
 @settings(max_examples=300, deadline=None)
 def test_measures_stay_in_range(ds):
-    for value in all_measures(ds, -0.5).values():
+    for value in _all_measures(ds, "c", -0.5).values():
         if value is not None:
             assert -1.0 <= value <= 1.0
 
