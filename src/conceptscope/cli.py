@@ -13,6 +13,7 @@ All command output is byte-stable for fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -446,6 +447,7 @@ def verify_cmd(suite, trials, seed, epsilon, delta, dim, records_path):
         sys.exit(1)
 
 
+@functools.cache  # parse_args keeps no state, so in-process callers can share one
 def _parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="conceptscope", description="Concept-importance measures,"
                      " verification suites and prompt editing.")

@@ -19,10 +19,10 @@ dataset is built either by the constructor, from in-memory columns, or by
 ``load_dataset``, which parses each line once straight into columns; a
 large input is cut at newlines into byte spans that ``fanout.fork_map``
 reads, parses, checks and normalizes on every usable CPU, which changes
-neither result nor error. From ``MIN_PART`` bytes on, orjson parses the
-lines, and json each line and part on which the two could differ, so every
-value and error is json's. Both
-validate with one exact rule per field, run once over a whole column (or
+neither result nor error. Each line goes to ``json.loads``, or, from
+``MIN_PART`` bytes on, to orjson, with ``json.loads`` taking again each line
+and part on which the two could differ, so every value and error is json's.
+Both validate with one exact rule per field, run once over a whole column (or
 a part's, which passes exactly when the column does), so valid data always
 passes. When a rule fails, ``_check_columns`` bisects with it to the
 first bad row, and names the row and field a row-by-row check would.
@@ -39,7 +39,6 @@ from array import array
 from dataclasses import FrozenInstanceError
 from functools import reduce
 from itertools import accumulate, chain, compress, repeat
-from json.scanner import make_scanner
 from operator import iadd, itemgetter, mul
 from typing import BinaryIO, Callable, Iterable, Mapping, NoReturn, Sequence
 
@@ -232,8 +231,8 @@ def _members(allowed: frozenset, *extra: type) -> Callable[[Sequence[object]], b
 
 
 def _within(low: float, high: float) -> Callable[[Sequence[object]], bool]:
-    def rule(values: Sequence[object], types: set[type] | None = None) -> bool:
-        types = _types(values) if types is None else types
+    def rule(values: Sequence[object]) -> bool:
+        types = _types(values)
         if not types <= {int, float}:
             if not _numbers(types):
                 return False
@@ -364,22 +363,6 @@ def _split_lines(text: str, block: int = 1 << 20):
         start = end + 1
 
 
-def _stdlib_loads() -> Callable[[str], object]:
-    """``json.loads`` for one stripped line, through the decoder's scanner."""
-    scan = make_scanner(json.JSONDecoder())
-
-    def loads(line: str) -> object:
-        try:
-            obj, stop = scan(line, 0)
-        except StopIteration:
-            stop = -1
-        if stop != len(line):  # not one JSON value: json.loads words the error
-            obj = json.loads(line)
-        return obj
-
-    return loads
-
-
 def _orjson_loads() -> Callable[[str], object]:
     """``orjson.loads`` for one stripped line, and ``json.loads`` for a line that
     orjson rejects or that holds an array or more than two objects, as no valid
@@ -497,9 +480,10 @@ def _parse_lines(data: memoryview | _File, start: int, end: int, names: tuple[st
     rule that needs no other part, their line numbers (from the part's first), ids,
     predictions, weights, truths, concept columns and ``bad_concepts``, numbers
     normalized if they pass. Raises ParseError if the part is not UTF-8, or at a line
-    that is not a JSON object once every later byte decodes. From ``MIN_PART`` bytes
-    on, orjson's parse is kept unless a rule fails or a float weight reaches 2**63
-    (orjson reads integer literals past 64 bits as floats)."""
+    that is not a JSON object once every later byte decodes. ``json.loads`` parses
+    each line, except from ``MIN_PART`` bytes on, where orjson's parse is kept unless
+    a rule fails or a float weight reaches 2**63 (orjson reads integer literals past
+    64 bits as floats)."""
     text = _decode(data, start, end)
 
     def bad_line(lineno: int, what: str) -> NoReturn:
@@ -512,7 +496,7 @@ def _parse_lines(data: memoryview | _File, start: int, end: int, names: tuple[st
         floats = [w for w in part[5] if type(w) is float]
         if part[1] and max(map(abs, floats), default=0.0) < 2.0 ** 63:
             return part
-    return _read_lines(text, names, _stdlib_loads(), bad_line)
+    return _read_lines(text, names, json.loads, bad_line)
 
 
 def _join(parts: Sequence[tuple]) -> tuple:
@@ -567,9 +551,9 @@ def load_dataset(
 
     Args:
         source: raw bytes or a binary file object, read from its position.
-        schema: concept names every line must carry exactly. Without
-            it the schema is the first line's concept keys, in their
-            order.
+        schema: concept names every line must carry exactly; an empty
+            one means every line's concepts are ``{}``. If None, the schema
+            is the first line's concept keys, in their order.
 
     Missing weights default to uniform 1/n; the weight column is then
     renormalized to total 1 and the raw total is kept on the dataset.
@@ -578,13 +562,13 @@ def load_dataset(
     and normalize parts of the input, one per usable CPU; only the rules
     that span parts run here, and the result and error are those of one
     pass. From ``MIN_PART`` bytes on, orjson parses each part that it reads
-    exactly as json does (``_parse_lines``); json parses the others.
+    exactly as json does (``_parse_lines``); ``json.loads`` parses the others.
     """
     data = _input(source)
     if bytes(data[0:3]) == b"\xef\xbb\xbf":
         raise ParseError("input starts with a UTF-8 BOM; the format forbids it")
 
-    if schema:
+    if schema is not None:
         names = check_schema(schema)
     else:  # the first line's concept keys; a bad first line fails its parse below
         try:

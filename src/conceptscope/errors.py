@@ -10,7 +10,7 @@ from __future__ import annotations
 # covers invalid UTF-8, invalid JSON and integer literals longer than
 # the int-to-str digit limit; RecursionError covers nesting too deep to
 # parse. ``load_json``, the reader of whole JSON files, and the JSONL
-# scanner in ``dataset`` turn these into ParseError.
+# loader in ``dataset`` turn these into ParseError.
 JSON_ERRORS = (ValueError, RecursionError)
 
 

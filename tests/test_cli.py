@@ -224,6 +224,12 @@ def test_votes_custom_k_out_of_range(fixtures):
     invoke(["votes", str(fixtures["votes"]), "--k", "12"], expect=2)
 
 
+def test_votes_default_k_after_a_custom_k_in_the_same_process(fixtures):
+    """The parser is built once per process; a --k must not stay for the next run."""
+    for options, ks in ((["--k", "2"], ("2",)), ([], ("1", "3", "5"))):
+        assert _votes_rows(*ks)(invoke(["votes", str(fixtures["votes"]), *options]).stdout)
+
+
 def test_edit_golden_report(fixtures):
     result = invoke(
         ["edit", str(fixtures["prompts"]), str(fixtures["concepts"]),
@@ -420,6 +426,24 @@ def test_failing_verify_suite_exits_1_with_its_records(monkeypatch, suite):
     if suite == "theorem2":
         assert records == [{"check": "bound", "trial": i, "lhs_gap": 0.5, "n_used": 7}
                            for i in range(5)]
+
+
+def test_theorem1_range_failure_exits_1_with_its_records(monkeypatch):
+    """Both completeness routes agree on 0.25, outside [0.5, 1]: each trial
+    fails the range check, which the equality line counts."""
+    from types import SimpleNamespace
+
+    from conceptscope import verify
+
+    for route in ("completeness_closed_form", "completeness_brute_force"):
+        monkeypatch.setattr(verify, route, lambda dataset, concept: SimpleNamespace(value=0.25))
+    records = [{"check": "range", "trial": i, "value": 0.25} for i in range(3)]
+    summary = "theorem1/equality: FAIL (0/3 within 1e-12)"
+    report = verify.run_theorem1_suite(3, 0)
+    assert (report.passed, report.lines, report.failures) == (False, [summary], records)
+    result = invoke(["verify", "--suite", "theorem1", "--trials", "3"], expect=1)
+    assert result.stdout.splitlines() == [
+        summary, *(json.dumps(record, sort_keys=True) for record in records)]
 
 
 def test_verify_thread_count_does_not_change_output():
@@ -724,6 +748,47 @@ def test_votes_oversized_field_exits_2(tmp_path, text, row):
     votes.write_text(text)
     result = invoke_input_error(["votes", str(votes)])
     assert result.stderr.startswith(f"error: row {row}: field larger than field limit")
+
+
+def _edit_args(f, **paths):
+    return ["edit", *(paths.get(key, f[key]) for key in ("prompts", "concepts", "plan", "images"))]
+
+
+_DIM_3 = json.dumps({"dim": 3, "vectors": [{"id": "a", "values": [1, 0, 0], "label": "a"}]})
+
+# Input errors with their whole message: the file written for the case, its
+# content, the command line (from the fixtures ``f`` and that file ``p``), and
+# the message, in which {p} is the file's path.
+INPUT_ERRORS = {
+    "embedding-dim": ("e.json", _DIM_3, lambda f, p: ["tcav", f["model"], p],
+                      "embedding dim 3 does not match model dim 4"),
+    "model-not-object": ("m.json", "[]", lambda f, p: ["tcav", p, f["embeddings"]],
+                         "model file {p} must be a JSON object"),
+    "vector-file-not-object": ("e.json", "[]", lambda f, p: ["tcav", f["model"], p],
+                               "vector file must be a JSON object"),
+    "prompt-dim": ("c.json", _DIM_3, lambda f, p: _edit_args(f, concepts=p),
+                   "prompt dim 4 does not match concept dim 3"),
+    "image-dim": ("i.json", _DIM_3, lambda f, p: _edit_args(f, images=p),
+                  "image dim 3 does not match prompt dim 4"),
+    "plan-not-object": ("plan.json", "[1]", lambda f, p: _edit_args(f, plan=p),
+                        "plan[0] must be an object"),
+    "no-plans": ("plan.json", "[]", lambda f, p: _edit_args(f, plan=p),
+                 "plan file {p} contains no plans"),
+    "votes-fields": ("v.csv", VOTES_HEADER + "x0,wing,11\n", lambda f, p: ["votes", p],
+                     "row 2: expected 5 fields, got 3"),
+    "votes-not-utf8": ("v.csv", b"\xff" + VOTES_HEADER.encode(), lambda f, p: ["votes", p],
+                       "votes CSV is not valid UTF-8: 'utf-8' codec can't decode byte 0xff"
+                       " in position 0: invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_ERRORS)
+def test_input_error_messages(fixtures, tmp_path, case):
+    name, content, args, message = INPUT_ERRORS[case]
+    path = tmp_path / name
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    result = invoke_input_error([str(arg) for arg in args(fixtures, path)])
+    assert (result.stdout, result.stderr) == ("", f"error: {message.format(p=path)}\n")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])

@@ -107,6 +107,15 @@ def test_explicit_schema_is_checked_on_every_line():
         load_dataset(data, schema=["s"])
 
 
+def test_empty_schema_is_a_schema_not_a_request_to_infer_one():
+    empty = load_dataset(_line(id="a", prediction=1, concepts={}), schema=())
+    assert (empty.concept_names, empty.ids) == ((), ("a",))
+    with pytest.raises(SchemaError) as raised:
+        load_dataset(_line(id="a", prediction=1, concepts={"x": 0.5}), schema=())
+    assert str(raised.value) == (
+        "line 1: concept keys do not match schema (missing [], extra ['x'])")
+
+
 def test_negative_weight_rejected():
     data = _line(id="a", prediction=1, concepts={"s": 1.0}, weight=-0.5)
     with pytest.raises(ValidationError, match="line 1"):
@@ -541,20 +550,34 @@ def test_bad_line_in_second_part_of_a_large_file(two_parts_of_text, key, value, 
         assert stdlib[0] is expected and stdlib[1].startswith(f"line {at + 1}: ")
 
 
+def _record_json_loads(monkeypatch):
+    """The texts that ``json.loads`` parses from now on, in a list. A call in a
+    forked worker fails the worker, so that the parent parses its part again."""
+    seen, loads, parent = [], json.loads, os.getpid()
+
+    def recorded(text):
+        assert os.getpid() == parent, "json parsed a line in a worker"
+        seen.append(text)
+        return loads(text)
+
+    monkeypatch.setattr(json, "loads", recorded)
+    return seen
+
+
 def test_orjson_parses_a_large_valid_input(two_parts_of_text, monkeypatch):
-    """With json's scanner broken, an input of MIN_PART characters still loads,
-    to json's dataset: every part of it was kept from the orjson parse."""
+    """An input of MIN_PART characters loads to json's dataset with json
+    parsing only the first line, for the schema: every part of it was kept
+    from the orjson parse. Below MIN_PART, json parses every line."""
+    lines = [line.strip() for line in two_parts_of_text]
     data = "".join(two_parts_of_text).encode()
     stdlib = _load_with(data, len(data) + 1)
-
-    def broken(*args):
-        raise AssertionError("json parsed a part of a valid input")
-
-    monkeypatch.setattr(dataset_mod, "make_scanner", broken)
-    assert _load_with(data, dataset_mod.MIN_PART) == stdlib
-    assert _load_with(data, dataset_mod.MIN_PART, cpus=2) == stdlib
-    with pytest.raises(AssertionError, match="json parsed"):
-        _load_with(data, len(data) + 1)
+    seen = _record_json_loads(monkeypatch)
+    for cpus in (1, 2):
+        assert _load_with(data, dataset_mod.MIN_PART, cpus=cpus) == stdlib
+        assert seen == [lines[0]]
+        seen.clear()
+    assert _load_with(data, len(data) + 1) == stdlib
+    assert seen == [lines[0], *lines]
 
 
 _NESTED_PROBE = """
@@ -682,12 +705,7 @@ def test_json_parses_only_the_lines_orjson_does_not(two_parts_of_text, monkeypat
     stdlib = _load_with(data, len(data) + 1)
     assert _load_with(data, dataset_mod.MIN_PART, cpus=2) == stdlib
 
-    def broken(*args):
-        raise AssertionError("json parsed a whole part")
-
-    seen, loads = [], json.loads
-    monkeypatch.setattr(dataset_mod, "make_scanner", broken)
-    monkeypatch.setattr(json, "loads", lambda text: seen.append(text) or loads(text))
+    seen = _record_json_loads(monkeypatch)
     assert _load_with(data, dataset_mod.MIN_PART, cpus=1) == stdlib
     # The first line once more, for the schema.
     assert seen == [lines[0].strip(), *(lines[i].strip() for i in marked)]

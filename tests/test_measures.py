@@ -123,6 +123,16 @@ def test_concept_conditioned_theta_out_of_range():
             concept_conditioned_measure(ds, "s", theta)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: measures.check_measure_parameters("mean", None, None), "unknown measure kind 'mean'"),
+    (lambda: measures.check_theta("0.5"), "theta must be a number, got '0.5'"),
+], ids=["unknown-kind", "theta-string"])
+def test_parameter_error_messages(call, message):
+    with pytest.raises(DomainError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
 def test_results_are_deterministic():
     ds = dataset([(1, [0.123], 0.375), (-1, [-0.456], 0.625)])
     assert symmetric_measure(ds, "s") == symmetric_measure(ds, "s")

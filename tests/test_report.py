@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cli_fixtures import assert_nothing_left, lose_workers, open_fds
 from conceptscope import fanout, report
 from conceptscope.dataset import ConceptDataset
-from conceptscope.errors import UndefinedMeasureError
+from conceptscope.errors import DomainError, UndefinedMeasureError
 from conceptscope.report import _escape, compute_measure_table
 
 # The characters escape() rewrites or could confuse with an entity, mixed
@@ -27,6 +27,16 @@ def test_escape_matches_saxutils(text):
 def test_escape_replaces_ampersand_first():
     assert _escape("a<&>b") == "a&lt;&amp;&gt;b"
     assert _escape("&lt;") == "&amp;lt;"
+
+
+@pytest.mark.parametrize("datasets, kind, message", [
+    ([], "symmetric", "at least one dataset is required"),
+    (None, "mean", "unknown measure kind 'mean'"),
+], ids=["no-datasets", "unknown-kind"])
+def test_table_argument_error_messages(datasets, kind, message):
+    with pytest.raises(DomainError) as raised:
+        compute_measure_table(_table_input() if datasets is None else datasets, kind)
+    assert str(raised.value) == message
 
 
 # A table of at least 2 * MIN_TABLE_PART row-cells forks one worker per span

@@ -312,6 +312,27 @@ def test_cap_argument_validation():
         sample_spherical_cap(make_rng(0), axis, 0.5, 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: generate_dataset(SyntheticSpec(n_examples=0, n_concepts=1)),
+     "n_examples must be >= 1"),
+    (lambda: generate_dataset(SyntheticSpec(n_examples=4, n_concepts=0)),
+     "n_concepts must be >= 1"),
+    (lambda: generate_dataset(SyntheticSpec(n_examples=4, n_concepts=1, concept_kind="ternary")),
+     "unknown concept_kind 'ternary'"),
+    (lambda: generate_dataset(SyntheticSpec(n_examples=4, n_concepts=1, weight_kind="skewed")),
+     "unknown weight_kind 'skewed'"),
+    (lambda: cap_probability(1, 0.5), "dim must be an integer >= 2, got 1"),
+    (lambda: cap_probability(8, 1.0), "theta must lie in [-1, 1), got 1.0"),
+    (lambda: sample_spherical_cap(make_rng(0), np.eye(2), 0.5, 1),
+     "axis must be a 1-D vector with dim >= 2"),
+], ids=["no-examples", "no-concepts", "concept-kind", "weight-kind", "cap-dim-1",
+        "cap-theta-1", "cap-axis-2d"])
+def test_argument_error_messages(call, message):
+    with pytest.raises(DomainError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
 def test_theorem2_trial_record():
     trial = theorem2_trial(0.2, 0.1, 8, seed=42)
     assert trial.n_used <= 116

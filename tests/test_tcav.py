@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conceptscope.embeddings import check_unit_vector
 from conceptscope.errors import DomainError, UndefinedMeasureError, ValidationError
 from conceptscope.tcav import (
     LinearConceptModel,
@@ -32,6 +33,16 @@ E1 = np.array([0.0, 1.0, 0.0, 0.0])
 
 def members_along(w, count=3):
     return np.tile(w, (count, 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_unit_vector(np.eye(2), "axis"), "axis must be a 1-D vector"),
+    (lambda: model(np.eye(4), E0), "w_h must be a 1-D vector"),
+], ids=["check-unit-vector", "model-w_h"])
+def test_vector_shape_error_messages(call, message):
+    with pytest.raises(ValidationError) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 def test_discrete_positive_alignment():
