@@ -48,8 +48,8 @@ class CompletenessScore:
     method: str
 
 
-def _binary_column(dataset: ConceptDataset, concept: str) -> tuple[float, ...]:
-    """The concept's column, which must hold only -1.0 and +1.0."""
+def _binary_column(dataset: ConceptDataset, concept: str) -> memoryview:
+    """The concept's column, a read-only view of doubles that must hold only -1.0 and +1.0."""
     column = dataset.column(concept)
     if not set(column) <= {-1.0, 1.0}:
         index = next(i for i, value in enumerate(column) if value not in (-1.0, 1.0))
@@ -60,9 +60,7 @@ def _binary_column(dataset: ConceptDataset, concept: str) -> tuple[float, ...]:
     return column
 
 
-def _level_terms(
-    column: tuple[float, ...], dataset: ConceptDataset
-) -> dict[int, tuple[float, float]]:
+def _level_terms(column: memoryview, dataset: ConceptDataset) -> dict[int, tuple[float, float]]:
     terms: dict[int, tuple[float, float]] = {}
     for level in _LEVELS:
         mask = [value == float(level) for value in column]

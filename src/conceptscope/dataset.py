@@ -16,14 +16,11 @@ row) as tuples, and ``weights`` and one column per concept, read with
 ``column(name)``, as read-only memoryviews of doubles. There is no row
 type; code that wants row ``i`` reads index ``i`` of each column. A
 dataset is built either by the constructor, from in-memory columns, or by
-``load_dataset``, which parses each line once straight into columns; a
-large input is cut at newlines into byte spans that ``fanout.fork_map``
-reads, parses, checks and normalizes on every usable CPU, which changes
-neither result nor error. Each line goes to ``json.loads``, or, from
-``MIN_PART`` bytes on, to orjson, with ``json.loads`` taking again each line
-and part on which the two could differ, so every value and error is json's.
-Both validate with one exact rule per field, run once over a whole column (or
-a part's, which passes exactly when the column does), so valid data always
+``load_dataset``, which decodes a chunk and parses a block of lines at a time
+straight into columns, on every usable CPU for a large input; orjson parses
+large inputs, but every value and error is json's. Both validate with one
+exact rule per field, run once over a whole column (or a block's or a
+part's, which passes exactly when the column does), so valid data always
 passes. When a rule fails, ``_check_columns`` bisects with it to the
 first bad row, and names the row and field a row-by-row check would.
 """
@@ -38,8 +35,8 @@ import sys
 from array import array
 from dataclasses import FrozenInstanceError
 from functools import reduce
-from itertools import accumulate, chain, compress, repeat
-from operator import iadd, itemgetter, mul
+from itertools import accumulate, chain, compress, count, repeat
+from operator import iadd, is_not, itemgetter, mul
 from typing import BinaryIO, Callable, Iterable, Mapping, NoReturn, Sequence
 
 from conceptscope import fanout
@@ -54,6 +51,9 @@ WEIGHT_SUM_TOLERANCE = 1e-9
 # Fewest bytes per part when load_dataset splits its parse; a forked part
 # (read, parse, checks, normalization) saves time from a quarter of this on.
 MIN_PART = 1 << 20
+# Lines per block of a part's parse, and bytes of a part decoded at a time.
+BLOCK = 128
+CHUNK = 1 << 20
 
 
 class ConceptDataset:
@@ -194,14 +194,6 @@ def _fields(dataset: ConceptDataset) -> tuple:
             dataset.ground_truth, dataset._columns, dataset.original_weight_total)
 
 
-def _concept_reader(names: tuple[str, ...]) -> tuple[Callable[[dict], tuple], set[str]]:
-    """A function giving a concepts object's values in schema order, and the schema's keys."""
-    if len(names) == 1:
-        name = names[0]
-        return (lambda concepts: (concepts[name],)), {name}
-    return (itemgetter(*names) if names else lambda concepts: ()), set(names)
-
-
 # ---------------------------------------------------------------------------
 # The validation pass
 # ---------------------------------------------------------------------------
@@ -257,6 +249,7 @@ _signs = _members(frozenset({-1, 1}))
 _signs_or_none = _members(frozenset({-1, 1, None}), type(None))
 _units = _within(-1.0, 1.0)
 _weights = _within(0.0, sys.float_info.max)
+_fast_weights = _within(0.0, 2.0 ** 63)  # orjson reads integer literals past 64 bits as floats
 
 
 def _first_failure(rule: Callable[[Sequence[object]], bool], values: Sequence[object]) -> int:
@@ -347,87 +340,6 @@ def _check_columns(
             array("d", weights), tuple(ground_truth))
 
 
-def _split_lines(text: str, block: int = 1 << 20):
-    """The items of ``text.split("\\n")``, split about ``block`` characters at a time.
-
-    Splitting the whole text at once would hold every line of the file
-    in memory next to the text itself.
-    """
-    start = 0
-    while True:
-        end = text.find("\n", start + block)
-        if end < 0:
-            yield from text[start:].split("\n")
-            return
-        yield from text[start:end].split("\n")
-        start = end + 1
-
-
-def _orjson_loads() -> Callable[[str], object]:
-    """``orjson.loads`` for one stripped line, and ``json.loads`` for a line that
-    orjson rejects or that holds an array or more than two objects, as no valid
-    line does: orjson can overflow the C stack on deep nesting, where json raises."""
-    from orjson import loads
-
-    def screened(line: str) -> object:
-        try:
-            if line.count("{") <= 2 and "[" not in line:
-                return loads(line)
-        except ValueError:
-            pass
-        return json.loads(line)
-
-    return screened
-
-
-def _read_lines(text: str, names: tuple[str, ...], loads: Callable[[str], object],
-                bad_line: Callable[[int, str], NoReturn]) -> tuple:
-    """``_parse_lines`` on a part's text; ``loads`` parses each line, and
-    ``bad_line(lineno, what)`` raises at a bad one."""
-    read, keys = _concept_reader(names)
-    linenos: list[int] = []
-    ids: list[object] = []
-    predictions: list[object] = []
-    weights: list[object] = []
-    truths: list[object] = []
-    rows: list[tuple] = []
-    bad_concepts: dict[int, object] = {}
-    for lineno, line in enumerate(_split_lines(text), 1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            obj = loads(stripped)
-        except JSON_ERRORS as exc:
-            message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
-            bad_line(lineno, f"invalid JSON ({message})")
-        if not isinstance(obj, dict):
-            bad_line(lineno, "expected a JSON object")
-        concepts = obj.get("concepts")
-        if isinstance(concepts, dict) and concepts.keys() == keys:
-            rows.append(read(concepts))
-        else:
-            bad_concepts[len(rows)] = concepts
-            rows.append((0.0,) * len(names))
-        linenos.append(lineno)
-        ids.append(obj.get("id"))
-        predictions.append(obj.get("prediction", _MISSING))
-        weights.append(obj.get("weight"))
-        truths.append(obj.get("ground_truth"))
-    columns = list(zip(*rows)) or [()] * len(names)
-    ok = (not bad_concepts and _ids(ids) and _signs(predictions)
-          and all(map(_units, columns)) and _signs_or_none(truths))
-    if ok:  # the format's types: +1/-1 as ints (a JSON 1.0 is accepted), concepts as doubles
-        if not _types(predictions) <= {int}:
-            predictions = map(int, predictions)
-        if not _types(truths) <= {int, type(None)}:
-            truths = (None if v is None else int(v) for v in truths)
-        columns = [array("d", column) for column in columns]
-    # The split's last item, after the text's last newline, is line ``lineno``.
-    return (lineno - 1, ok, tuple(linenos), tuple(ids), tuple(predictions), tuple(weights),
-            tuple(truths), columns, bad_concepts)
-
-
 class _File:
     """A regular file from its position on, as bytes that ``os.pread`` reads in
     spans, which forked workers can share; a file that has shrunk reads short."""
@@ -474,29 +386,127 @@ def _decode(data: memoryview | _File, start: int, end: int) -> str:
         raise ParseError(f"input is not valid UTF-8: {exc}") from None
 
 
-def _parse_lines(data: memoryview | _File, start: int, end: int, names: tuple[str, ...]) -> tuple:
-    """One part of a load: the JSONL lines in bytes ``start`` (a line start) to
-    ``end`` of ``data``, as their count of newlines, whether they pass every field
-    rule that needs no other part, their line numbers (from the part's first), ids,
-    predictions, weights, truths, concept columns and ``bad_concepts``, numbers
-    normalized if they pass. Raises ParseError if the part is not UTF-8, or at a line
-    that is not a JSON object once every later byte decodes. ``json.loads`` parses
-    each line, except from ``MIN_PART`` bytes on, where orjson's parse is kept unless
-    a rule fails or a float weight reaches 2**63 (orjson reads integer literals past
-    64 bits as floats)."""
-    text = _decode(data, start, end)
+def _chunks(data: memoryview | _File, start: int, end: int, size: int):
+    """Bytes ``start`` (a line start) to ``end`` of ``data`` as lines, decoded about ``size``
+    bytes at a time up to a newline: each chunk's lines, end to end ``split("\\n")``'s."""
+    while start + size < end and (cut := min(end, _line_end(data, start + size - 1))) < end:
+        yield _decode(data, start, cut).split("\n")[:-1]  # not the "" after its last newline
+        start = cut
+    yield _decode(data, start, end).split("\n")
 
+
+def _typed(ids: list, predictions: list, weights: list, truths: list, columns: list,
+           weight_rule: Callable[[Sequence[object]], bool]) -> tuple | None:
+    """Predictions, weights, truths and concept columns in the format's types if the rows
+    pass each rule that needs no other row, else None: +1/-1 as ints, numbers as doubles."""
+    present = list(compress(weights, map(is_not, weights, repeat(None))))
+    if not (_ids(ids) and _signs(predictions) and all(map(_units, columns))
+            and weight_rule(present) and _signs_or_none(truths)):
+        return None
+    if not _types(predictions) <= {int}:
+        predictions = list(map(int, predictions))
+    if not _types(truths) <= {int, type(None)}:
+        truths = [None if v is None else int(v) for v in truths]
+    if len(present) < len(weights):  # a missing weight is NaN, which no valid weight is
+        weights = [math.nan if w is None else w for w in weights]
+    return predictions, array("d", weights), truths, [array("d", column) for column in columns]
+
+
+def _read_lines(data: memoryview | _File, start: int, end: int, names: tuple[str, ...],
+                fast: bool, bad_line: Callable[[int, str], NoReturn]) -> tuple | None:
+    """``_parse_lines`` on a part, ``BLOCK`` lines at a time, each block's fields taken and
+    checked at once. ``fast`` parses with orjson and keeps only typed columns, so it gives
+    None if a rule fails or a weight reaches 2**63 (orjson reads integer literals past 64
+    bits as floats); else json parses, and raw values stay unless all pass. A block not
+    parsed whole, or with a non-object, is parsed line by line. orjson gets no line or block
+    with ``[`` or more than two ``{`` a line, as no valid line has: it can overflow the C
+    stack on deep nesting, where json raises."""
+    loads = json.loads
+    if fast:
+        from orjson import loads
+    # A concepts object's values in schema order (itemgetter gives one name's bare).
+    read = itemgetter(*names) if len(names) > 1 else lambda c: tuple(map(c.__getitem__, names))
+    linenos, ids, predictions, truths, bad_concepts = array("q"), [], [], [], {}
+    weights, *columns = (array("d") if fast else [] for _ in range(len(names) + 1))
+
+    def parse(text: str, lineno: int) -> dict:
+        try:
+            try:  # orjson's parse, or json's where the two may differ
+                if not (fast and text.count("{") <= 2 and "[" not in text):
+                    raise ValueError("json")
+                obj = loads(text)
+            except ValueError:
+                obj = json.loads(text)
+        except JSON_ERRORS as exc:
+            message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+            bad_line(lineno, f"invalid JSON ({message})")
+        if not isinstance(obj, dict):
+            bad_line(lineno, "expected a JSON object")
+        return obj
+
+    def concept_row(row: int, concepts: object) -> tuple:
+        if isinstance(concepts, dict) and concepts.keys() == set(names):
+            return read(concepts)
+        bad_concepts[row] = concepts
+        return (0.0,) * len(names)
+
+    lineno = 0  # the lines before the chunk
+    for lines in _chunks(data, start, end, CHUNK):
+        for at in range(0, len(lines), BLOCK):
+            texts = list(map(str.strip, lines[at:at + BLOCK]))
+            linenos.extend(compress(count(lineno + at + 1), texts))
+            texts = list(filter(None, texts))
+            try:
+                joined = "".join(texts) if fast else ""
+                if "[" in joined or joined.count("{") > 2 * len(texts):
+                    raise ValueError("a line may nest deep")
+                if not _types(objs := list(map(loads, texts))) <= {dict}:
+                    raise ValueError("a line is not an object")
+            except JSON_ERRORS:
+                objs = list(map(parse, texts, linenos[len(linenos) - len(texts):]))
+            block_ids, ws, trs, concepts = (list(map(dict.get, objs, repeat(key)))
+                                            for key in ("id", "weight", "ground_truth", "concepts"))
+            preds = list(map(dict.get, objs, repeat("prediction"), repeat(_MISSING)))
+            try:
+                if not (_types(concepts) <= {dict} and set(map(len, concepts)) <= {len(names)}):
+                    raise KeyError("concepts")
+                rows = list(map(read, concepts))
+            except KeyError:
+                if fast:
+                    return None
+                rows = list(map(concept_row, count(len(ids)), concepts))
+            cols = list(zip(*rows)) or [()] * len(names)
+            if fast:
+                if not (typed := _typed(block_ids, preds, ws, trs, cols, _fast_weights)):
+                    return None
+                preds, ws, trs, cols = typed
+            for column, values in zip((ids, predictions, weights, truths, *columns),
+                                      (block_ids, preds, ws, trs, *cols)):
+                column.extend(values)
+        lineno += len(lines)
+    typed = fast or not bad_concepts and _typed(ids, predictions, weights, truths, columns,
+                                                _weights)
+    if typed and not fast:
+        predictions, weights, truths, columns = typed
+    return (lineno - 1, bool(typed), linenos, tuple(ids), tuple(predictions), weights,
+            tuple(truths), columns, bad_concepts)
+
+
+def _parse_lines(data: memoryview | _File, start: int, end: int, names: tuple[str, ...]) -> tuple:
+    """One part of a load: the JSONL lines in bytes ``start`` (a line start) to ``end``
+    of ``data``, as their count of newlines, whether they pass every rule that needs no
+    other part, their line numbers (from the part's first), ids, predictions, weights,
+    truths, concept columns and ``bad_concepts``, typed if they pass. Raises ParseError
+    at the first bad UTF-8 byte, or at a line that is not a JSON object once every later
+    byte decodes. From ``MIN_PART`` bytes on orjson parses, and json only where it must."""
     def bad_line(lineno: int, what: str) -> NoReturn:
-        _decode(data, end, len(data))
+        for _ in _chunks(data, start, len(data), CHUNK):
+            pass
         lineno += _decode(data, 0, start).count("\n")
         raise ParseError(f"line {lineno}: {what}")
 
-    if len(data) >= MIN_PART:
-        part = _read_lines(text, names, _orjson_loads(), bad_line)
-        floats = [w for w in part[5] if type(w) is float]
-        if part[1] and max(map(abs, floats), default=0.0) < 2.0 ** 63:
-            return part
-    return _read_lines(text, names, json.loads, bad_line)
+    fast = len(data) >= MIN_PART and _read_lines(data, start, end, names, True, bad_line)
+    return fast or _read_lines(data, start, end, names, False, bad_line)
 
 
 def _join(parts: Sequence[tuple]) -> tuple:
@@ -559,10 +569,10 @@ def load_dataset(
     renormalized to total 1 and the raw total is kept on the dataset.
     From ``2 * MIN_PART`` bytes on, forked workers read (a regular file with
     ``os.pread``, where the OS has it; any other file is read whole here), parse, check
-    and normalize parts of the input, one per usable CPU; only the rules
-    that span parts run here, and the result and error are those of one
-    pass. From ``MIN_PART`` bytes on, orjson parses each part that it reads
-    exactly as json does (``_parse_lines``); ``json.loads`` parses the others.
+    and type parts of the input, one per usable CPU; only the rules that span parts run
+    here, and the result and error are those of one pass. Each part decodes ``CHUNK``
+    bytes at a time and parses ``BLOCK`` lines at a time, with orjson from ``MIN_PART``
+    bytes on where it reads as json does, and with ``json.loads`` elsewhere.
     """
     data = _input(source)
     if bytes(data[0:3]) == b"\xef\xbb\xbf":
@@ -579,7 +589,7 @@ def load_dataset(
         names = tuple(concepts) if isinstance(concepts, dict) else ()
     newlines, oks, linenos, ids, predictions, weights, truths, columns, bad_concepts = zip(
         *_parse_parts(data, names))
-    ids, predictions, weights, truths = map(_join, (ids, predictions, weights, truths))
+    ids, predictions, truths = map(_join, (ids, predictions, truths))
     n = len(ids)
     if not n:
         raise ParseError("no examples found in input")
@@ -591,26 +601,31 @@ def load_dataset(
 
     columns = list(zip(*columns))  # each concept's parts
     uniform = 1.0 / n
-    weights = [uniform if w is None else w for w in weights]
-    if not (all(oks) and len(set(ids)) == n and _weights(weights)):
-        # A rule fails: the one-pass check finds and raises the first bad line.
+    if not (all(oks) and len(set(ids)) == n):
+        # A rule fails: the one-pass check finds and raises the first bad line. A part
+        # that passed its rules has valid weights, for which 1/n stands in.
         starts = accumulate(map(len, linenos), initial=0)
         bad = {start + i: v for start, part in zip(starts, bad_concepts) for i, v in part.items()}
         offsets = accumulate(newlines, initial=0)
         linenos = [offset + lineno for offset, part in zip(offsets, linenos) for lineno in part]
+        weights = [uniform if ok or w is None else w
+                   for ok, part in zip(oks, weights) for w in part]
         _check_columns(names, ids, predictions, list(map(_join, columns)), weights, truths,
                        lambda i: f"line {linenos[i]}", bad)
         raise AssertionError("a rule failed that the one-pass check passed")
     columns = [reduce(iadd, column) for column in columns]
-    raw_weights = list(map(float, weights))
-    total = _total(raw_weights)
+    weights = reduce(iadd, weights)
+    # A missing weight is NaN, so the total is NaN, or inf if the others overflow anyway.
+    if (total := _total(weights)) != total:
+        weights = array("d", [uniform if w != w else w for w in weights])
+        total = _total(weights)
     if not math.isfinite(total):
         raise ValidationError("weight total overflows a float; scale the weights down")
     if total <= 0.0:
         raise ValidationError("total weight must be positive")
     dataset = ConceptDataset.__new__(ConceptDataset)
     _fill(dataset, names, ids, predictions, columns,
-          array("d", [w / total for w in raw_weights]), truths, total)
+          array("d", [w / total for w in weights]), truths, total)
     return dataset
 
 

@@ -7,6 +7,8 @@ import pickle
 import subprocess
 import sys
 import time
+import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from conceptscope import dataset as dataset_mod
 from conceptscope import fanout
 from conceptscope.dataset import (
     ConceptDataset,
-    _split_lines,
+    _chunks,
     load_dataset,
     to_jsonl,
     with_ground_truth_predictions,
@@ -332,9 +334,12 @@ def test_constructor_takes_columns():
         )
 
 
-@given(st.text(alphabet="ab \n\r", max_size=60), st.integers(1, 8))
-def test_split_lines_matches_str_split(text, block):
-    assert list(_split_lines(text, block)) == text.split("\n")
+@given(st.text(alphabet="ab \n\r\u00e9\u20ac\U0001f600", max_size=60), st.integers(1, 8))
+def test_split_lines_matches_str_split(text, size):
+    """The decoded chunks' lines, end to end, are ``text.split("\\n")``, with chunks
+    of any size and multi-byte characters next to a cut."""
+    data = memoryview(text.encode())
+    assert list(chain.from_iterable(_chunks(data, 0, len(data), size))) == text.split("\n")
 
 
 # The oracle for the one validation path: ``ConceptDataset(...)`` and
@@ -408,15 +413,18 @@ def _outcome(call):
     return None
 
 
-def _load_with(data, min_part, cpus=None):
-    """``load_dataset(data)`` with ``MIN_PART`` set to ``min_part`` (and the
-    usable CPUs to ``cpus``): the dataset with the type of every value of
-    every field, or the class and text of its error. orjson parses inputs of
-    at least ``MIN_PART`` characters; json, smaller ones."""
+def _load_with(data, min_part, cpus=None, **sizes):
+    """``load_dataset(data)`` with ``MIN_PART`` set to ``min_part`` (the usable
+    CPUs to ``cpus``, and ``BLOCK`` or ``CHUNK`` as given in ``sizes``): the
+    dataset with the type of every value of every field, or the class and text
+    of its error. orjson parses inputs of at least ``MIN_PART`` characters;
+    json, smaller ones."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dataset_mod, "MIN_PART", min_part)
         if cpus is not None:
             patch.setattr(fanout, "usable_cpus", lambda: cpus)
+        for name, size in sizes.items():
+            patch.setattr(dataset_mod, name, size)
         try:
             dataset = load_dataset(data)
         except ConceptScopeError as exc:
@@ -451,8 +459,14 @@ def test_load_dataset_matches_row_reference(raw, data):
     text = "\n".join(lines) + data.draw(st.sampled_from(["", "\n"]))
     assert _outcome(lambda: load_dataset(text.encode())) == _outcome(
         lambda: row_validator.check_jsonl(text))
-    # With MIN_PART at 1, orjson parses first: the same dataset or error.
-    assert _load_with(text.encode(), 1) == _load_with(text.encode(), dataset_mod.MIN_PART)
+    # With MIN_PART at 1, orjson parses first: the same dataset or error. So do
+    # both parsers with blocks of one or two lines, decoded a few bytes at a time,
+    # as the drawn lines are mostly fewer than a block.
+    stdlib = _load_with(text.encode(), dataset_mod.MIN_PART)
+    assert _load_with(text.encode(), 1) == stdlib
+    for min_part in (1, dataset_mod.MIN_PART):
+        for block, chunk in ((1, 3), (2, 16)):
+            assert _load_with(text.encode(), min_part, BLOCK=block, CHUNK=chunk) == stdlib
 
 
 def test_rules_are_exact_next_to_numpy_floats():
@@ -750,6 +764,69 @@ def test_bad_utf8_names_the_first_bad_byte_of_the_whole_input(data, tmp_path):
                              capture_output=True, env=env_with_src())
     assert (process.returncode, process.stdout) == (2, b"")
     assert process.stderr.decode() == f"error: {expected[1]}\n"
+
+
+# A part is parsed a block of lines at a time, and decoded a chunk of bytes at
+# a time. Inside one block or across two, the dataset and the first error are
+# those of a line-by-line parse.
+_A = _line(id="a", prediction=1, concepts={"s": 0.5}, weight=1)
+_B = _line(id="b", prediction=-1, concepts={"s": -0.5}, weight=3)
+BLOCK_CASES = {
+    "non-object before bad JSON": (_A + b'1\n{"id": \n' + _B,
+                                   (ParseError, "line 2: expected a JSON object")),
+    "concepts with another key": (
+        _A + _line(id="c", prediction=1, concepts={"s": 0.5, "x": 0.5}) + _B,
+        (SchemaError, "line 2: concept keys do not match schema (missing [], extra ['x'])")),
+    "concepts not an object": (_A + _line(id="c", prediction=1, concepts=None) + _B,
+                               (ValidationError, "line 2: 'concepts' must be an object")),
+    "blank lines, then a bad prediction": (
+        _A + b"\n  \n" + _B + b"\t\n" + _line(id="c", prediction=0, concepts={"s": 0.0}),
+        (ValidationError, "line 6: prediction: expected -1 or +1, got 0")),
+    "blank lines, then a repeated id": (
+        _A + b"\n  \n" + _B + b"\r\n" + _line(id="a", prediction=1, concepts={"s": 0.0}),
+        (ValidationError, "line 6: duplicate id 'a' (first seen on line 1)")),
+}
+
+
+@pytest.mark.parametrize("data, expected", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+@pytest.mark.parametrize("block", [1, 2, 3, 128])
+@pytest.mark.parametrize("min_part", [1, dataset_mod.MIN_PART], ids=["orjson", "json"])
+def test_each_block_size_reports_the_first_bad_line(data, expected, block, min_part):
+    assert _load_with(data, min_part, BLOCK=block) == expected
+    assert _load_with(data, min_part, BLOCK=block, CHUNK=4) == expected
+
+
+def test_bad_utf8_in_a_later_chunk_comes_before_a_json_error():
+    """The JSON error is in the part's first chunks, the bad byte in its last."""
+    data = _A + b"not json\n" + _B + b'{"id": "\xff"}\n'
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    expected = (ParseError, f"input is not valid UTF-8: {whole.value}")
+    for min_part in (1, dataset_mod.MIN_PART):
+        assert _load_with(data, min_part, cpus=1, CHUNK=8) == expected
+        assert _load_with(data, min_part, cpus=1, CHUNK=len(data)) == expected
+
+
+def test_load_from_a_file_holds_a_chunk_of_its_text_at_a_time(two_parts_of_text, tmp_path,
+                                                              monkeypatch):
+    """On one CPU, a 4 MiB file loads with a tracemalloc peak below twice its size,
+    which its bytes and their decoded text would reach together. The dataset
+    itself retains about 0.6 of the size."""
+    lines = two_parts_of_text
+    data = "".join([*lines, *(line.replace('"id": "x', '"id": "y') for line in lines)]).encode()
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(data)
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
+    with open(path, "rb") as file:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loaded = load_dataset(file)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert len(loaded) == 2 * len(lines)
+    assert peak < 2 * len(data)
 
 
 # A regular file is read in spans with os.pread, bytes as memoryview slices,
