@@ -16,13 +16,15 @@ row) as tuples, and ``weights`` and one column per concept, read with
 ``column(name)``, as read-only memoryviews of doubles. There is no row
 type; code that wants row ``i`` reads index ``i`` of each column. A
 dataset is built either by the constructor, from in-memory columns, or by
-``load_dataset``, which decodes a chunk and parses a block of lines at a time
-straight into columns, on every usable CPU for a large input; orjson parses
-large inputs, but every value and error is json's. Both validate with one
-exact rule per field, run once over a whole column (or a block's or a
-part's, which passes exactly when the column does), so valid data always
-passes. When a rule fails, ``_check_columns`` bisects with it to the
-first bad row, and names the row and field a row-by-row check would.
+``load_dataset``. From ``MIN_PART`` bytes on, orjson parses the input in parts,
+one per usable CPU, a chunk of text and a block of lines at a time straight
+into typed columns, and a part gives up at any error. A smaller input, and any
+input a part gives up on, takes one pass with ``json.loads``, so every value
+and error is json's. Rules are exact, one per field, run once over a whole
+column (or a block's, which passes exactly when the column does), so valid
+data always passes. When a rule fails, ``_check_columns``, which the
+constructor and the one pass share, bisects with it to the first bad row, and
+names the row and field a row-by-row check would.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ import sys
 from array import array
 from dataclasses import FrozenInstanceError
 from functools import reduce
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import compress, repeat
 from operator import iadd, is_not, itemgetter, mul
-from typing import BinaryIO, Callable, Iterable, Mapping, NoReturn, Sequence
+from typing import BinaryIO, Callable, Iterable, Mapping, Sequence
 
 from conceptscope import fanout
 from conceptscope.errors import (
@@ -373,145 +375,88 @@ def _input(source: bytes | BinaryIO) -> memoryview | _File:
     return memoryview(source.read())
 
 
-def _decode(data: memoryview | _File, start: int, end: int) -> str:
-    """Bytes ``start`` (a line start) to ``end`` of ``data`` as text. A UTF-8 error
-    is that of decoding from the input's start, so it counts from there."""
-    try:
-        return str(data[start:end], "utf-8")
-    except UnicodeDecodeError as exc:
-        try:
-            str(data[0:end], "utf-8")
-        except UnicodeDecodeError as whole:
-            exc = whole
-        raise ParseError(f"input is not valid UTF-8: {exc}") from None
-
-
 def _chunks(data: memoryview | _File, start: int, end: int, size: int):
     """Bytes ``start`` (a line start) to ``end`` of ``data`` as lines, decoded about ``size``
     bytes at a time up to a newline: each chunk's lines, end to end ``split("\\n")``'s."""
     while start + size < end and (cut := min(end, _line_end(data, start + size - 1))) < end:
-        yield _decode(data, start, cut).split("\n")[:-1]  # not the "" after its last newline
+        yield str(data[start:cut], "utf-8").split("\n")[:-1]  # not the "" after its last newline
         start = cut
-    yield _decode(data, start, end).split("\n")
+    yield str(data[start:end], "utf-8").split("\n")
 
 
-def _typed(ids: list, predictions: list, weights: list, truths: list, columns: list,
-           weight_rule: Callable[[Sequence[object]], bool]) -> tuple | None:
+def _reader(names: tuple[str, ...]) -> Callable[[dict], tuple]:
+    """A concepts object's values in schema order (itemgetter gives one name's bare)."""
+    return itemgetter(*names) if len(names) > 1 else lambda c: tuple(map(c.__getitem__, names))
+
+
+def _typed(ids: list, predictions: list, weights: list, truths: list,
+           columns: list) -> tuple | None:
     """Predictions, weights, truths and concept columns in the format's types if the rows
-    pass each rule that needs no other row, else None: +1/-1 as ints, numbers as doubles."""
+    pass each rule that needs no other row and no weight reaches 2**63, else None: +1/-1
+    as ints, numbers as doubles, a missing weight as NaN, which no valid weight is."""
     present = list(compress(weights, map(is_not, weights, repeat(None))))
     if not (_ids(ids) and _signs(predictions) and all(map(_units, columns))
-            and weight_rule(present) and _signs_or_none(truths)):
+            and _fast_weights(present) and _signs_or_none(truths)):
         return None
     if not _types(predictions) <= {int}:
         predictions = list(map(int, predictions))
     if not _types(truths) <= {int, type(None)}:
         truths = [None if v is None else int(v) for v in truths]
-    if len(present) < len(weights):  # a missing weight is NaN, which no valid weight is
+    if len(present) < len(weights):
         weights = [math.nan if w is None else w for w in weights]
     return predictions, array("d", weights), truths, [array("d", column) for column in columns]
 
 
-def _read_lines(data: memoryview | _File, start: int, end: int, names: tuple[str, ...],
-                fast: bool, bad_line: Callable[[int, str], NoReturn]) -> tuple | None:
-    """``_parse_lines`` on a part, ``BLOCK`` lines at a time, each block's fields taken and
-    checked at once. ``fast`` parses with orjson and keeps only typed columns, so it gives
-    None if a rule fails or a weight reaches 2**63 (orjson reads integer literals past 64
-    bits as floats); else json parses, and raw values stay unless all pass. A block not
-    parsed whole, or with a non-object, is parsed line by line. orjson gets no line or block
-    with ``[`` or more than two ``{`` a line, as no valid line has: it can overflow the C
-    stack on deep nesting, where json raises."""
-    loads = json.loads
-    if fast:
-        from orjson import loads
-    # A concepts object's values in schema order (itemgetter gives one name's bare).
-    read = itemgetter(*names) if len(names) > 1 else lambda c: tuple(map(c.__getitem__, names))
-    linenos, ids, predictions, truths, bad_concepts = array("q"), [], [], [], {}
-    weights, *columns = (array("d") if fast else [] for _ in range(len(names) + 1))
+def _parse_lines(data: memoryview | _File, start: int, end: int, names: tuple[str, ...]
+                 ) -> tuple | None:
+    """One part of a load: the JSONL lines in bytes ``start`` (a line start) to ``end`` of
+    ``data``, decoded ``CHUNK`` bytes and parsed ``BLOCK`` lines at a time, as ids,
+    predictions, weights, truths and concept columns typed by ``_typed``; or None, giving
+    up, at a bad byte, a bad line, concepts without the schema's keys or a failed rule.
+    orjson parses each block. A block that it rejects, or with ``[`` or more than two
+    ``{`` a line, as no valid line has, is parsed line by line, and json parses each line
+    that orjson rejects or is not given: orjson can overflow the C stack on deep nesting."""
+    from orjson import loads
 
-    def parse(text: str, lineno: int) -> dict:
-        try:
-            try:  # orjson's parse, or json's where the two may differ
-                if not (fast and text.count("{") <= 2 and "[" not in text):
-                    raise ValueError("json")
-                obj = loads(text)
+    def parse(text: str) -> object:
+        if text.count("{") <= 2 and "[" not in text:
+            try:
+                return loads(text)
             except ValueError:
-                obj = json.loads(text)
-        except JSON_ERRORS as exc:
-            message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
-            bad_line(lineno, f"invalid JSON ({message})")
-        if not isinstance(obj, dict):
-            bad_line(lineno, "expected a JSON object")
-        return obj
+                pass
+        return json.loads(text)
 
-    def concept_row(row: int, concepts: object) -> tuple:
-        if isinstance(concepts, dict) and concepts.keys() == set(names):
-            return read(concepts)
-        bad_concepts[row] = concepts
-        return (0.0,) * len(names)
-
-    lineno = 0  # the lines before the chunk
-    for lines in _chunks(data, start, end, CHUNK):
-        for at in range(0, len(lines), BLOCK):
-            texts = list(map(str.strip, lines[at:at + BLOCK]))
-            linenos.extend(compress(count(lineno + at + 1), texts))
-            texts = list(filter(None, texts))
-            try:
-                joined = "".join(texts) if fast else ""
-                if "[" in joined or joined.count("{") > 2 * len(texts):
-                    raise ValueError("a line may nest deep")
-                if not _types(objs := list(map(loads, texts))) <= {dict}:
-                    raise ValueError("a line is not an object")
-            except JSON_ERRORS:
-                objs = list(map(parse, texts, linenos[len(linenos) - len(texts):]))
-            block_ids, ws, trs, concepts = (list(map(dict.get, objs, repeat(key)))
-                                            for key in ("id", "weight", "ground_truth", "concepts"))
-            preds = list(map(dict.get, objs, repeat("prediction"), repeat(_MISSING)))
-            try:
-                if not (_types(concepts) <= {dict} and set(map(len, concepts)) <= {len(names)}):
-                    raise KeyError("concepts")
-                rows = list(map(read, concepts))
-            except KeyError:
-                if fast:
+    read, ids, predictions, truths = _reader(names), [], [], []
+    weights, *columns = (array("d") for _ in range(len(names) + 1))
+    try:
+        "".join(names).encode("utf-8")  # a name with a lone surrogate: the one pass names it
+        for lines in _chunks(data, start, end, CHUNK):
+            for at in range(0, len(lines), BLOCK):
+                texts = list(filter(None, map(str.strip, lines[at:at + BLOCK])))
+                try:
+                    joined = "".join(texts)
+                    if "[" in joined or joined.count("{") > 2 * len(texts):
+                        raise ValueError("a line may nest deep")
+                    objs = list(map(loads, texts))
+                except ValueError:
+                    objs = list(map(parse, texts))
+                if not _types(objs) <= {dict}:
                     return None
-                rows = list(map(concept_row, count(len(ids)), concepts))
-            cols = list(zip(*rows)) or [()] * len(names)
-            if fast:
-                if not (typed := _typed(block_ids, preds, ws, trs, cols, _fast_weights)):
+                block_ids, ws, trs, concepts = (list(map(dict.get, objs, repeat(key)))
+                                                for key in ("id", "weight", "ground_truth", "concepts"))
+                preds = list(map(dict.get, objs, repeat("prediction"), repeat(_MISSING)))
+                if not (_types(concepts) <= {dict} and set(map(len, concepts)) <= {len(names)}):
+                    return None
+                cols = list(zip(*map(read, concepts))) or [()] * len(names)
+                if not (typed := _typed(block_ids, preds, ws, trs, cols)):
                     return None
                 preds, ws, trs, cols = typed
-            for column, values in zip((ids, predictions, weights, truths, *columns),
-                                      (block_ids, preds, ws, trs, *cols)):
-                column.extend(values)
-        lineno += len(lines)
-    typed = fast or not bad_concepts and _typed(ids, predictions, weights, truths, columns,
-                                                _weights)
-    if typed and not fast:
-        predictions, weights, truths, columns = typed
-    return (lineno - 1, bool(typed), linenos, tuple(ids), tuple(predictions), weights,
-            tuple(truths), columns, bad_concepts)
-
-
-def _parse_lines(data: memoryview | _File, start: int, end: int, names: tuple[str, ...]) -> tuple:
-    """One part of a load: the JSONL lines in bytes ``start`` (a line start) to ``end``
-    of ``data``, as their count of newlines, whether they pass every rule that needs no
-    other part, their line numbers (from the part's first), ids, predictions, weights,
-    truths, concept columns and ``bad_concepts``, typed if they pass. Raises ParseError
-    at the first bad UTF-8 byte, or at a line that is not a JSON object once every later
-    byte decodes. From ``MIN_PART`` bytes on orjson parses, and json only where it must."""
-    def bad_line(lineno: int, what: str) -> NoReturn:
-        for _ in _chunks(data, start, len(data), CHUNK):
-            pass
-        lineno += _decode(data, 0, start).count("\n")
-        raise ParseError(f"line {lineno}: {what}")
-
-    fast = len(data) >= MIN_PART and _read_lines(data, start, end, names, True, bad_line)
-    return fast or _read_lines(data, start, end, names, False, bad_line)
-
-
-def _join(parts: Sequence[tuple]) -> tuple:
-    """The parts' tuples end to end, as one tuple."""
-    return parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
+                for column, values in zip((ids, predictions, weights, truths, *columns),
+                                          (block_ids, preds, ws, trs, *cols)):
+                    column.extend(values)
+    except (KeyError, *JSON_ERRORS):  # a concept name missing, a bad byte, name or line
+        return None
+    return tuple(ids), tuple(predictions), weights, tuple(truths), columns
 
 
 def _line_end(data: memoryview | _File, pos: int) -> int:
@@ -532,16 +477,79 @@ def _first_line(data: memoryview | _File) -> str:
     return line
 
 
-def _parse_parts(data: memoryview | _File, names: tuple[str, ...]) -> list[tuple]:
-    """``_parse_lines`` on ``data`` cut at newlines into up to one part per usable
-    CPU, the parts after the first in forked workers (``fork_map``)."""
+class _GiveUp(Exception):
+    """The first part of a split load gave up."""
+
+
+def _parse_parts(data: memoryview | _File, names: tuple[str, ...]) -> tuple | None:
+    """``_parse_lines`` on ``data`` cut at newlines into up to one part per usable CPU, the
+    parts after the first in forked workers (``fork_map``), joined; None if a part gives up
+    or no id is found or an id repeats. The first part's give-up raises, so that the workers
+    are killed, not waited for; a later part's comes back as None, so that its span is not
+    parsed again here."""
     size = len(data)
     k = max(1, min(size // MIN_PART, fanout.usable_cpus()))
-    if size >= MIN_PART:
-        import orjson  # noqa: F401  (here, so that the workers fork with it loaded)
+    import orjson  # noqa: F401  (here, so that the workers fork with it loaded)
+
+    def parse(start: int, end: int) -> tuple | None:
+        if (part := _parse_lines(data, start, end, names)) is None and not start:
+            raise _GiveUp
+        return part
+
     cuts = [0, *(_line_end(data, size * i // k) for i in range(1, k)), size]
-    return fanout.fork_map(lambda start, end: _parse_lines(data, start, end, names),
-                           list(zip(cuts, cuts[1:])))
+    try:
+        parts = fanout.fork_map(parse, list(zip(cuts, cuts[1:])))
+    except _GiveUp:
+        return None
+    if None in parts:
+        return None
+    ids, predictions, weights, truths, columns = zip(*parts)
+    del parts  # so that each field's parts go once they are joined
+    if not (ids := reduce(iadd, ids)) or len(set(ids)) < len(ids):  # += joins tuples
+        return None
+    predictions, truths = reduce(iadd, predictions), reduce(iadd, truths)
+    columns = [reduce(iadd, column) for column in zip(*columns)]  # += extends arrays in place
+    return ids, predictions, reduce(iadd, weights), truths, columns
+
+
+def _one_pass(data: memoryview | _File, names: tuple[str, ...]) -> tuple:
+    """The whole input in ``_parse_parts``' fields (a missing weight as 1/n), or its first
+    error as a line-by-line load finds it: the input is decoded at once, ``json.loads``
+    parses each stripped, non-blank line in order, of which only the fields are kept,
+    and ``_check_columns`` checks them, naming each row by its line."""
+    try:
+        lines = str(data[0:len(data)], "utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not valid UTF-8: {exc}") from None
+    read, keys, blank = _reader(names), set(names), dict.fromkeys(names, 0.0)
+    rows, bad_concepts = [], {}
+    for lineno, text in enumerate(lines, 1):
+        if not (text := text.strip()):
+            continue
+        try:
+            obj = json.loads(text)
+        except JSON_ERRORS as exc:
+            message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+            raise ParseError(f"line {lineno}: invalid JSON ({message})") from None
+        if not isinstance(obj, dict):
+            raise ParseError(f"line {lineno}: expected a JSON object")
+        if not (isinstance(concepts := obj.get("concepts"), dict) and concepts.keys() == keys):
+            bad_concepts[len(rows)], concepts = concepts, blank
+        rows.append((lineno, obj.get("id"), obj.get("prediction", _MISSING), obj.get("weight"),
+                     obj.get("ground_truth"), read(concepts)))
+    if not rows:
+        raise ParseError("no examples found in input")
+    for name in names:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError(f"concept name {name!r} holds a lone surrogate") from None
+    linenos, ids, predictions, weights, truths, values = zip(*rows)
+    ids, predictions, columns, weights, truths = _check_columns(
+        names, ids, predictions, list(zip(*values)) or [()] * len(names),
+        [1.0 / len(ids) if w is None else w for w in weights], truths,
+        lambda i: f"line {linenos[i]}", bad_concepts)
+    return ids, tuple(map(int, predictions)), weights, tuple(t and int(t) for t in truths), columns
 
 
 def check_schema(schema: Sequence[str]) -> tuple[str, ...]:
@@ -567,12 +575,12 @@ def load_dataset(
 
     Missing weights default to uniform 1/n; the weight column is then
     renormalized to total 1 and the raw total is kept on the dataset.
-    From ``2 * MIN_PART`` bytes on, forked workers read (a regular file with
-    ``os.pread``, where the OS has it; any other file is read whole here), parse, check
-    and type parts of the input, one per usable CPU; only the rules that span parts run
-    here, and the result and error are those of one pass. Each part decodes ``CHUNK``
-    bytes at a time and parses ``BLOCK`` lines at a time, with orjson from ``MIN_PART``
-    bytes on where it reads as json does, and with ``json.loads`` elsewhere.
+    From ``MIN_PART`` bytes on, ``_parse_lines`` parses parts with orjson; from
+    ``2 * MIN_PART`` bytes on, forked workers read (a regular file with ``os.pread``,
+    where the OS has it; any other file is read whole here), parse, check and type the
+    parts after the first, one per usable CPU. A smaller input, one that a part gives
+    up on, and one whose ids repeat across parts take ``_one_pass`` with ``json.loads``,
+    which loads it or raises its first error.
     """
     data = _input(source)
     if bytes(data[0:3]) == b"\xef\xbb\xbf":
@@ -587,36 +595,11 @@ def load_dataset(
             first = None
         concepts = first.get("concepts") if isinstance(first, dict) else None
         names = tuple(concepts) if isinstance(concepts, dict) else ()
-    newlines, oks, linenos, ids, predictions, weights, truths, columns, bad_concepts = zip(
-        *_parse_parts(data, names))
-    ids, predictions, truths = map(_join, (ids, predictions, truths))
-    n = len(ids)
-    if not n:
-        raise ParseError("no examples found in input")
-    for name in names:
-        try:
-            name.encode("utf-8")
-        except UnicodeEncodeError:
-            raise SchemaError(f"concept name {name!r} holds a lone surrogate") from None
-
-    columns = list(zip(*columns))  # each concept's parts
-    uniform = 1.0 / n
-    if not (all(oks) and len(set(ids)) == n):
-        # A rule fails: the one-pass check finds and raises the first bad line. A part
-        # that passed its rules has valid weights, for which 1/n stands in.
-        starts = accumulate(map(len, linenos), initial=0)
-        bad = {start + i: v for start, part in zip(starts, bad_concepts) for i, v in part.items()}
-        offsets = accumulate(newlines, initial=0)
-        linenos = [offset + lineno for offset, part in zip(offsets, linenos) for lineno in part]
-        weights = [uniform if ok or w is None else w
-                   for ok, part in zip(oks, weights) for w in part]
-        _check_columns(names, ids, predictions, list(map(_join, columns)), weights, truths,
-                       lambda i: f"line {linenos[i]}", bad)
-        raise AssertionError("a rule failed that the one-pass check passed")
-    columns = [reduce(iadd, column) for column in columns]
-    weights = reduce(iadd, weights)
+    fields = _parse_parts(data, names) if len(data) >= MIN_PART else None
+    ids, predictions, weights, truths, columns = fields or _one_pass(data, names)
     # A missing weight is NaN, so the total is NaN, or inf if the others overflow anyway.
     if (total := _total(weights)) != total:
+        uniform = 1.0 / len(ids)
         weights = array("d", [uniform if w != w else w for w in weights])
         total = _total(weights)
     if not math.isfinite(total):

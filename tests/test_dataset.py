@@ -564,6 +564,23 @@ def test_bad_line_in_second_part_of_a_large_file(two_parts_of_text, key, value, 
         assert stdlib[0] is expected and stdlib[1].startswith(f"line {at + 1}: ")
 
 
+def test_json_error_in_a_later_part_comes_before_a_rule_error(two_parts_of_text):
+    """A rule error in the first part, invalid JSON in the second: every line is
+    parsed before any rule runs, so the JSON error is the one reported."""
+    lines = list(two_parts_of_text)
+    assert '"prediction": -1' in lines[5]
+    lines[5] = lines[5].replace('"prediction": -1', '"prediction": 0')
+    at = len(lines) * 3 // 4
+    lines[at] = lines[at][:20] + "\n"
+    with pytest.raises(json.JSONDecodeError) as invalid:
+        json.loads(lines[at].strip())
+    expected = (ParseError, f"line {at + 1}: invalid JSON ({invalid.value.msg})")
+    data = "".join(lines).encode()
+    assert _load_with(data, len(data) + 1) == expected
+    for cpus in (1, 2):
+        assert _load_with(data, dataset_mod.MIN_PART, cpus=cpus) == expected
+
+
 def _record_json_loads(monkeypatch):
     """The texts that ``json.loads`` parses from now on, in a list. A call in a
     forked worker fails the worker, so that the parent parses its part again."""
@@ -691,6 +708,26 @@ def test_split_load_reaps_its_workers_when_a_part_breaks_a_rule(three_parts, bad
     assert_nothing_left(fds)
 
 
+def test_a_later_part_that_gives_up_is_not_parsed_again(three_parts, monkeypatch):
+    """The last part breaks a rule: its worker gives up and sends that back, so
+    the parent parses only the first part before the one pass names the error."""
+    calls, parse, parent = [], dataset_mod._parse_lines, os.getpid()
+
+    def counted(text, start, end, names):
+        if os.getpid() == parent:
+            calls.append(start)
+        return parse(text, start, end, names)
+
+    monkeypatch.setattr(dataset_mod, "_parse_lines", counted)
+    data = SPLIT_DATA[: SPLIT_DATA.rindex(b"\n", 0, -1) + 1] + _line(
+        id="r8", prediction=-1, concepts={"s": 1.5}, weight=9)
+    with pytest.raises(ValidationError) as raised:
+        load_dataset(data)
+    assert str(raised.value) == "line 9: concept 's' value 1.5 outside [-1, +1]"
+    assert calls == [0]
+    assert len(three_parts) == 2
+
+
 @pytest.mark.parametrize("sent", [0.0, 0.5, None])
 def test_split_load_parses_a_lost_workers_part_itself(three_parts, monkeypatch, sent):
     """A worker killed before it sends or midway, or one that cannot be
@@ -721,8 +758,11 @@ def test_json_parses_only_the_lines_orjson_does_not(two_parts_of_text, monkeypat
 
     seen = _record_json_loads(monkeypatch)
     assert _load_with(data, dataset_mod.MIN_PART, cpus=1) == stdlib
-    # The first line once more, for the schema.
-    assert seen == [lines[0].strip(), *(lines[i].strip() for i in marked)]
+    # The first line once more, for the schema. A part gives up at the bad last
+    # line, and the one pass that names its error parses every line once more.
+    stripped = [line.strip() for line in lines]
+    assert seen == [stripped[0], *(stripped[i] for i in marked),
+                    *(stripped if bad_last_line else [])]
 
 
 # A bad UTF-8 byte anywhere gives the error and message of decoding the

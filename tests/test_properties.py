@@ -1,7 +1,10 @@
 """Property tests for the measure identities and oracle equalities."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -210,3 +213,31 @@ def test_vote_metrics_match_oracle_and_monotone(table):
         assert metrics.recall == recall
         recalls.append(metrics.recall)
     assert all(a >= b for a, b in zip(recalls, recalls[1:]))
+
+
+_FAILING_PROPERTY = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+'''
+
+
+def test_a_failing_property_test_does_not_stop_the_run(tmp_path):
+    """Under the repo's pytest settings, which make warnings errors, a failing
+    ``@given`` test is reported as a failure and the tests after it still run."""
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "pyproject.toml").write_text((root / "pyproject.toml").read_text())
+    (tmp_path / "test_two.py").write_text(_FAILING_PROPERTY)
+    process = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(tmp_path)],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert process.returncode == 1, process.stdout + process.stderr
+    assert "INTERNALERROR" not in process.stdout
+    assert process.stdout.splitlines()[-1].startswith("1 failed, 1 passed")
