@@ -18,7 +18,6 @@ import math
 import os
 import re
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from conceptscope.errors import (
@@ -49,7 +48,8 @@ def _read_file(path: str, read=lambda file: file.read()):
 
 def _write_file(path: str, data: bytes) -> None:
     try:
-        Path(path).write_bytes(data)
+        with open(path, "wb") as file:
+            file.write(data)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 

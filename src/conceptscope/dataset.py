@@ -20,11 +20,14 @@ dataset is built either by the constructor, from in-memory columns, or by
 one per usable CPU, a chunk of text and a block of lines at a time straight
 into typed columns, and a part gives up at any error. A smaller input, and any
 input a part gives up on, takes one pass with ``json.loads``, so every value
-and error is json's. Rules are exact, one per field, run once over a whole
-column (or a block's, which passes exactly when the column does), so valid
-data always passes. When a rule fails, ``_check_columns``, which the
-constructor and the one pass share, bisects with it to the first bad row, and
-names the row and field a row-by-row check would.
+and error is json's. Every route reads its lines with ``_chunks``, and every
+route's fields take one order (ids, predictions, weights, ground truth, the
+concept columns) and one set of types, from ``_formatted``. Rules are exact,
+one per field, run once over a whole column (or a block's, which passes
+exactly when the column does), so valid data always passes. When a rule
+fails, ``_check_columns``, which the constructor and the one pass share,
+bisects with it to the first bad row, and names the row and field a
+row-by-row check would.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import sys
 from array import array
 from dataclasses import FrozenInstanceError
 from functools import reduce
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import iadd, is_not, itemgetter, mul
 from typing import BinaryIO, Callable, Iterable, Mapping, Sequence
 
@@ -96,15 +99,12 @@ class ConceptDataset:
         n = len(ids)
         if ground_truth is None:
             ground_truth = (None,) * n
-        columns = [concepts[name] for name in names]
-        if set(map(len, (predictions, weights, ground_truth, *columns))) - {n}:
+        fields = [ids, predictions, weights, ground_truth, *map(concepts.__getitem__, names)]
+        if set(map(len, fields)) - {n}:
             raise ValidationError(f"every column must have one value per id ({n} ids)")
-        columns = [tuple(column) for column in columns]
-        fields = _check_columns(
-            names, ids, predictions, columns, weights, ground_truth,
-            lambda i: f"example {i}", {},
-        )
-        _fill(self, names, *fields, original_weight_total)
+        fields[4:] = map(tuple, fields[4:])
+        _fill(self, names, _check_columns(names, fields, lambda i: f"example {i}", {}),
+              original_weight_total)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -154,15 +154,12 @@ class ConceptDataset:
 def _fill(
     dataset: ConceptDataset,
     names: tuple[str, ...],
-    ids: tuple[str, ...],
-    predictions: tuple[int, ...],
-    columns: Sequence[array | memoryview],
-    weights: array | memoryview,
-    ground_truth: tuple[int | None, ...],
+    fields: Sequence,
     original_weight_total: float | None,
     weight_total: float | None = None,
 ) -> None:
-    """Set the fields of a dataset whose columns have passed ``_check_columns``."""
+    """Set the fields of a dataset from checked fields in ``_formatted``'s order and types."""
+    ids, predictions, weights, ground_truth, *columns = fields
     if weight_total is None:
         weight_total = _total(weights)
         if abs(weight_total - 1.0) > WEIGHT_SUM_TOLERANCE:
@@ -285,15 +282,12 @@ def _concepts_error(where: str, concepts: object, names: tuple[str, ...]) -> Exc
 
 def _check_columns(
     names: tuple[str, ...],
-    ids: Sequence[object],
-    predictions: Sequence[object],
-    columns: Sequence[Sequence[object]],
-    weights: Sequence[object],
-    ground_truth: Sequence[object],
+    fields: Sequence[Sequence[object]],
     where: Callable[[int], str],
     bad_concepts: dict[int, object],
 ) -> tuple:
-    """The one validation pass over a dataset's raw columns.
+    """The one validation pass over a dataset's raw fields: ids, predictions, weights,
+    ground truth and the concept columns in schema order.
 
     Each field's rule runs once over its whole column; if it fails,
     bisection with the same rule finds the field's first bad row. Fields
@@ -302,17 +296,18 @@ def _check_columns(
     truth), each over the rows before the earliest failure so far, so
     the error is the one a row-by-row check would raise first.
     ``bad_concepts`` maps each row whose concepts value is not an object
-    with exactly the schema's keys to that value; its entries in
-    ``columns`` are placeholders. ``where(i)`` names row i. Returns ids,
-    predictions, the concept columns and weights as double arrays, and ground truth.
+    with exactly the schema's keys to that value; its entries in the
+    concept columns are placeholders. ``where(i)`` names row i. Returns
+    the fields as ``_formatted`` types them.
     """
+    ids, predictions, weights, ground_truth, *columns = fields
     n = len(ids)
     if not n:
         raise ValidationError("dataset has no examples")
     first_bad_object = min(bad_concepts, default=n)
 
     # (column, its rule, the error for row i), in the order a row is checked.
-    fields = [
+    checks = [
         (ids, _ids, lambda i: ValidationError(f"{where(i)}: missing or empty 'id'")),
         (ids, lambda values: len(set(values)) == len(values), lambda i: ValidationError(
             f"{where(i)}: duplicate id {ids[i]!r} (first seen on {where(ids.index(ids[i]))})"
@@ -330,7 +325,7 @@ def _check_columns(
     ]
     limit = n
     error: Exception | None = None
-    for values, rule, describe in fields:
+    for values, rule, describe in checks:
         head = values if limit == n else values[:limit]
         if not rule(head):
             limit = _first_failure(rule, head)
@@ -338,8 +333,22 @@ def _check_columns(
     if error is not None:
         raise error
 
-    return (tuple(ids), tuple(predictions), [array("d", column) for column in columns],
-            array("d", weights), tuple(ground_truth))
+    return _formatted(*fields)
+
+
+def _formatted(ids: Sequence[object], predictions: Sequence[object], weights: Sequence[object],
+               truths: Sequence[object], *columns: Sequence[object]) -> tuple:
+    """Fields that passed their rules in the dataset's types, in its field order: ids,
+    predictions and truths as tuples, with +1/-1 as ints, and weights and concept columns
+    as double arrays, with a missing weight as NaN, which no valid weight is."""
+    if not _types(predictions) <= {int}:
+        predictions = map(int, predictions)
+    if not _types(truths) <= {int, type(None)}:
+        truths = [None if v is None else int(v) for v in truths]
+    if None in weights:
+        weights = [math.nan if w is None else w for w in weights]
+    return (tuple(ids), tuple(predictions), array("d", weights), tuple(truths),
+            *(array("d", column) for column in columns))
 
 
 class _File:
@@ -390,29 +399,22 @@ def _reader(names: tuple[str, ...]) -> Callable[[dict], tuple]:
 
 
 def _typed(ids: list, predictions: list, weights: list, truths: list,
-           columns: list) -> tuple | None:
-    """Predictions, weights, truths and concept columns in the format's types if the rows
-    pass each rule that needs no other row and no weight reaches 2**63, else None: +1/-1
-    as ints, numbers as doubles, a missing weight as NaN, which no valid weight is."""
+           *columns: Sequence[object]) -> tuple | None:
+    """A block's fields as ``_formatted`` types them if its rows pass each rule that needs
+    no other row and no weight reaches 2**63, else None."""
     present = list(compress(weights, map(is_not, weights, repeat(None))))
     if not (_ids(ids) and _signs(predictions) and all(map(_units, columns))
             and _fast_weights(present) and _signs_or_none(truths)):
         return None
-    if not _types(predictions) <= {int}:
-        predictions = list(map(int, predictions))
-    if not _types(truths) <= {int, type(None)}:
-        truths = [None if v is None else int(v) for v in truths]
-    if len(present) < len(weights):
-        weights = [math.nan if w is None else w for w in weights]
-    return predictions, array("d", weights), truths, [array("d", column) for column in columns]
+    return _formatted(ids, predictions, weights, truths, *columns)
 
 
 def _parse_lines(data: memoryview | _File, start: int, end: int, names: tuple[str, ...]
                  ) -> tuple | None:
     """One part of a load: the JSONL lines in bytes ``start`` (a line start) to ``end`` of
-    ``data``, decoded ``CHUNK`` bytes and parsed ``BLOCK`` lines at a time, as ids,
-    predictions, weights, truths and concept columns typed by ``_typed``; or None, giving
-    up, at a bad byte, a bad line, concepts without the schema's keys or a failed rule.
+    ``data``, decoded ``CHUNK`` bytes and parsed ``BLOCK`` lines at a time, as the fields
+    of ``_formatted``, each block's typed by ``_typed``; or None, giving up, at a bad byte,
+    a bad line, concepts without the schema's keys or a failed rule.
     orjson parses each block. A block that it rejects, or with ``[`` or more than two
     ``{`` a line, as no valid line has, is parsed line by line, and json parses each line
     that orjson rejects or is not given: orjson can overflow the C stack on deep nesting."""
@@ -426,8 +428,9 @@ def _parse_lines(data: memoryview | _File, start: int, end: int, names: tuple[st
                 pass
         return json.loads(text)
 
-    read, ids, predictions, truths = _reader(names), [], [], []
-    weights, *columns = (array("d") for _ in range(len(names) + 1))
+    read = _reader(names)
+    ids, predictions, weights, truths, *columns = fields = [
+        [], [], array("d"), [], *(array("d") for _ in names)]
     try:
         "".join(names).encode("utf-8")  # a name with a lone surrogate: the one pass names it
         for lines in _chunks(data, start, end, CHUNK):
@@ -447,16 +450,13 @@ def _parse_lines(data: memoryview | _File, start: int, end: int, names: tuple[st
                 preds = list(map(dict.get, objs, repeat("prediction"), repeat(_MISSING)))
                 if not (_types(concepts) <= {dict} and set(map(len, concepts)) <= {len(names)}):
                     return None
-                cols = list(zip(*map(read, concepts))) or [()] * len(names)
-                if not (typed := _typed(block_ids, preds, ws, trs, cols)):
+                if not (typed := _typed(block_ids, preds, ws, trs, *zip(*map(read, concepts)))):
                     return None
-                preds, ws, trs, cols = typed
-                for column, values in zip((ids, predictions, weights, truths, *columns),
-                                          (block_ids, preds, ws, trs, *cols)):
-                    column.extend(values)
+                for field, values in zip(fields, typed):
+                    field.extend(values)
     except (KeyError, *JSON_ERRORS):  # a concept name missing, a bad byte, name or line
         return None
-    return tuple(ids), tuple(predictions), weights, tuple(truths), columns
+    return (tuple(ids), tuple(predictions), weights, tuple(truths), *columns)
 
 
 def _line_end(data: memoryview | _File, pos: int) -> int:
@@ -467,14 +467,6 @@ def _line_end(data: memoryview | _File, pos: int) -> int:
             return pos + at + 1
         pos, span = pos + len(window), 2 * span
     return len(data)
-
-
-def _first_line(data: memoryview | _File) -> str:
-    """The first non-blank line of ``data``, stripped, or ""; the parse reports bad UTF-8."""
-    start = end = 0
-    while not (line := str(data[start:end], "utf-8", "replace").strip()) and end < len(data):
-        start, end = end, _line_end(data, end)
-    return line
 
 
 class _GiveUp(Exception):
@@ -503,27 +495,27 @@ def _parse_parts(data: memoryview | _File, names: tuple[str, ...]) -> tuple | No
         return None
     if None in parts:
         return None
-    ids, predictions, weights, truths, columns = zip(*parts)
+    fields = list(zip(*parts))
     del parts  # so that each field's parts go once they are joined
-    if not (ids := reduce(iadd, ids)) or len(set(ids)) < len(ids):  # += joins tuples
-        return None
-    predictions, truths = reduce(iadd, predictions), reduce(iadd, truths)
-    columns = [reduce(iadd, column) for column in zip(*columns)]  # += extends arrays in place
-    return ids, predictions, reduce(iadd, weights), truths, columns
+    for i, field in enumerate(fields):  # += joins tuples and extends arrays in place
+        fields[i] = reduce(iadd, field)
+    ids = fields[0]
+    return fields if ids and len(set(ids)) == len(ids) else None
 
 
 def _one_pass(data: memoryview | _File, names: tuple[str, ...]) -> tuple:
-    """The whole input in ``_parse_parts``' fields (a missing weight as 1/n), or its first
-    error as a line-by-line load finds it: the input is decoded at once, ``json.loads``
-    parses each stripped, non-blank line in order, of which only the fields are kept,
-    and ``_check_columns`` checks them, naming each row by its line."""
+    """The whole input as ``_check_columns``' fields (a missing weight as 1/n), or its first
+    error as a line-by-line load finds it. The input is decoded at once only to find its
+    first bad byte; then ``json.loads`` parses each stripped, non-blank line in order, read
+    ``CHUNK`` bytes at a time, of which only the fields are kept, and ``_check_columns``
+    checks them, naming each row by its line."""
     try:
-        lines = str(data[0:len(data)], "utf-8").split("\n")
+        str(data[0:len(data)], "utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not valid UTF-8: {exc}") from None
     read, keys, blank = _reader(names), set(names), dict.fromkeys(names, 0.0)
     rows, bad_concepts = [], {}
-    for lineno, text in enumerate(lines, 1):
+    for lineno, text in enumerate(chain.from_iterable(_chunks(data, 0, len(data), CHUNK)), 1):
         if not (text := text.strip()):
             continue
         try:
@@ -536,7 +528,7 @@ def _one_pass(data: memoryview | _File, names: tuple[str, ...]) -> tuple:
         if not (isinstance(concepts := obj.get("concepts"), dict) and concepts.keys() == keys):
             bad_concepts[len(rows)], concepts = concepts, blank
         rows.append((lineno, obj.get("id"), obj.get("prediction", _MISSING), obj.get("weight"),
-                     obj.get("ground_truth"), read(concepts)))
+                     obj.get("ground_truth"), *read(concepts)))
     if not rows:
         raise ParseError("no examples found in input")
     for name in names:
@@ -544,12 +536,10 @@ def _one_pass(data: memoryview | _File, names: tuple[str, ...]) -> tuple:
             name.encode("utf-8")
         except UnicodeEncodeError:
             raise SchemaError(f"concept name {name!r} holds a lone surrogate") from None
-    linenos, ids, predictions, weights, truths, values = zip(*rows)
-    ids, predictions, columns, weights, truths = _check_columns(
-        names, ids, predictions, list(zip(*values)) or [()] * len(names),
-        [1.0 / len(ids) if w is None else w for w in weights], truths,
-        lambda i: f"line {linenos[i]}", bad_concepts)
-    return ids, tuple(map(int, predictions)), weights, tuple(t and int(t) for t in truths), columns
+    linenos, *fields = zip(*rows)
+    del rows
+    fields[2] = [1.0 / len(linenos) if w is None else w for w in fields[2]]
+    return _check_columns(names, fields, lambda i: f"line {linenos[i]}", bad_concepts)
 
 
 def check_schema(schema: Sequence[str]) -> tuple[str, ...]:
@@ -571,7 +561,7 @@ def load_dataset(
         source: raw bytes or a binary file object, read from its position.
         schema: concept names every line must carry exactly; an empty
             one means every line's concepts are ``{}``. If None, the schema
-            is the first line's concept keys, in their order.
+            is the concept keys of the first non-blank line, in their order.
 
     Missing weights default to uniform 1/n; the weight column is then
     renormalized to total 1 and the raw total is kept on the dataset.
@@ -580,7 +570,8 @@ def load_dataset(
     where the OS has it; any other file is read whole here), parse, check and type the
     parts after the first, one per usable CPU. A smaller input, one that a part gives
     up on, and one whose ids repeat across parts take ``_one_pass`` with ``json.loads``,
-    which loads it or raises its first error.
+    which loads it or raises its first error. Each route reads its lines, and the schema's
+    line, with ``_chunks``; a file is never held whole, but for the one pass's UTF-8 check.
     """
     data = _input(source)
     if bytes(data[0:3]) == b"\xef\xbb\xbf":
@@ -588,15 +579,16 @@ def load_dataset(
 
     if schema is not None:
         names = check_schema(schema)
-    else:  # the first line's concept keys; a bad first line fails its parse below
+    else:  # the first line's concept keys; a bad first line or byte fails the load below
         try:
-            first = json.loads(_first_line(data))
+            lines = chain.from_iterable(_chunks(data, 0, len(data), 1))  # a line at a time
+            first = json.loads(next(filter(None, map(str.strip, lines)), ""))
         except JSON_ERRORS:
             first = None
         concepts = first.get("concepts") if isinstance(first, dict) else None
         names = tuple(concepts) if isinstance(concepts, dict) else ()
     fields = _parse_parts(data, names) if len(data) >= MIN_PART else None
-    ids, predictions, weights, truths, columns = fields or _one_pass(data, names)
+    ids, predictions, weights, truths, *columns = fields or _one_pass(data, names)
     # A missing weight is NaN, so the total is NaN, or inf if the others overflow anyway.
     if (total := _total(weights)) != total:
         uniform = 1.0 / len(ids)
@@ -607,8 +599,8 @@ def load_dataset(
     if total <= 0.0:
         raise ValidationError("total weight must be positive")
     dataset = ConceptDataset.__new__(ConceptDataset)
-    _fill(dataset, names, ids, predictions, columns,
-          array("d", [w / total for w in weights]), truths, total)
+    _fill(dataset, names, (ids, predictions, array("d", [w / total for w in weights]), truths,
+                           *columns), total)
     return dataset
 
 
@@ -648,7 +640,7 @@ def with_ground_truth_predictions(dataset: ConceptDataset) -> ConceptDataset:
         )
     swapped = ConceptDataset.__new__(ConceptDataset)
     names = dataset.concept_names
-    _fill(swapped, names, dataset.ids, truth, [dataset.column(n) for n in names],
-          dataset.weights, truth, dataset.original_weight_total,
-          weight_total=dataset.weight_total)
+    _fill(swapped, names, (dataset.ids, truth, dataset.weights, truth,
+                           *map(dataset.column, names)),
+          dataset.original_weight_total, weight_total=dataset.weight_total)
     return swapped

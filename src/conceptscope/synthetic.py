@@ -358,13 +358,9 @@ def theorem2_trial(epsilon: float, delta: float, dim: int, seed: int) -> Theorem
     (2**24 floats), so a tiny epsilon or delta or a huge dim is refused
     instead of exhausting memory.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
+    n = hoeffding_sample_size(epsilon, delta)
     if dim < 2:
         raise DomainError("dim must be >= 2")
-    n = hoeffding_sample_size(epsilon, delta)
     if n * dim > THEOREM2_FLOAT_BUDGET:
         raise DomainError(
             f"a theorem2 trial would sample n x dim = {n} x {dim} floats, more than"

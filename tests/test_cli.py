@@ -997,6 +997,17 @@ def test_each_command_loads_only_its_own_modules(fixtures, tmp_path, command):
     assert added == sorted(_CLI_MODULES + COMMAND_MODULES[command])
 
 
+def test_cli_module_imports_no_pathlib():
+    """Under ``python -S`` no ``site`` hook preloads standard-library modules, which
+    would hide them from the probe above: importing the CLI loads no pathlib."""
+    process = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, conceptscope.cli; print(sorted({'pathlib'} & set(sys.modules)))"],
+        capture_output=True, check=True, env=env_with_src(),
+    )
+    assert process.stdout == b"[]\n"
+
+
 def _run_strict(args, pinned, check=True):
     """Python on ``args`` with warnings as errors, on every usable CPU or pinned
     to one; without the BLAS variables, so that the CLI runs one thread."""

@@ -312,6 +312,13 @@ def test_loaded_columns_hold_the_format_types():
     assert ds.ground_truth == (-1, None)
     with pytest.raises(SchemaError, match="unknown concept"):
         ds.column("u")
+    built = ConceptDataset(ids=["a", "b"], predictions=[1.0, np.float64(-1.0)],
+                           concepts={"s": [1, 0.25]}, weights=[0.5, 0.5],
+                           ground_truth=[1.0, None])
+    assert built.predictions == (1, -1) and set(map(type, built.predictions)) == {int}
+    assert built.ground_truth == (1, None) and type(built.ground_truth[0]) is int
+    assert type(built.column("s")[0]) is float
+    assert to_jsonl(built) == to_jsonl(load_dataset(to_jsonl(built)))
 
 
 def test_constructor_takes_columns():
@@ -867,6 +874,32 @@ def test_load_from_a_file_holds_a_chunk_of_its_text_at_a_time(two_parts_of_text,
             tracemalloc.stop()
     assert len(loaded) == 2 * len(lines)
     assert peak < 2 * len(data)
+
+
+def test_invalid_file_loads_a_chunk_of_its_text_at_a_time(two_parts_of_text, tmp_path,
+                                                           monkeypatch):
+    """On one CPU, a 4 MiB file with a bad prediction near its end fails with a
+    tracemalloc peak below 2.5 times its size: the one pass decodes the whole
+    input only to check it, and reads its lines a chunk at a time."""
+    lines = [*two_parts_of_text, *(line.replace('"id": "x', '"id": "y')
+                                   for line in two_parts_of_text)]
+    at = len(lines) - 10
+    lines[at] = json.dumps({**json.loads(lines[at]), "prediction": 0}) + "\n"
+    data = "".join(lines).encode()
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(data)
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
+    with open(path, "rb") as file:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(ValidationError) as raised:
+                load_dataset(file)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert str(raised.value) == f"line {at + 1}: prediction: expected -1 or +1, got 0"
+    assert peak < 2.5 * len(data)
 
 
 # A regular file is read in spans with os.pread, bytes as memoryview slices,
