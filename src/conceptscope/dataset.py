@@ -331,7 +331,10 @@ def _check_columns(
             limit = _first_failure(rule, head)
             error = describe(limit)
     if error is not None:
-        raise error
+        try:
+            raise error
+        finally:  # the raised error's traceback holds this frame: no cycle keeps the fields
+            del error
 
     return _formatted(*fields)
 

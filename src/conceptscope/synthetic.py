@@ -1,23 +1,26 @@
 """Synthetic datasets, spherical-cap sampling and the bound-check trials.
 
+Datasets come from the standard library's Mersenne Twister
+(``random.Random(seed)``), drawn through ``random()`` alone: Python
+guarantees that ``random()`` returns the same sequence for a given int
+seed across versions, so a dataset can be reproduced byte-for-byte
+without numpy. Vectors come from Philox, a counter-based generator:
+streams are keyed by ``(seed, *stream)`` through ``SeedSequence``, so
+trial batches fan out over independent streams without shared state.
 ``sample_spherical_cap`` is one exact sampler for caps of any size.
-Everything here is deterministic given its seed. Randomness comes from
-Philox, a counter-based generator: streams are keyed by
-``(seed, *stream)`` through ``SeedSequence``, so any draw can be
-reproduced byte-for-byte and trial batches can fan out over
-independent streams without shared state.
+numpy, ``tcav`` and ``embeddings`` load only in the functions that
+handle vectors, so a caller that only generates datasets loads none of
+them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from random import Random
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from conceptscope.dataset import ConceptDataset
-from conceptscope.embeddings import check_unit_vectors
 from conceptscope.errors import (
     DomainError,
     InfeasiblePlantError,
@@ -25,12 +28,9 @@ from conceptscope.errors import (
     ValidationError,
 )
 from conceptscope.measures import hoeffding_sample_size
-from conceptscope.tcav import (
-    LinearConceptModel,
-    class_conditioned_from_embeddings,
-    decision_margins,
-    tcav_continuous,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BINARY = "binary"
 CONTINUOUS = "continuous"
@@ -46,19 +46,29 @@ _MAX_SEED = 2**64
 _DYADIC_BITS = 20
 
 
-def make_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Philox generator keyed by (seed, *stream)."""
+def _check_seed(seed: object) -> None:
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < _MAX_SEED:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+
+
+def make_rng(seed: int, *stream: int) -> np.random.Generator:
+    """Philox generator keyed by (seed, *stream)."""
+    import numpy as np
+
+    _check_seed(seed)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *stream))))
 
 
 def derive_seed(seed: int, index: int) -> int:
     """Stable 64-bit child seed for trial ``index`` of batch ``seed``."""
+    import numpy as np
+
     return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
 
 
 def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
+    import numpy as np
+
     for _ in range(100):
         z = rng.standard_normal(dim)
         norm = float(np.linalg.norm(z))
@@ -104,18 +114,21 @@ def _concept_names(spec: SyntheticSpec) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _weights(spec: SyntheticSpec, rng: np.random.Generator) -> list[float]:
+def _weights(spec: SyntheticSpec, random: Callable[[], float]) -> list[float]:
     n = spec.n_examples
     if spec.weight_kind == WEIGHTS_UNIFORM:
         return [1.0 / n] * n
     if spec.weight_kind == WEIGHTS_DYADIC:
-        counts = rng.multinomial(2**_DYADIC_BITS, [1.0 / n] * n)
+        # Each row holds one unit of 2^-20 and the stretch between two of
+        # n - 1 uniform cuts of the spare units, so every weight is > 0.
+        spare = 2**_DYADIC_BITS - n
+        cuts = sorted(int(random() * (spare + 1)) for _ in range(n - 1))
         scale = float(2**_DYADIC_BITS)
-        return [int(c) / scale for c in counts]
+        return [(1 + high - low) / scale for low, high in zip([0, *cuts], [*cuts, spare])]
     if spec.weight_kind == WEIGHTS_RANDOM:
-        raw = rng.uniform(0.05, 1.0, size=n)
-        total = math.fsum(raw.tolist())
-        return [float(w) / total for w in raw]
+        raw = [0.05 + 0.95 * random() for _ in range(n)]
+        total = math.fsum(raw)
+        return [w / total for w in raw]
     raise DomainError(f"unknown weight_kind {spec.weight_kind!r}")
 
 
@@ -126,6 +139,9 @@ def generate_dataset(spec: SyntheticSpec) -> ConceptDataset:
     examples agree (c = h) versus disagree (c = -h): with uniform
     weights the measure is (2a - n)/n for a agreeing examples, so
     a = round(n (1 + target) / 2) lands within 1/n of the target.
+    Every draw is ``Random(spec.seed).random()``: the predictions, then
+    the weights, then each concept column in order, a planted one as a
+    random permutation of the rows whose first a agree.
     """
     if spec.n_examples < 1:
         raise DomainError("n_examples must be >= 1")
@@ -145,27 +161,30 @@ def generate_dataset(spec: SyntheticSpec) -> ConceptDataset:
         )
     if planted and spec.weight_kind != WEIGHTS_UNIFORM:
         raise InfeasiblePlantError("planted measures require uniform weights")
+    if spec.weight_kind == WEIGHTS_DYADIC and spec.n_examples > 2**_DYADIC_BITS:
+        raise DomainError(f"dyadic weights need n_examples <= 2**{_DYADIC_BITS}")
 
     names = _concept_names(spec)
-    rng = make_rng(spec.seed)
+    _check_seed(spec.seed)
+    random = Random(spec.seed).random
     n = spec.n_examples
-    predictions = [int(p) for p in rng.choice((-1, 1), size=n)]
-    weights = _weights(spec, rng)
+    predictions = [-1 if random() < 0.5 else 1 for _ in range(n)]
+    weights = _weights(spec, random)
 
     columns: dict[str, list[float]] = {}
     for name in names:
         if name in planted:
             agree = int(math.floor(n * (1.0 + planted[name]) / 2.0 + 0.5))
-            order = rng.permutation(n)
-            agreeing = set(int(i) for i in order[:agree])
+            order = sorted(range(n), key=lambda _: random())
+            agreeing = set(order[:agree])
             columns[name] = [
                 float(predictions[i]) if i in agreeing else float(-predictions[i])
                 for i in range(n)
             ]
         elif spec.concept_kind == BINARY:
-            columns[name] = [float(v) for v in rng.choice((-1.0, 1.0), size=n)]
+            columns[name] = [-1.0 if random() < 0.5 else 1.0 for _ in range(n)]
         else:
-            columns[name] = [float(v) for v in rng.uniform(-1.0, 1.0, size=n)]
+            columns[name] = [-1.0 + 2.0 * random() for _ in range(n)]
 
     width = len(str(n - 1)) if n > 1 else 1
     return ConceptDataset(
@@ -223,6 +242,8 @@ def _series(a: float, x_max: float) -> tuple[np.ndarray, float]:
     The terms are those of 2F1(2a, 1; a + 1; y) (DLMF 8.17.8) up to the first <= 1e-17, and
     lead = 1 / (a B(a, a) 4^a) comes from its recurrence in a (lgammas lose a log(a) ulps).
     """
+    import numpy as np
+
     first = 1.0 - a % 1.0
     lead = (0.25 if first == 1.0 else 1.0 / math.pi) * math.prod(
         (first + k + 0.5) / (first + k + 1.0) for k in range(int(a - first)))
@@ -234,6 +255,8 @@ def _series(a: float, x_max: float) -> tuple[np.ndarray, float]:
 
 def _cap_mass(a: float, theta: float) -> tuple[float, float, float]:
     """(I_x(a, a), 1 - I_x(a, a), log I_x(a, a)) at x = (1 - theta)/2, each to about 1e-14."""
+    import numpy as np
+
     low = (1.0 - abs(theta)) / 2.0
     terms, lead = _series(a, low)
     base, rest = 4.0 * low * (1.0 - low), lead * float(np.polyval(terms, 1.0))
@@ -252,6 +275,8 @@ def _cap_marginal(a: float, theta: float, u: np.ndarray) -> np.ndarray:
     midpoint. q > 1/2 is solved as 1 - b', I_b'(a, a) = 1 - q = (1 - u) + u (1 - I_x);
     u = 0 counts as 2^-54.
     """
+    import numpy as np
+
     _, outside, log_cap = _cap_mass(a, theta)
     log_q = np.log(np.where(u > 0.0, u, 2.0**-54)) + log_cap
     upper = log_q > -math.log(2.0)
@@ -297,6 +322,10 @@ def sample_spherical_cap(
     cap's Beta marginal restricted to the cap, and the rest of g is a
     uniform direction orthogonal to the axis.
     """
+    import numpy as np
+
+    from conceptscope.embeddings import check_unit_vectors
+
     axis = np.asarray(axis, dtype=np.float64)
     if axis.ndim != 1 or axis.shape[0] < 2:
         raise DomainError("axis must be a 1-D vector with dim >= 2")
@@ -358,6 +387,13 @@ def theorem2_trial(epsilon: float, delta: float, dim: int, seed: int) -> Theorem
     (2**24 floats), so a tiny epsilon or delta or a huge dim is refused
     instead of exhausting memory.
     """
+    from conceptscope.tcav import (
+        LinearConceptModel,
+        class_conditioned_from_embeddings,
+        decision_margins,
+        tcav_continuous,
+    )
+
     n = hoeffding_sample_size(epsilon, delta)
     if dim < 2:
         raise DomainError("dim must be >= 2")

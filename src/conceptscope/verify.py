@@ -13,10 +13,15 @@ Three suites are provided:
 
 All suites are deterministic given their seed and emit structured
 failure records for offline inspection. Their trials run on every usable
-CPU (``run_trials``); each derives its own seed, so the output does not
-depend on how many CPUs ran it. Each summary line counts the trials that
-fail its checks; theorem1's one line, ``theorem1/equality``, also counts
-the trials whose completeness falls outside [0.5, 1] (``range``).
+CPU (``run_trials``); each trial's draws are fixed by the seed and its
+index alone, so the output does not depend on how many CPUs ran it. An
+``axioms`` or ``theorem1`` trial draws its parameters and its dataset's
+seed from the standard library's ``random`` (``_trial_draws``), so those
+two suites run without numpy; a ``theorem2`` trial samples vectors with
+numpy from a Philox stream keyed by ``derive_seed``. Each summary line
+counts the trials that fail its checks; theorem1's one line,
+``theorem1/equality``, also counts the trials whose completeness falls
+outside [0.5, 1] (``range``).
 
 The paper names three axioms for the symmetric measure: linearity,
 recursivity and similarity. ``axioms`` checks the first two. The
@@ -37,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from random import Random
 from typing import Callable
 
 from conceptscope import fanout
@@ -57,15 +63,16 @@ from conceptscope.synthetic import (
     SyntheticSpec,
     derive_seed,
     generate_dataset,
-    make_rng,
     split_example,
     theorem2_trial,
 )
 
 IDENTITY_TOLERANCE = 1e-12
 # Fewest trials per span when run_trials forks. A forked span costs about
-# 3 ms more than its trials (fork, pickle, reap); theorem1's, the cheapest at
-# 0.08 ms each, break even on two CPUs at about 130 trials (2 vCPU x86-64).
+# 2-3 ms more than its trials (fork, pickle, reap) in a process without numpy;
+# theorem1's, the cheapest at 0.07 ms each, break even on two CPUs at 60-80
+# trials, and at 200-340 while another tenant keeps the second CPU busy
+# (2 vCPU x86-64, shared host).
 MIN_TRIALS = 64
 
 
@@ -125,10 +132,21 @@ def _decomposition_gap(dataset: ConceptDataset, concept: str) -> float | None:
     return abs(symmetric_measure(dataset, concept).value - expected)
 
 
+def _trial_draws(seed: int, index: int) -> tuple[int, Callable[[], float]]:
+    """The dataset seed and the parameter stream of trial ``index`` of batch
+    ``seed``, both from one Mersenne Twister keyed by ``seed * 2**64 + index``
+    (one key per pair, as no batch reaches 2**64 trials): the first draw seeds
+    the dataset's own generator, and the trial's parameters take the rest."""
+    draw = Random(seed << 64 | index).random
+    return int(draw() * 2**53), draw
+
+
 def run_trials(trial: Callable[[int], object], trials: int) -> list:
     """``[trial(i) for i in range(trials)]``. Trial 0 runs here first, so that bad
-    parameters raise and one-off imports load before any fork; trials 1..n-1 go
-    to ``fork_map`` in up to one contiguous span per usable CPU."""
+    parameters raise and one-off imports load before any fork: theorem2's trial 0
+    loads numpy, with the one BLAS thread the CLI asks for, so the workers never
+    import it. Trials 1..n-1 go to ``fork_map`` in up to one contiguous span per
+    usable CPU."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     first = trial(0)
@@ -159,9 +177,8 @@ def run_axioms_suite(trials: int, seed: int) -> SuiteReport:
     """Recursivity, weight linearity and the decomposition identity."""
 
     def one_trial(index: int) -> list[dict]:
-        child = derive_seed(seed, index)
-        rng = make_rng(child, 1)
-        n = int(rng.integers(2, 13))
+        child, draw = _trial_draws(seed, index)
+        n = 2 + int(draw() * 11)
         kind = BINARY if index % 2 == 0 else CONTINUOUS
         dataset = generate_dataset(
             SyntheticSpec(
@@ -173,11 +190,11 @@ def run_axioms_suite(trials: int, seed: int) -> SuiteReport:
             )
         )
         concept = dataset.concept_names[0]
-        theta = float(rng.uniform(-1.0, 1.0))
+        theta = -1.0 + 2.0 * draw()
         failures: list[dict] = []
 
-        fraction = int(rng.integers(1, 1024)) / 1024.0
-        target = dataset.ids[int(rng.integers(n))]
+        fraction = (1 + int(draw() * 1023)) / 1024.0
+        target = dataset.ids[int(draw() * n)]
         before = _all_measures(dataset, concept, theta)
         for check, change, variant in (
             ("recursivity", "split", split_example(dataset, target, fraction)),
@@ -210,11 +227,10 @@ def run_theorem1_suite(trials: int, seed: int) -> SuiteReport:
     """Closed-form completeness against the brute-force decoder maximum."""
 
     def one_trial(index: int) -> list[dict]:
-        child = derive_seed(seed, index)
-        rng = make_rng(child, 1)
+        child, draw = _trial_draws(seed, index)
         dataset = generate_dataset(
             SyntheticSpec(
-                n_examples=int(rng.integers(1, 13)),
+                n_examples=1 + int(draw() * 12),
                 n_concepts=1,
                 concept_kind=BINARY,
                 seed=child,

@@ -1,7 +1,12 @@
 """Deterministic input files for CLI tests.
 
 Vector fixtures are hand-built literals so expected report numbers can
-be verified by hand; datasets come from the seeded generator.
+be verified by hand. The two datasets ``lr`` and ``rf`` are literals
+too: they are what the generator once drew for 8 examples with the
+concepts stripes and spots planted (``lr``: seed 7, measures 0.5 and
+-0.25, ground truth equal to the prediction; ``rf``: seed 9, measures
+0.25 and 0.0). The golden reports in ``tests/golden/`` are computed
+from these bytes, so they must not follow the generator's streams.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ from unittest import mock
 import pytest
 
 from conceptscope import cli
-from conceptscope.dataset import to_jsonl
-from conceptscope.synthetic import SyntheticSpec, generate_dataset
 
 VOTES_CSV = """example_id,concept,yes_count,total_votes,true_label
 x0,wing,11,11,present
@@ -33,6 +36,27 @@ x4,wing,1,11,absent
 x5,wing,0,11,absent
 """
 
+LR_JSONL = (
+    b'{"id":"x0","prediction":-1,"concepts":{"stripes":-1.0,"spots":-1.0,"c0":1.0},"weight":0.125,"ground_truth":-1}\n'
+    b'{"id":"x1","prediction":-1,"concepts":{"stripes":-1.0,"spots":-1.0,"c0":1.0},"weight":0.125,"ground_truth":-1}\n'
+    b'{"id":"x2","prediction":1,"concepts":{"stripes":1.0,"spots":-1.0,"c0":-1.0},"weight":0.125,"ground_truth":1}\n'
+    b'{"id":"x3","prediction":-1,"concepts":{"stripes":1.0,"spots":1.0,"c0":1.0},"weight":0.125,"ground_truth":-1}\n'
+    b'{"id":"x4","prediction":-1,"concepts":{"stripes":-1.0,"spots":1.0,"c0":-1.0},"weight":0.125,"ground_truth":-1}\n'
+    b'{"id":"x5","prediction":-1,"concepts":{"stripes":-1.0,"spots":-1.0,"c0":1.0},"weight":0.125,"ground_truth":-1}\n'
+    b'{"id":"x6","prediction":1,"concepts":{"stripes":1.0,"spots":-1.0,"c0":-1.0},"weight":0.125,"ground_truth":1}\n'
+    b'{"id":"x7","prediction":-1,"concepts":{"stripes":1.0,"spots":1.0,"c0":-1.0},"weight":0.125,"ground_truth":-1}\n'
+)
+RF_JSONL = (
+    b'{"id":"x0","prediction":-1,"concepts":{"stripes":-1.0,"spots":-1.0,"c0":-1.0},"weight":0.125}\n'
+    b'{"id":"x1","prediction":-1,"concepts":{"stripes":1.0,"spots":-1.0,"c0":-1.0},"weight":0.125}\n'
+    b'{"id":"x2","prediction":1,"concepts":{"stripes":1.0,"spots":-1.0,"c0":1.0},"weight":0.125}\n'
+    b'{"id":"x3","prediction":-1,"concepts":{"stripes":-1.0,"spots":1.0,"c0":-1.0},"weight":0.125}\n'
+    b'{"id":"x4","prediction":-1,"concepts":{"stripes":1.0,"spots":1.0,"c0":-1.0},"weight":0.125}\n'
+    b'{"id":"x5","prediction":1,"concepts":{"stripes":1.0,"spots":1.0,"c0":1.0},"weight":0.125}\n'
+    b'{"id":"x6","prediction":-1,"concepts":{"stripes":1.0,"spots":1.0,"c0":1.0},"weight":0.125}\n'
+    b'{"id":"x7","prediction":1,"concepts":{"stripes":1.0,"spots":1.0,"c0":1.0},"weight":0.125}\n'
+)
+
 _SIN60 = math.sqrt(3.0) / 2.0
 
 
@@ -40,23 +64,10 @@ def write_fixtures(directory: Path) -> dict[str, Path]:
     """Write every CLI input fixture into ``directory``."""
     paths: dict[str, Path] = {}
 
-    lr = generate_dataset(
-        SyntheticSpec(
-            n_examples=8, n_concepts=3, seed=7,
-            planted_measures={"stripes": 0.5, "spots": -0.25},
-            with_ground_truth=True,
-        )
-    )
-    rf = generate_dataset(
-        SyntheticSpec(
-            n_examples=8, n_concepts=3, seed=9,
-            planted_measures={"stripes": 0.25, "spots": 0.0},
-        )
-    )
     paths["lr"] = directory / "lr.jsonl"
-    paths["lr"].write_bytes(to_jsonl(lr))
+    paths["lr"].write_bytes(LR_JSONL)
     paths["rf"] = directory / "rf.jsonl"
-    paths["rf"].write_bytes(to_jsonl(rf))
+    paths["rf"].write_bytes(RF_JSONL)
 
     # All predictions negative: conditional measures are undefined.
     undefined = {

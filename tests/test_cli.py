@@ -392,10 +392,13 @@ def test_verify_theorem2_summary_prints_epsilon_exactly():
 
 
 # Summary lines of each suite when every trial of `--trials 5` fails.
+# The decomposition identity is checked only on a dataset with weight on
+# both classes, so that line passes the trials whose dataset has one; the
+# test counts them.
 FAILING_SUITES = {
     "axioms": ["axioms/recursivity: FAIL (0/5 within -1)",
                "axioms/linearity: FAIL (0/5 within -1)",
-               "axioms/decomposition: FAIL (0/5 within -1)"],
+               "axioms/decomposition: FAIL ({one_class}/5 within -1)"],
     "theorem1": ["theorem1/equality: FAIL (0/5 within -1)"],
     "theorem2": ["theorem2/bound: FAIL (0/5 trials with gap < 0.2;"
                  " failure rate 1.0000 vs allowed 0.5025, dim 8)"],
@@ -411,14 +414,22 @@ def test_failing_verify_suite_exits_1_with_its_records(monkeypatch, suite):
     from conceptscope.synthetic import Theorem2Trial
 
     assert 5 < 2 * MIN_TRIALS
+    generate_dataset, one_class = verify.generate_dataset, []
+
+    def counting_one_class(spec):
+        dataset = generate_dataset(spec)
+        one_class.append(len(set(dataset.predictions)) == 1)
+        return dataset
+
     if suite == "theorem2":
         monkeypatch.setattr(verify, "theorem2_trial",
                             lambda epsilon, delta, dim, seed: Theorem2Trial(0.5, 7, False))
     else:
         monkeypatch.setattr(verify, "IDENTITY_TOLERANCE", -1.0)
+        monkeypatch.setattr(verify, "generate_dataset", counting_one_class)
     result = invoke(["verify", "--suite", suite, "--trials", "5"], expect=1)
     lines = result.stdout.splitlines()
-    summary = FAILING_SUITES[suite]
+    summary = [line.format(one_class=sum(one_class)) for line in FAILING_SUITES[suite]]
     assert lines[:len(summary)] == summary
     records = [json.loads(line) for line in lines[len(summary):]]
     assert [json.dumps(record, sort_keys=True) for record in records] == lines[len(summary):]
@@ -882,14 +893,15 @@ def _command_args(fixtures, tmp_path):
 
 
 def test_no_command_imports_scipy(fixtures, tmp_path):
-    # The commands that need no numpy run first, so nothing else has
-    # loaded it yet; then tcav, edit and the suites each load numpy and
-    # no other family of _HEAVY, scipy and click included. Every command
-    # leaves one thread: the CLI sets OPENBLAS_NUM_THREADS=1 before numpy
-    # loads, while the import leaves the environment alone.
+    # The commands that need no numpy, the axioms and theorem1 suites
+    # among them, run first, so nothing else has loaded it yet; then tcav,
+    # edit and theorem2 each load numpy and no other family of _HEAVY,
+    # scipy and click included. Every command leaves one thread: the CLI
+    # sets OPENBLAS_NUM_THREADS=1 before numpy loads, while the import
+    # leaves the environment alone.
     commands = _command_args(fixtures, tmp_path)
     numeric = [(name, commands.pop(name))
-               for name in ("tcav", "edit", "axioms", "theorem1", "theorem2")]
+               for name in ("tcav", "edit", "theorem2")]
     lean = list(commands.items())
     seen, stderr = _run_import_probe(lean + numeric)
     lean_names = ["import"] + [name for name, _ in lean]
@@ -962,9 +974,8 @@ print(json.dumps([code, added]))
 _CLI_MODULES = ["conceptscope", "conceptscope.cli", "conceptscope.errors"]
 _MEASURE_MODULES = ["conceptscope.dataset", "conceptscope.fanout", "conceptscope.measures",
                     "conceptscope.report", "csv", "dataclasses", "json"]
-_SUITE_MODULES = ["conceptscope.completeness", "conceptscope.dataset",
-                  "conceptscope.embeddings", "conceptscope.fanout", "conceptscope.measures",
-                  "conceptscope.synthetic", "conceptscope.tcav", "conceptscope.verify",
+_SUITE_MODULES = ["conceptscope.completeness", "conceptscope.dataset", "conceptscope.fanout",
+                  "conceptscope.measures", "conceptscope.synthetic", "conceptscope.verify",
                   "dataclasses", "json"]
 
 # What each command loads beyond the CLI's own modules.
@@ -981,7 +992,7 @@ COMMAND_MODULES = {
     "edit": ["conceptscope.embeddings", "conceptscope.prompts", "dataclasses", "json"],
     "axioms": _SUITE_MODULES,
     "theorem1": _SUITE_MODULES,
-    "theorem2": _SUITE_MODULES,
+    "theorem2": [*_SUITE_MODULES, "conceptscope.embeddings", "conceptscope.tcav"],
 }
 
 
@@ -1131,6 +1142,32 @@ def test_split_verify_is_quiet_and_prints_what_one_cpu_prints(tmp_path, suite, e
     assert b": PASS (" in outputs[0][0]
     spans = min(len(os.sched_getaffinity(0)), 3)
     assert _run_strict(["-c", _COUNT_FORKS, *args], False).stderr == f"{spans - 1}\n".encode()
+
+
+# The CLI with fanout.fork_map wrapped: each call that forks first prints, on
+# stderr, whether numpy is loaded and how many threads the process runs.
+_REPORT_FORKS = (
+    "import os, sys\n"
+    "from conceptscope import fanout\n"
+    "fork_map = fanout.fork_map\n"
+    "def reporting(func, spans):\n"
+    "    if len(spans) > 1:\n"
+    "        print('numpy' in sys.modules, len(os.listdir('/proc/self/task')), file=sys.stderr)\n"
+    "    return fork_map(func, spans)\n"
+    "fanout.fork_map = reporting\n"
+    "from conceptscope.cli import main\n"
+    "main()\n"
+)
+
+
+@needs_two_cpus
+def test_theorem2_loads_numpy_before_it_forks():
+    """Trial 0 runs before the fork and loads numpy, with one thread: the workers
+    inherit numpy and never import it, and no BLAS thread pool."""
+    args = ["verify", "--suite", "theorem2", "--trials", str(2 * MIN_TRIALS), "--dim", "4"]
+    result = _run_strict(["-c", _REPORT_FORKS, *args], False)
+    assert result.stdout.startswith(b"theorem2/bound: PASS (")
+    assert result.stderr == b"True 1\n"
 
 
 MEASURES = ["class-conditioned", "concept-conditioned", "symmetric"]

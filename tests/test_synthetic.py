@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy.special import betainc, betaincinv
 from scipy.stats import ks_2samp
 
-from conceptscope import verify
+from conceptscope import synthetic, verify
 from conceptscope.dataset import ConceptDataset, to_jsonl
 from conceptscope.errors import (
     DomainError,
@@ -32,14 +33,14 @@ from conceptscope.synthetic import (
     split_example,
     theorem2_trial,
 )
-from conceptscope.verify import run_axioms_suite, run_theorem2_suite
+from conceptscope.verify import run_axioms_suite, run_theorem1_suite, run_theorem2_suite
 from oracles import binomial_cap_mass, naive_symmetric, rejection_cap_sample
 from worlds import generate_contamination_instance, generate_hierarchy_world
 
 # Pin generator output: identical spec must give identical bytes.
 GOLDEN_HASHES = {
-    "binary_planted": "ba8024c2c03c52e3ea72363ca788a57c6fa16dd508f6506bbcd1a16886212193",
-    "continuous_dyadic": "9088243066bdd81c45329bc6f7e080d196540ad927f3010aae5920c8b2c3f6ad",
+    "binary_planted": "0bd82990af0560905c149323e4bd36390daf172d6420a17e9002dd2e435c872d",
+    "continuous_dyadic": "937ab62cd490731a4ac371aa88903f13d7cc63d52a6bc0a408df0ab6863096e7",
     "hierarchy_world": {
         "child_0": "ac021529094650fd54180444cc8f28c9692131ca6a2815b97dda8f9dbfe926bf",
         "child_1": "f9040b35c22efc2420f2db2a8d31d9568a959c19187aaa058929ecae087b4dcc",
@@ -139,10 +140,69 @@ def test_ground_truth_flag_sets_y_equal_h():
 
 
 def test_dyadic_weights_sum_exactly_one():
-    ds = generate_dataset(
-        SyntheticSpec(n_examples=7, n_concepts=1, seed=10, weight_kind="dyadic")
-    )
-    assert math.fsum(ds.weights) == 1.0
+    # Positive multiples of 2^-20 that sum to exactly 1, from 1 row to 2^18,
+    # where a multinomial of 2^20 draws would leave about 2% of the rows at 0.
+    for n, seeds in ((1, 2), (2, 300), (7, 300), (13, 300), (2**18, 1)):
+        for seed in range(10, 10 + seeds):
+            weights = generate_dataset(
+                SyntheticSpec(n_examples=n, n_concepts=1, seed=seed, weight_kind="dyadic")
+            ).weights
+            assert min(weights) > 0.0
+            assert all((w * 2**20).is_integer() for w in weights)
+            assert math.fsum(weights) == sum(weights) == 1.0
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True])
+def test_generate_dataset_rejects_bad_seeds(seed):
+    with pytest.raises(DomainError) as raised:
+        generate_dataset(SyntheticSpec(n_examples=4, n_concepts=1, seed=seed))
+    assert str(raised.value) == f"seed must be a 64-bit unsigned integer, got {seed!r}"
+
+
+class _RandomOnly(random.Random):
+    """random.Random on which every public draw but random() refuses; it records
+    each seed it is given."""
+
+    seeds: list = []
+
+    def seed(self, a=None, version=2):
+        self.seeds.append(a)
+        super().seed(a, version)
+
+
+def _refuse(self, *args, **kwargs):
+    raise AssertionError("drew through a method other than random()")
+
+
+for _name in {*vars(random.Random), "getrandbits"} - {"random", "seed", "getstate", "setstate"}:
+    if not _name.startswith("_") and callable(getattr(random.Random, _name)):
+        setattr(_RandomOnly, _name, _refuse)
+
+
+def test_datasets_and_trials_draw_through_random_only(monkeypatch):
+    """Python keeps random()'s sequence for an int seed across versions, and not
+    that of its other draws: the datasets and the axioms and theorem1 trials
+    draw through random() alone, so they come out the same on a generator whose
+    other draws refuse."""
+    specs = [
+        SyntheticSpec(n_examples=9, n_concepts=3, seed=1, planted_measures={"p": 0.3},
+                      with_ground_truth=True),
+        SyntheticSpec(n_examples=9, n_concepts=2, seed=2, weight_kind="random"),
+        SyntheticSpec(n_examples=9, n_concepts=2, concept_kind="continuous", seed=3,
+                      weight_kind="dyadic"),
+    ]
+
+    def run():
+        return ([to_jsonl(generate_dataset(spec)) for spec in specs],
+                run_axioms_suite(10, 4), run_theorem1_suite(10, 4))
+
+    expected = run()
+    monkeypatch.setattr(synthetic, "Random", _RandomOnly)
+    monkeypatch.setattr(verify, "Random", _RandomOnly)
+    monkeypatch.setattr(_RandomOnly, "seeds", [])
+    assert run() == expected
+    # One generator per dataset, and two per trial: its own and its dataset's.
+    assert len(_RandomOnly.seeds) == len(specs) + 2 * 20
 
 
 def test_split_preserves_total_weight_exactly_on_dyadic():
@@ -321,11 +381,14 @@ def test_cap_argument_validation():
      "unknown concept_kind 'ternary'"),
     (lambda: generate_dataset(SyntheticSpec(n_examples=4, n_concepts=1, weight_kind="skewed")),
      "unknown weight_kind 'skewed'"),
+    (lambda: generate_dataset(
+        SyntheticSpec(n_examples=2**20 + 1, n_concepts=1, weight_kind="dyadic")),
+     "dyadic weights need n_examples <= 2**20"),
     (lambda: cap_probability(1, 0.5), "dim must be an integer >= 2, got 1"),
     (lambda: cap_probability(8, 1.0), "theta must lie in [-1, 1), got 1.0"),
     (lambda: sample_spherical_cap(make_rng(0), np.eye(2), 0.5, 1),
      "axis must be a 1-D vector with dim >= 2"),
-], ids=["no-examples", "no-concepts", "concept-kind", "weight-kind", "cap-dim-1",
+], ids=["no-examples", "no-concepts", "concept-kind", "weight-kind", "dyadic-rows", "cap-dim-1",
         "cap-theta-1", "cap-axis-2d"])
 def test_argument_error_messages(call, message):
     with pytest.raises(DomainError) as raised:
